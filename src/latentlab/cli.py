@@ -4,17 +4,14 @@ Six subcommands: ``locate`` and ``verify`` work directly on a graph file;
 ``simulate``, ``train``, and ``evaluate`` run the staged experiment described
 by a config file; ``sweep`` scans masking ratios and patch sizes.  Exit
 codes: 0 success, 1 usage error, 2 data or validation error, 3 numerical
-failure.  The ``LATENTLAB_THREADS`` environment variable caps the worker
-pool used by ``verify`` and ``sweep``.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,6 +22,7 @@ from latentlab import fixtures
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph, validate_graph
 from latentlab.ident import RegressorConfig, block_identifiability
 from latentlab.locate import (
+    ORACLE_MAX_LATENTS,
     brute_force_minimal_c,
     level_stats,
     locate_c,
@@ -59,24 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _pool_size() -> int:
-    env = os.environ.get("LATENTLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"LATENTLAB_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
-def _pool_map(fn, items: list):
-    """Run pure tasks in a thread pool; results keep submission order."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve_graph(path: str) -> LatentGraph:
@@ -273,13 +253,12 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(trial_seed)
         k = int(rng.integers(1, len(observables)))
         mask = Mask(str(v) for v in rng.choice(observables, size=k, replace=False))
-        c, s_m = locate_c(g, mask)
-        oracle = brute_force_minimal_c(g, mask, dims, max_latents=args.max_latents)
         info = locate_shared_info(g, mask)
+        oracle = brute_force_minimal_c(g, mask, dims, max_latents=args.max_latents)
         flags = verify_conditions(g, mask, info)
         return {
             "mask": sorted(mask.masked),
-            "match": c == oracle.c and s_m == oracle.s_m,
+            "match": info.c == oracle.c and info.s_m == oracle.s_m,
             "ties": len(oracle.ties),
             "flags_ok": flags.invertible_masked
             and flags.invertible_visible
@@ -287,7 +266,7 @@ def cmd_verify(args) -> int:
             and flags.independence_ok,
         }
 
-    results = _pool_map(run_trial, seeds)
+    results = [run_trial(trial_seed) for trial_seed in seeds]
     mismatches = [r for r in results if not r["match"]]
     flag_failures = [r for r in results if not r["flags_ok"]]
     ties = sum(r["ties"] for r in results)
@@ -394,11 +373,10 @@ def sweep_rows(
     cells = sorted((float(r), int(s)) for r in ratios for s in patches)
     cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
 
-    def run_cell(item) -> list[list]:
-        (r, s), cell_seed = item
+    rows = []
+    for (r, s), cell_seed in zip(cells, cell_seeds):
         rng = np.random.default_rng(cell_seed)
         sampler = MaskSampler(r, s, tuple(g.layout))
-        rows = []
         for idx in range(k_masks):
             mask = sample_mask(sampler, rng)
             c, _ = locate_c(g, mask)
@@ -407,10 +385,7 @@ def sweep_rows(
                 [r, s, k_masks, idx, len(mask.masked),
                  float(stats["mean_level"]), int(stats["max_level"]), int(stats["total_dim"])]
             )
-        return rows
-
-    nested = _pool_map(run_cell, list(zip(cells, cell_seeds)))
-    return [row for rows in nested for row in rows]
+    return rows
 
 
 SWEEP_HEADER = ["r", "s", "k_masks", "mask_idx", "n_masked", "mean_level", "max_level", "total_dim"]
@@ -497,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-latents", type=int, default=12)
+    p.add_argument("--max-latents", type=int, default=ORACLE_MAX_LATENTS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="build the simulator and write a dataset")

@@ -9,6 +9,7 @@ sampling.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -96,6 +97,8 @@ class LatentGraph:
         self.layout = tuple(layout)
         self._topo: tuple[NodeId, ...] | None = None
         self._levels: dict[NodeId, int | None] | None = None
+        self._bits: BitIndex | None = None
+        self._validation: ValidationReport | None = None
 
     # -- basic queries ------------------------------------------------
 
@@ -204,23 +207,28 @@ class LatentGraph:
         Raises ValueError when the edge relation has a cycle.
         """
         if self._topo is None:
-            in_deg = {v: len(self._parents[v]) for v in self._kinds}
-            ready = sorted(v for v, d in in_deg.items() if d == 0)
-            order: list[NodeId] = []
-            while ready:
-                v = ready.pop(0)
-                order.append(v)
-                opened = []
-                for c in self._children[v]:
-                    in_deg[c] -= 1
-                    if in_deg[c] == 0:
-                        opened.append(c)
-                if opened:
-                    ready = sorted(ready + opened)
+            order = self._kahn()
             if len(order) != len(self._kinds):
                 raise ValueError("graph has a cycle; no topological order exists")
             self._topo = tuple(order)
         return self._topo
+
+    def _kahn(self) -> list[NodeId]:
+        """Kahn's algorithm, smallest ready id first.  On a cyclic graph the
+        order stops short: the nodes left out are exactly those on a cycle or
+        downstream of one."""
+        in_deg = {v: len(self._parents[v]) for v in self._kinds}
+        ready = [v for v, d in in_deg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[NodeId] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for c in self._children[v]:
+                in_deg[c] -= 1
+                if in_deg[c] == 0:
+                    heapq.heappush(ready, c)
+        return order
 
     def topo_depth(self, v: NodeId) -> int:
         """Level of a latent: length of its longest directed path down to an
@@ -244,6 +252,13 @@ class LatentGraph:
             self._levels = levels
         return self._levels
 
+    def bit_index(self) -> "BitIndex":
+        """The graph's nodes interned to bit positions, built on first use.
+        Raises ValueError on a cyclic graph."""
+        if self._bits is None:
+            self._bits = BitIndex(self)
+        return self._bits
+
     def __repr__(self) -> str:
         return (
             f"LatentGraph(latents={len(self.latents)}, observables={len(self.observables)}, "
@@ -251,11 +266,89 @@ class LatentGraph:
         )
 
 
+class BitIndex:
+    """Node sets of one acyclic graph as Python ints, one bit per node.
+
+    Bit ``i`` stands for ``ids[i]``; positions follow the topological order,
+    so every parent sits on a lower bit than its children.  ``parents[i]``
+    and ``ancestors[i]`` are the masks of node ``i``'s parents and of its
+    proper ancestors.
+    """
+
+    def __init__(self, g: LatentGraph):
+        self.ids: tuple[NodeId, ...] = g.topo_order()
+        self.bit: dict[NodeId, int] = {v: i for i, v in enumerate(self.ids)}
+        self.parents: list[int] = []
+        self.ancestors: list[int] = []
+        self.exogenous = 0
+        for i, v in enumerate(self.ids):
+            parents = ancestors = 0
+            for p in g.parents(v):
+                j = self.bit[p]
+                parents |= 1 << j
+                ancestors |= self.ancestors[j]
+            self.parents.append(parents)
+            self.ancestors.append(ancestors | parents)
+            if g.kind(v) is NodeKind.EXOGENOUS:
+                self.exogenous |= 1 << i
+        # (bit, parent mask) of every node with parents, parents first.
+        self.forward: tuple[tuple[int, int], ...] = tuple(
+            (1 << i, ps) for i, ps in enumerate(self.parents) if ps
+        )
+        self.non_roots = sum(bit for bit, _ in self.forward)
+
+    def encode(self, nodes: Iterable[NodeId]) -> int:
+        mask = 0
+        for v in nodes:
+            i = self.bit.get(v)
+            if i is None:
+                raise UnknownNodeError(f"unknown node id {v!r}")
+            mask |= 1 << i
+        return mask
+
+    def decode(self, mask: int) -> set[NodeId]:
+        ids, out = self.ids, set()
+        while mask:
+            low = mask & -mask
+            out.add(ids[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    @staticmethod
+    def union(table: Sequence[int], members: int) -> int:
+        """OR of ``table[i]`` over the bits ``i`` set in ``members``."""
+        out = 0
+        while members:
+            low = members & -members
+            out |= table[low.bit_length() - 1]
+            members ^= low
+        return out
+
+    def proper_ancestors(self, members: int) -> int:
+        """A member appears only if it is an ancestor of another member."""
+        return self.union(self.ancestors, members & self.non_roots)
+
+    def ancestors_or_self(self, members: int) -> int:
+        return members | self.proper_ancestors(members)
+
+    def share_ancestor(self, a: int, b: int) -> bool:
+        """True iff some node is an ancestor-or-self of both a member of
+        ``a`` and a member of ``b``."""
+        return bool(self.ancestors_or_self(a) & self.ancestors_or_self(b))
+
+
 # -- validation ----------------------------------------------------------
 
 
 def validate_graph(g: LatentGraph) -> ValidationReport:
-    """Check every structural invariant; violations are returned, not raised."""
+    """Check every structural invariant; violations are returned, not raised.
+    The report is kept on the (immutable) graph, so later calls are free."""
+    if g._validation is None:
+        g._validation = _check_invariants(g)
+    return g._validation
+
+
+def _check_invariants(g: LatentGraph) -> ValidationReport:
     violations: list[str] = []
 
     cycle = _find_cycle(g)
@@ -296,31 +389,21 @@ def validate_graph(g: LatentGraph) -> ValidationReport:
 
 
 def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
-    white, gray, black = 0, 1, 2
-    color = {v: white for v in g.node_ids}
-    stack_path: list[NodeId] = []
-
-    def visit(v: NodeId) -> list[NodeId] | None:
-        color[v] = gray
-        stack_path.append(v)
-        for c in sorted(g.children(v)):
-            if color[c] == gray:
-                i = stack_path.index(c)
-                return stack_path[i:] + [c]
-            if color[c] == white:
-                found = visit(c)
-                if found:
-                    return found
-        stack_path.pop()
-        color[v] = black
+    """One cycle as a closed path ``a -> ... -> a``, or None.  Every node
+    Kahn's algorithm leaves over has a parent that is left over too, so
+    walking up from one of them must come back to a node already seen."""
+    left = set(g.node_ids).difference(g._kahn())
+    if not left:
         return None
-
-    for v in g.node_ids:
-        if color[v] == white:
-            found = visit(v)
-            if found:
-                return found
-    return None
+    walk = [min(left)]
+    seen = {walk[0]: 0}
+    while True:
+        v = min(p for p in g.parents(walk[-1]) if p in left)
+        if v in seen:
+            cycle = walk[seen[v]:] + [v]
+            return cycle[::-1]
+        seen[v] = len(walk)
+        walk.append(v)
 
 
 # -- d-separation ---------------------------------------------------------
@@ -336,7 +419,8 @@ def d_separated(
     ``z``: chains/forks block when their middle node is conditioned on,
     colliders block unless the collider or one of its descendants is.
 
-    The three sets must be pairwise disjoint.
+    The three sets must be pairwise disjoint.  With ``z`` empty the graph
+    must be acyclic (ValueError otherwise).
     """
     a, b, z = set(a), set(b), set(z)
     for v in a | b | z:
@@ -346,6 +430,11 @@ def d_separated(
         raise ValueError("d-separation requires pairwise disjoint node sets")
     if not a or not b:
         return True
+    if not z:
+        # With nothing conditioned on, every active trail is a trek: a and b
+        # are connected iff some node is an ancestor-or-self of both.
+        idx = g.bit_index()
+        return not idx.share_ancestor(idx.encode(a), idx.encode(b))
 
     # Upward closure of z: nodes that are in z or have a descendant in z.
     z_up = set(z)

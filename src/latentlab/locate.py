@@ -10,20 +10,24 @@ all latent subsets in order of total dimension.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from latentlab.graph import (
+    BitIndex,
     LatentGraph,
     Mask,
     NodeId,
     NodeKind,
-    UnknownNodeError,
     d_separated,
     derive_dims,
     validate_graph,
 )
+
+# Largest latent count the exhaustive oracle accepts: it may visit all 2^L
+# latent subsets.
+ORACLE_MAX_LATENTS = 18
 
 
 @dataclass(frozen=True)
@@ -106,31 +110,24 @@ def locate_c(g: LatentGraph, mask: Mask) -> tuple[frozenset[NodeId], frozenset[N
     """
     _require_valid(g)
     masked, visible = _split_mask(g, mask)
+    idx = g.bit_index()
+    reaches_visible = idx.proper_ancestors(idx.encode(visible))
 
-    reaches_visible = g.ancestors_of_set(visible)
-    candidates: set[NodeId] = set()
-    s_m: set[NodeId] = set()
-    processed: set[NodeId] = set()
-    frontier: set[NodeId] = set(masked)
+    # Walk up level by level; `walked` holds the masked observables and the
+    # latents backtracked through.
+    walked = frontier = idx.encode(masked)
+    candidates = 0
     while frontier:
-        v = frontier.pop()
-        if v in processed:
-            continue
-        processed.add(v)
-        for p in g.parents(v):
-            if g.kind(p) is NodeKind.EXOGENOUS:
-                s_m.add(p)
-            elif p in reaches_visible:
-                candidates.add(p)
-            else:
-                frontier.add(p)
+        parents = idx.union(idx.parents, frontier) & ~idx.exogenous
+        candidates |= parents & reaches_visible
+        frontier = parents & ~reaches_visible & ~walked
+        walked |= frontier
+    s_m = idx.union(idx.parents, walked) & idx.exogenous
 
-    pruned = {
-        d
-        for d in candidates
-        if not (g.directed_path_nodes(d, visible) & (candidates - {d}))
-    }
-    return frozenset(pruned), frozenset(s_m)
+    # Every candidate lies upstream of the visible side, so another candidate
+    # on one of d's paths there is simply a candidate below d.
+    pruned = candidates & ~idx.proper_ancestors(candidates)
+    return frozenset(idx.decode(pruned)), frozenset(idx.decode(s_m))
 
 
 def locate_smc(g: LatentGraph, mask: Mask, c: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -182,29 +179,22 @@ def information_closure(g: LatentGraph, known: Iterable[NodeId]) -> set[NodeId]:
     Two rules: knowing a node reveals all its parents (each generating step
     is invertible), and knowing all parents of a node reveals the node
     (forward evaluation).  Exogenous nodes enter only via the first rule.
+    The graph must be acyclic.
     """
-    closure: set[NodeId] = set()
-    agenda: deque[NodeId] = deque()
-    missing = {v: len(g.parents(v)) for v in g.node_ids}
+    idx = g.bit_index()
+    return idx.decode(_closure(idx, idx.encode(known)))
 
-    def add(v: NodeId) -> None:
-        if v not in closure:
-            closure.add(v)
-            agenda.append(v)
 
-    for v in known:
-        if v not in g:
-            raise UnknownNodeError(f"unknown node id {v!r}")
-        add(v)
-    while agenda:
-        v = agenda.popleft()
-        for p in g.parents(v):
-            add(p)
-        for child in g.children(v):
-            missing[child] -= 1
-            if missing[child] == 0:
-                add(child)
-    return closure
+def _closure(idx: BitIndex, known: int) -> int:
+    """``information_closure`` on bit masks.  The upward rule applied to the
+    known set gives every ancestor; one forward pass in topological order
+    then adds each node whose parents are all known.  That set is already
+    ancestor-closed, so the upward rule adds nothing further."""
+    closed = idx.ancestors_or_self(known)
+    for bit, parents in idx.forward:
+        if parents & closed == parents:
+            closed |= bit
+    return closed
 
 
 def verify_conditions(
@@ -289,7 +279,7 @@ def brute_force_minimal_c(
     g: LatentGraph,
     mask: Mask,
     dims: Mapping[NodeId, int],
-    max_latents: int = 12,
+    max_latents: int = ORACLE_MAX_LATENTS,
 ) -> OracleResult:
     """Exhaustive search for the minimal shared set, independent of the
     backtracking algorithm.
@@ -300,6 +290,7 @@ def brute_force_minimal_c(
     candidate is accepted when the mask is determined by ``C' + S'``, the
     pair is recoverable from the mask, and ``S'`` is d-separated from
     ``C' + visible``.  Same-dimension alternatives are reported as ties.
+    Latent dimensions must be non-negative.
     """
     _require_valid(g)
     masked, visible = _split_mask(g, mask)
@@ -308,46 +299,80 @@ def brute_force_minimal_c(
         raise ValueError(
             f"graph has {len(latents)} latents, above the exhaustive-search cap {max_latents}"
         )
+    weights = [dims[v] for v in latents]
+    if any(w < 0 for w in weights):
+        raise ValueError("latent dimensions must be non-negative")
 
-    exo_anc_masked = {
-        v for v in (g.ancestors_of_set(masked) | masked) if g.kind(v) is NodeKind.EXOGENOUS
-    }
+    idx = g.bit_index()
+    latent_bit = [1 << idx.bit[v] for v in latents]
+    masked_bits = idx.encode(masked)
+    visible_bits = idx.encode(visible)
+    exo_anc_masked = idx.ancestors_or_self(masked_bits) & idx.exogenous
+    recoverable = _closure(idx, masked_bits)
 
-    def satisfies(candidate: frozenset[NodeId]) -> tuple[bool, frozenset[NodeId]]:
-        s_prime = frozenset(exo_anc_masked - information_closure(g, candidate))
-        combined = information_closure(g, candidate | s_prime)
-        if not masked <= combined:
+    def satisfies(candidate: int) -> tuple[bool, int]:
+        s_prime = exo_anc_masked & ~_closure(idx, candidate)
+        if masked_bits & ~_closure(idx, candidate | s_prime):
             return False, s_prime
-        if not (candidate | s_prime) <= information_closure(g, masked):
+        if (candidate | s_prime) & ~recoverable:
             return False, s_prime
-        other = candidate | visible
-        if s_prime and not d_separated(g, s_prime, other, set()):
+        # d-separated given the empty set iff no common ancestor (see d_separated).
+        if idx.share_ancestor(s_prime, candidate | visible_bits):
             return False, s_prime
         return True, s_prime
 
-    subsets = sorted(
-        (frozenset(latents[i] for i in range(len(latents)) if bits >> i & 1) for bits in range(1 << len(latents))),
-        key=lambda s: (sum(dims[v] for v in s), tuple(sorted(s))),
-    )
-
     best: OracleResult | None = None
     ties: list[frozenset[NodeId]] = []
-    for candidate in subsets:
-        total = sum(dims[v] for v in candidate)
+    for total, members in _subsets_by_weight(weights):
         if best is not None and total > best.total_dim:
             break
+        candidate = 0
+        for i in members:
+            candidate |= latent_bit[i]
         ok, s_prime = satisfies(candidate)
         if not ok:
             continue
+        found = frozenset(latents[i] for i in members)
         if best is None:
-            best = OracleResult(c=candidate, s_m=s_prime, total_dim=total)
+            best = OracleResult(c=found, s_m=frozenset(idx.decode(s_prime)), total_dim=total)
         else:
-            ties.append(candidate)
+            ties.append(found)
     if best is None:
         raise RuntimeError("exhaustive search found no satisfying subset; graph invariants violated")
     if ties:
         best = OracleResult(c=best.c, s_m=best.s_m, total_dim=best.total_dim, ties=tuple(ties))
     return best
+
+
+def _subsets_by_weight(weights: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every subset of ``range(len(weights))`` as ``(total weight, ascending
+    members)``, lazily and in increasing ``(total, members)`` order.
+
+    Best-first search over the tree in which a subset's parent is the subset
+    without its largest member.  A node hands the heap its first child and
+    its next sibling, with siblings taken in (weight, index) order; each of
+    the two has a larger key than the node (weights are non-negative), so
+    the heap pops keys in sorted order and never holds more than one entry
+    beyond the subsets popped so far.
+    """
+    n = len(weights)
+    # by_weight[s]: the members allowed after a largest member s - 1, in
+    # (weight, index) order.
+    by_weight = [sorted(range(s, n), key=lambda j: (weights[j], j)) for s in range(n + 1)]
+    heap: list = []
+
+    def push(total: int, members: tuple[int, ...], order: list[int], k: int) -> None:
+        if k < len(order):
+            j = order[k]
+            heapq.heappush(heap, (total + weights[j], members + (j,), total, members, order, k))
+
+    yield 0, ()
+    push(0, (), by_weight[0], 0)
+    while heap:
+        total, members, base_total, base, order, k = heapq.heappop(heap)
+        yield total, members
+        push(total, members, by_weight[members[-1] + 1], 0)
+        push(base_total, base, order, k + 1)
 
 
 def level_stats(

@@ -19,10 +19,15 @@ def bench3():
     return load_graph(fixture_path("bench3"))
 
 
-def random_hierarchy(rng: np.random.Generator, max_latents: int = 8, max_observables: int = 10) -> LatentGraph:
+def random_hierarchy(
+    rng: np.random.Generator,
+    max_latents: int = 8,
+    max_observables: int = 10,
+    min_latents: int = 2,
+) -> LatentGraph:
     """A random valid graph: latent-to-latent edges respect a fixed order,
     observables are sinks with 1-3 latent parents, one exogenous per node."""
-    n_lat = int(rng.integers(2, max_latents + 1))
+    n_lat = int(rng.integers(min_latents, max_latents + 1))
     n_obs = int(rng.integers(2, max_observables + 1))
     latents = [f"z{i}" for i in range(1, n_lat + 1)]
     observables = [f"x{j}" for j in range(1, n_obs + 1)]

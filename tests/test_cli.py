@@ -50,6 +50,24 @@ def test_locate_check_minimal(capsys):
     assert json.loads(capsys.readouterr().out)["report"]["minimal_ok"] is True
 
 
+def test_locate_deep_chain_exits_cleanly(tmp_path, capsys):
+    depth = 1200
+    chain = [f"z{i}" for i in range(depth)]
+    graph = {
+        "nodes": [{"id": v, "kind": "latent"} for v in chain]
+        + [{"id": "x1", "kind": "observable"}, {"id": "x2", "kind": "observable"}],
+        "edges": [[a, b] for a, b in zip(chain, chain[1:])] + [[chain[-1], "x1"], [chain[-1], "x2"]],
+        "layout": ["x1", "x2"],
+        "implicit_exogenous": True,
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(graph))
+    assert main(["locate", str(path), "--mask", "x1"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["c"] == [chain[-1]]
+    assert "Traceback" not in err
+
+
 def test_locate_unknown_graph(capsys):
     assert main(["locate", "no_such_graph.json", "--mask", "x1"]) == 2
 
@@ -154,12 +172,11 @@ def test_sweep_zero_masks_writes_header_only(tmp_path, capsys):
     assert out.read_text() == "r,s,k_masks,mask_idx,n_masked,mean_level,max_level,total_dim\n"
 
 
-def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
+def test_sweep_deterministic(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "bench3", "--ratios", "0.1,0.5", "--patches", "1,2",
             "--masks-per-cell", "4", "--seed", "7"]
     assert main(argv + ["--out", str(out_a)]) == 0
-    monkeypatch.setenv("LATENTLAB_THREADS", "1")
     assert main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from latentlab import (
     LatentGraph,
+    Mask,
     NodeKind,
     UnknownNodeError,
     d_separated,
@@ -15,6 +17,7 @@ from latentlab import (
     validate_graph,
 )
 from latentlab.graph import graph_to_dict
+from latentlab.locate import locate_c
 
 from conftest import random_hierarchy
 
@@ -66,6 +69,58 @@ def test_single_invariant_mutations_rejected(fig4, mutate, expected):
     report = validate_graph(graph_from_dict(data))
     assert not report.ok
     assert any(expected in v for v in report.violations), report.violations
+
+
+def test_cycle_reads_as_closed_path():
+    g = LatentGraph(
+        [("a", "latent"), ("b", "latent"), ("c", "latent"), ("d", "latent")],
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")],
+        [],
+    )
+    assert "cycle: a -> b -> c -> a" in validate_graph(g).violations
+
+
+def test_long_cycle_is_recovered_without_recursion():
+    n = 3000
+    names = [f"n{i:04d}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges.append(("root", names[0]))
+    g = LatentGraph([(v, "latent") for v in ["root"] + names], edges, [])
+    (line,) = [v for v in validate_graph(g).violations if v.startswith("cycle: ")]
+    path = line[len("cycle: "):].split(" -> ")
+    assert path[0] == path[-1] and len(path) == n + 1
+    assert all(edge in g.edges for edge in zip(path, path[1:]))
+
+
+def _deep_or_wide(n: int, deep: bool) -> LatentGraph:
+    """``n`` latents each with one observable child, chained one below the
+    next (deep) or all children of one root latent ``z0`` (wide)."""
+    nodes = [] if deep else [("z0", "latent")]
+    edges, layout = [], []
+    for i in range(1, n + 1):
+        nodes += [(f"z{i}", "latent"), (f"x{i}", "observable")]
+        edges.append((f"z{i}", f"x{i}"))
+        if not deep:
+            edges.append(("z0", f"z{i}"))
+        elif i > 1:
+            edges.append((f"z{i - 1}", f"z{i}"))
+        layout.append(f"x{i}")
+    for v, _ in list(nodes):
+        nodes.append((f"eps_{v}", "exogenous"))
+        edges.append((f"eps_{v}", v))
+    return LatentGraph(nodes, edges, layout)
+
+
+@pytest.mark.parametrize("deep, expected_c", [(True, {"z625"}), (False, {"z0"})])
+def test_large_graphs_validate_and_locate_quickly(deep, expected_c):
+    g = _deep_or_wide(1250, deep)
+    assert len(g.node_ids) >= 5000
+    start = time.perf_counter()
+    assert validate_graph(g).ok
+    c, s_m = locate_c(g, Mask(f"x{i}" for i in range(1, 626)))
+    assert time.perf_counter() - start < 10.0
+    assert c == expected_c
+    assert {f"eps_x{i}" for i in range(1, 626)} <= s_m
 
 
 def test_duplicate_and_empty_ids_rejected():

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import LatentGraph, Mask, derive_dims
+from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, d_separated, derive_dims
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import (
+    ORACLE_MAX_LATENTS,
+    OracleResult,
     SharedInfo,
+    _subsets_by_weight,
     brute_force_minimal_c,
     information_closure,
     level_stats,
@@ -123,6 +128,38 @@ def test_closure_exogenous_not_free(fig4):
     assert "eps_x6" not in information_closure(fig4, {"z2"})
 
 
+def test_closure_rejects_unknown_nodes(fig4):
+    with pytest.raises(UnknownNodeError):
+        information_closure(fig4, {"z2", "nope"})
+
+
+def _naive_closure(g: LatentGraph, known) -> set:
+    """Both rules applied over the edge list until nothing changes."""
+    closure = set(known)
+    changed = True
+    while changed:
+        changed = False
+        for parent, child in g.edges:
+            if child in closure and parent not in closure:
+                closure.add(parent)
+                changed = True
+        for v in g.node_ids:
+            if v not in closure and g.parents(v) and g.parents(v) <= closure:
+                closure.add(v)
+                changed = True
+    return closure
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_closure_matches_naive_fixpoint(seed):
+    rng = np.random.default_rng(seed)
+    g = random_hierarchy(rng)
+    nodes = sorted(g.node_ids)
+    known = {str(v) for v in rng.choice(nodes, size=int(rng.integers(0, 5)), replace=False)}
+    assert information_closure(g, known) == _naive_closure(g, known)
+
+
 # -- verify_conditions -------------------------------------------------------------
 
 
@@ -197,6 +234,80 @@ def test_oracle_latent_cap(bench3):
         brute_force_minimal_c(bench3, Mask({"p01"}), derive_dims(bench3))
 
 
+def _eager_oracle(g: LatentGraph, mask: Mask, dims) -> OracleResult:
+    """The oracle as first written: every latent subset built and sorted by
+    (total dimension, members) up front, then tried in that order."""
+    masked = set(mask.masked)
+    visible = set(g.observables) - masked
+    latents = sorted(g.latents)
+    exo_anc_masked = {
+        v for v in (g.ancestors_of_set(masked) | masked) if g.kind(v) is NodeKind.EXOGENOUS
+    }
+
+    def satisfies(candidate):
+        s_prime = frozenset(exo_anc_masked - information_closure(g, candidate))
+        if not masked <= information_closure(g, candidate | s_prime):
+            return False, s_prime
+        if not (candidate | s_prime) <= information_closure(g, masked):
+            return False, s_prime
+        if s_prime and not d_separated(g, s_prime, candidate | visible, set()):
+            return False, s_prime
+        return True, s_prime
+
+    subsets = sorted(
+        (frozenset(latents[i] for i in range(len(latents)) if bits >> i & 1)
+         for bits in range(1 << len(latents))),
+        key=lambda s: (sum(dims[v] for v in s), tuple(sorted(s))),
+    )
+    best, ties = None, []
+    for candidate in subsets:
+        total = sum(dims[v] for v in candidate)
+        if best is not None and total > best.total_dim:
+            break
+        ok, s_prime = satisfies(candidate)
+        if ok and best is None:
+            best = OracleResult(c=candidate, s_m=s_prime, total_dim=total)
+        elif ok:
+            ties.append(candidate)
+    return OracleResult(c=best.c, s_m=best.s_m, total_dim=best.total_dim, ties=tuple(ties))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans())
+def test_oracle_matches_eager_enumeration(seed, latent_dims):
+    """Unequal dimensions, either derived from random noise widths or drawn
+    per latent; the latter makes equal-dimension ties common."""
+    rng = np.random.default_rng(seed)
+    g = random_hierarchy(rng)
+    mask = random_mask(rng, g)
+    if latent_dims:
+        dims = {v: int(rng.integers(1, 4)) for v in g.latents}
+    else:
+        dims = derive_dims(g, {v: int(rng.integers(1, 4)) for v in g.exogenous})
+    got, expected = brute_force_minimal_c(g, mask, dims), _eager_oracle(g, mask, dims)
+    assert got.c == expected.c
+    assert got.s_m == expected.s_m
+    assert got.total_dim == expected.total_dim
+    assert got.ties == expected.ties
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=4), max_size=8))
+def test_subsets_by_weight_is_sorted_enumeration(weights):
+    everything = sorted(
+        (sum(weights[i] for i in members), members)
+        for k in range(len(weights) + 1)
+        for members in itertools.combinations(range(len(weights)), k)
+    )
+    assert list(_subsets_by_weight(weights)) == everything
+
+
+def test_oracle_rejects_negative_dimensions(fig4):
+    dims = dict(derive_dims(fig4), z1=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        brute_force_minimal_c(fig4, FIG4C_MASK, dims)
+
+
 def test_oracle_matches_algorithm_on_fig2(fig2):
     rng = np.random.default_rng(41)
     dims = derive_dims(fig2)
@@ -219,6 +330,20 @@ def test_oracle_matches_algorithm_on_random_graphs(seed):
     assert c == res.c
     assert s_m == res.s_m
     assert sum(dims[v] for v in c) == res.total_dim
+
+
+def test_oracle_matches_algorithm_up_to_the_cap():
+    rng = np.random.default_rng(20_230_607)
+    sizes = set()
+    for _ in range(8):
+        g = random_hierarchy(rng, min_latents=14, max_latents=ORACLE_MAX_LATENTS)
+        sizes.add(len(g.latents))
+        dims = derive_dims(g)
+        for _ in range(2):
+            mask = random_mask(rng, g)
+            res = brute_force_minimal_c(g, mask, dims)
+            assert locate_c(g, mask) == (res.c, res.s_m), sorted(mask)
+    assert ORACLE_MAX_LATENTS in sizes
 
 
 @settings(max_examples=80, deadline=None)
