@@ -419,8 +419,7 @@ def d_separated(
     ``z``: chains/forks block when their middle node is conditioned on,
     colliders block unless the collider or one of its descendants is.
 
-    The three sets must be pairwise disjoint.  With ``z`` empty the graph
-    must be acyclic (ValueError otherwise).
+    The three sets must be pairwise disjoint.
     """
     a, b, z = set(a), set(b), set(z)
     for v in a | b | z:
@@ -430,11 +429,6 @@ def d_separated(
         raise ValueError("d-separation requires pairwise disjoint node sets")
     if not a or not b:
         return True
-    if not z:
-        # With nothing conditioned on, every active trail is a trek: a and b
-        # are connected iff some node is an ancestor-or-self of both.
-        idx = g.bit_index()
-        return not idx.share_ancestor(idx.encode(a), idx.encode(b))
 
     # Upward closure of z: nodes that are in z or have a descendant in z.
     z_up = set(z)

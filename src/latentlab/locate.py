@@ -206,7 +206,9 @@ def verify_conditions(
     """Check the four structural conditions on a triple, plus minimality
     against the exhaustive oracle when a dimension map is supplied.
 
-    All failures are reported as witnesses; nothing raises.
+    Condition failures are reported as witnesses, not raised.  The mask
+    must split the observables and the graph must be acyclic, and valid
+    when ``dims`` is given (ValueError otherwise).
     """
     masked, visible = _split_mask(g, mask)
     witnesses: list[str] = []
@@ -316,7 +318,8 @@ def brute_force_minimal_c(
             return False, s_prime
         if (candidate | s_prime) & ~recoverable:
             return False, s_prime
-        # d-separated given the empty set iff no common ancestor (see d_separated).
+        # With nothing conditioned on, every active trail is a trek, so s'
+        # is d-separated from c + visible iff they share no ancestor-or-self.
         if idx.share_ancestor(s_prime, candidate | visible_bits):
             return False, s_prime
         return True, s_prime

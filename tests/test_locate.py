@@ -203,6 +203,22 @@ def test_verify_conditions_minimal_absent_without_dims(fig4):
     assert report.total_dim_c == 1  # unit-noise dimensions by default
 
 
+def test_closure_and_verify_conditions_reject_cyclic_graph(fig4):
+    # Closures and dimensions need a topological order; the Bayes-ball walk
+    # in d_separated does not.
+    data = graph_to_dict(fig4)
+    data["edges"].append(["z4", "z1"])
+    g = graph_from_dict(data)
+    info = SharedInfo(c=frozenset({"z2"}), s_m=frozenset(), s_mc=frozenset(), mask=FIG4C_MASK)
+    with pytest.raises(ValueError, match="cycle"):
+        information_closure(g, {"z1"})
+    with pytest.raises(ValueError, match="cycle"):
+        verify_conditions(g, FIG4C_MASK, info)
+    with pytest.raises(ValueError, match="cycle"):
+        verify_conditions(g, FIG4C_MASK, info, dims={v: 1 for v in g.node_ids})
+    assert d_separated(g, {"x1"}, {"x6"}, set()) is False
+
+
 def test_shared_info_requires_disjoint_sets(fig4):
     with pytest.raises(ValueError, match="disjoint"):
         SharedInfo(
