@@ -124,13 +124,14 @@ class MlpRegressor:
         self.x_scale = (mean, std)
         xs = (x - mean) / std
         self.net = init_mlp((x.shape[1], *self.hidden, y.shape[1]), 0.2, rng)
-        params = self.net.params()
+        params = [self.net.flat]
+        grads = np.empty_like(self.net.flat)
         optimizer = Adam(params, self.step_size)
         for _ in range(self.epochs):
             out, cache = mlp_forward(self.net, xs)
             grad = 2.0 * (out - y) / out.size
-            grads, _ = mlp_backward(self.net, cache, grad)
-            optimizer.step(params, grads)
+            mlp_backward(self.net, cache, grad, out=grads, input_grad=False)
+            optimizer.step(params, [grads])
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

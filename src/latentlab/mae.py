@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from latentlab.graph import Mask, NodeId
-from latentlab.nets import Adam, Mlp, flatten, init_mlp, mlp_backward, mlp_forward, unflatten
-from latentlab.scm import Dataset
+from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
+from latentlab.scm import Dataset, read_float64
 
 
 class TrainingDiverged(RuntimeError):
@@ -73,21 +74,30 @@ class MaeModel:
     hidden: tuple[int, ...]
     slope: float
     param_seed: int
+    flat: np.ndarray  # encoder.flat then decoder.flat, as one contiguous vector
 
     @property
     def obs_width(self) -> int:
         return sum(self.widths[v] for v in self.layout)
 
-    def spans(self) -> dict[NodeId, tuple[int, int]]:
-        """Coordinate span of each pixel node within a layout-ordered row."""
-        out, offset = {}, 0
-        for v in self.layout:
-            out[v] = (offset, self.widths[v])
-            offset += self.widths[v]
-        return out
+    @cached_property
+    def column_nodes(self) -> np.ndarray:
+        """Layout position of the pixel node behind each coordinate column."""
+        return np.repeat(np.arange(len(self.layout)), [self.widths[v] for v in self.layout])
 
     def params(self) -> list[np.ndarray]:
         return self.encoder.params() + self.decoder.params()
+
+
+def _net_widths(
+    layout: tuple[NodeId, ...], widths: Mapping[NodeId, int], d_c: int, d_sm: int, hidden: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Encoder and decoder layer widths; both inputs end with the mask
+    indicator, one entry per pixel node."""
+    obs_width = sum(widths[v] for v in layout)
+    encoder = (obs_width + len(layout), *hidden, d_c)
+    decoder = (d_c + d_sm + len(layout), *hidden, obs_width)
+    return encoder, decoder
 
 
 def init_mae_model(
@@ -105,15 +115,14 @@ def init_mae_model(
         raise ValueError("noise width d_sm must be non-negative")
     layout = tuple(layout)
     widths = {v: int(widths[v]) for v in layout}
-    obs_width = sum(widths.values())
-    indicator = len(layout)
+    enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, tuple(hidden))
+    n_enc = mlp_size(enc_widths)
+    flat = np.empty(n_enc + mlp_size(dec_widths))
     ss = np.random.SeedSequence(seed)
     enc_rng, dec_rng = (np.random.default_rng(child) for child in ss.spawn(2))
-    encoder = init_mlp((obs_width + indicator, *hidden, d_c), slope, enc_rng)
-    decoder = init_mlp((d_c + d_sm + indicator, *hidden, obs_width), slope, dec_rng)
     return MaeModel(
-        encoder=encoder,
-        decoder=decoder,
+        encoder=init_mlp(enc_widths, slope, enc_rng, out=flat[:n_enc]),
+        decoder=init_mlp(dec_widths, slope, dec_rng, out=flat[n_enc:]),
         layout=layout,
         widths=widths,
         d_c=d_c,
@@ -121,6 +130,7 @@ def init_mae_model(
         hidden=tuple(hidden),
         slope=slope,
         param_seed=seed,
+        flat=flat,
     )
 
 
@@ -147,25 +157,12 @@ class TrainConfig:
 # -- coordinate bookkeeping -----------------------------------------------------
 
 
-def _coord_columns(model: MaeModel, nodes) -> np.ndarray:
-    spans = model.spans()
-    cols = []
-    for v in sorted(nodes, key=model.layout.index):
-        offset, length = spans[v]
-        cols.extend(range(offset, offset + length))
-    return np.asarray(cols, dtype=int)
-
-
 def _check_mask(model: MaeModel, mask: Mask) -> None:
     unknown = mask.masked - set(model.layout)
     if unknown:
         raise ValueError(f"mask refers to nodes outside the layout: {sorted(unknown)}")
     if not mask.masked or mask.masked == set(model.layout):
         raise ValueError("mask must leave both a masked and a visible part")
-
-
-def _indicator(model: MaeModel, mask: Mask) -> np.ndarray:
-    return np.array([1.0 if v in mask.masked else 0.0 for v in model.layout])
 
 
 def active_masked_nodes(model: MaeModel, mask: Mask, boundary_exclusion: bool) -> list[NodeId]:
@@ -186,32 +183,51 @@ def active_masked_nodes(model: MaeModel, mask: Mask, boundary_exclusion: bool) -
     return keep
 
 
+@dataclass(frozen=True)
+class _MaskPlan:
+    """What one mask fixes for every batch: coordinate columns in layout
+    order, and input buffers for up to ``rows`` rows whose masked
+    coordinates stay zero and whose indicator columns are written once."""
+
+    visible: np.ndarray  # bool per coordinate column
+    active_cols: np.ndarray  # masked coordinates the loss reads
+    enc_in: np.ndarray  # rows x (obs_width + len(layout))
+    dec_in: np.ndarray  # rows x (d_c + d_sm + len(layout))
+    grad_recon: np.ndarray  # rows x obs_width, zero outside active_cols
+
+
+def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = False) -> _MaskPlan:
+    active = set(active_masked_nodes(model, mask, boundary_exclusion))
+    masked = np.array([v in mask.masked for v in model.layout])
+    visible = ~masked[model.column_nodes]
+    obs = model.obs_width
+    enc_in = np.zeros((rows, obs + len(model.layout)))
+    enc_in[:, obs:] = masked
+    dec_in = np.zeros((rows, model.d_c + model.d_sm + len(model.layout)))
+    dec_in[:, model.d_c + model.d_sm:] = masked
+    return _MaskPlan(
+        visible=visible,
+        active_cols=np.flatnonzero(np.array([v in active for v in model.layout])[model.column_nodes]),
+        enc_in=enc_in,
+        dec_in=dec_in,
+        grad_recon=np.zeros((rows, obs)),
+    )
+
+
 # -- forward passes ---------------------------------------------------------------
-
-
-def _encoder_input(model: MaeModel, full_rows: np.ndarray, mask: Mask) -> np.ndarray:
-    masked_cols = _coord_columns(model, mask.masked)
-    x = full_rows.copy()
-    if masked_cols.size:
-        x[:, masked_cols] = 0.0
-    ind = np.broadcast_to(_indicator(model, mask), (x.shape[0], len(model.layout)))
-    return np.hstack([x, ind])
 
 
 def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
     """Deterministic code for the visible coordinates (given in layout order)."""
-    _check_mask(model, mask)
     x_visible = np.asarray(x_visible, dtype=float)
     single = x_visible.ndim == 1
     rows = np.atleast_2d(x_visible)
-    visible_cols = _coord_columns(model, set(model.layout) - mask.masked)
-    if rows.shape[1] != visible_cols.size:
-        raise ValueError(
-            f"expected visible width {visible_cols.size}, got {rows.shape[1]}"
-        )
-    full = np.zeros((rows.shape[0], model.obs_width))
-    full[:, visible_cols] = rows
-    chat, _ = mlp_forward(model.encoder, _encoder_input(model, full, mask))
+    plan = _plan(model, mask, rows.shape[0])
+    width = int(np.count_nonzero(plan.visible))
+    if rows.shape[1] != width:
+        raise ValueError(f"expected visible width {width}, got {rows.shape[1]}")
+    plan.enc_in[:, : model.obs_width][:, plan.visible] = rows
+    chat, _ = mlp_forward(model.encoder, plan.enc_in)
     return chat[0] if single else chat
 
 
@@ -225,33 +241,43 @@ def decode(model: MaeModel, chat: np.ndarray, s_hat: np.ndarray, mask: Mask) -> 
     s_hat = np.asarray(s_hat, dtype=float).reshape(chat.shape[0], model.d_sm)
     if chat.shape[1] != model.d_c:
         raise ValueError(f"expected code width {model.d_c}, got {chat.shape[1]}")
-    ind = np.broadcast_to(_indicator(model, mask), (chat.shape[0], len(model.layout)))
-    out, _ = mlp_forward(model.decoder, np.hstack([chat, s_hat, ind]))
+    dec_in = _plan(model, mask, chat.shape[0]).dec_in
+    dec_in[:, : model.d_c] = chat
+    dec_in[:, model.d_c: model.d_c + model.d_sm] = s_hat
+    out, _ = mlp_forward(model.decoder, dec_in)
     return out[0] if single else out
 
 
 def _loss_and_grads(
     model: MaeModel,
     batch: np.ndarray,
-    mask: Mask,
+    plan: _MaskPlan,
     s_hat: np.ndarray,
-    active_cols: np.ndarray,
-) -> tuple[float, list[np.ndarray]]:
+    grads: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The masked-coordinate loss on ``batch``; the gradient of every
+    parameter is written into ``grads`` (laid out like ``model.flat``),
+    which is returned."""
     n = batch.shape[0]
-    enc_in = _encoder_input(model, batch, mask)
+    d_c = model.d_c
+    enc_in = plan.enc_in[:n]
+    np.copyto(enc_in[:, : model.obs_width], batch, where=plan.visible)
     chat, enc_cache = mlp_forward(model.encoder, enc_in)
-    ind = np.broadcast_to(_indicator(model, mask), (n, len(model.layout)))
-    dec_in = np.hstack([chat, s_hat, ind])
+    dec_in = plan.dec_in[:n]
+    dec_in[:, :d_c] = chat
+    dec_in[:, d_c: d_c + model.d_sm] = s_hat
     recon, dec_cache = mlp_forward(model.decoder, dec_in)
 
+    active_cols = plan.active_cols
     err = recon[:, active_cols] - batch[:, active_cols]
     value = float(np.mean(err ** 2))
 
-    grad_recon = np.zeros_like(recon)
+    grad_recon = plan.grad_recon[:n]
     grad_recon[:, active_cols] = 2.0 * err / err.size
-    dec_grads, grad_dec_in = mlp_backward(model.decoder, dec_cache, grad_recon)
-    enc_grads, _ = mlp_backward(model.encoder, enc_cache, grad_dec_in[:, : model.d_c])
-    return value, enc_grads + dec_grads
+    n_enc = model.encoder.flat.size
+    grad_dec_in = mlp_backward(model.decoder, dec_cache, grad_recon, out=grads[n_enc:])
+    mlp_backward(model.encoder, enc_cache, grad_dec_in[:, :d_c], out=grads[:n_enc], input_grad=False)
+    return value, grads
 
 
 def loss(
@@ -266,9 +292,9 @@ def loss(
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     if batch.shape[1] != model.obs_width:
         raise ValueError(f"expected rows of width {model.obs_width}, got {batch.shape[1]}")
-    active = _coord_columns(model, active_masked_nodes(model, mask, boundary_exclusion))
+    plan = _plan(model, mask, batch.shape[0], boundary_exclusion)
     s_hat = rng.standard_normal((batch.shape[0], model.d_sm))
-    value, _ = _loss_and_grads(model, batch, mask, s_hat, active)
+    value, _ = _loss_and_grads(model, batch, plan, s_hat, np.empty_like(model.flat))
     return value
 
 
@@ -307,11 +333,13 @@ def train(
         mask = mask_spec
     if cfg.mask_mode == "resampled" and sampler is None:
         raise ValueError("resampled mask mode requires a MaskSampler")
-    active = _coord_columns(model, active_masked_nodes(model, mask, cfg.boundary_exclusion))
+    plan_rows = min(cfg.batch_size, dataset.n)
+    plan = _plan(model, mask, plan_rows, cfg.boundary_exclusion)
 
-    params = model.params()
-    optimizer = Adam(params, cfg.step_size, cfg.beta1, cfg.beta2)
+    grads = np.empty_like(model.flat)
+    optimizer = Adam([model.flat], cfg.step_size, cfg.beta1, cfg.beta2)
     curve: list[float] = []
+    last_finite = None
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(dataset.n)
         epoch_losses = []
@@ -319,17 +347,19 @@ def train(
             batch = rows[order[start:start + cfg.batch_size]]
             if cfg.mask_mode == "resampled":
                 mask = sample_mask(sampler, mask_rng)
-                active = _coord_columns(
-                    model, active_masked_nodes(model, mask, cfg.boundary_exclusion)
-                )
+                plan = _plan(model, mask, plan_rows, cfg.boundary_exclusion)
             s_hat = noise_rng.standard_normal((batch.shape[0], model.d_sm))
-            value, grads = _loss_and_grads(model, batch, mask, s_hat, active)
+            value, grads = _loss_and_grads(model, batch, plan, s_hat, grads)
             if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch}, step {start // cfg.batch_size}"
+                before = (
+                    "no finite loss before it" if last_finite is None else f"last finite loss {last_finite!r}"
                 )
-            optimizer.step(params, grads)
+                raise TrainingDiverged(
+                    f"non-finite loss {value} at epoch {epoch}, step {start // cfg.batch_size}; {before}"
+                )
+            optimizer.step([model.flat], [grads])
             epoch_losses.append(value)
+            last_finite = value
         curve.append(float(np.mean(epoch_losses)))
     return model, curve
 
@@ -346,35 +376,24 @@ def grad_check(
     differences over every parameter; the noise draw is frozen across all
     evaluations."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    n_params = sum(p.size for p in model.params())
-    if n_params > 10_000:
-        raise ValueError(f"model has {n_params} parameters, too many for finite differences")
-    active = _coord_columns(model, active_masked_nodes(model, mask, boundary_exclusion))
+    flat = model.flat
+    if flat.size > 10_000:
+        raise ValueError(f"model has {flat.size} parameters, too many for finite differences")
+    plan = _plan(model, mask, batch.shape[0], boundary_exclusion)
     rng = rng or np.random.default_rng(0)
     s_hat = rng.standard_normal((batch.shape[0], model.d_sm))
 
-    params = model.params()
-    _, grads = _loss_and_grads(model, batch, mask, s_hat, active)
-    analytic = flatten(grads)
-
-    flat = flatten(params)
+    _, analytic = _loss_and_grads(model, batch, plan, s_hat, np.empty_like(flat))
+    scratch = np.empty_like(flat)
     numeric = np.empty_like(flat)
-
-    def loss_at(values: np.ndarray) -> float:
-        for p, new in zip(params, unflatten(values, params)):
-            p[...] = new
-        value, _ = _loss_and_grads(model, batch, mask, s_hat, active)
-        return value
-
-    original = flat.copy()
     for i in range(flat.size):
-        flat[i] = original[i] + step
-        up = loss_at(flat)
-        flat[i] = original[i] - step
-        down = loss_at(flat)
-        flat[i] = original[i]
+        original = flat[i]
+        flat[i] = original + step
+        up, _ = _loss_and_grads(model, batch, plan, s_hat, scratch)
+        flat[i] = original - step
+        down, _ = _loss_and_grads(model, batch, plan, s_hat, scratch)
+        flat[i] = original
         numeric[i] = (up - down) / (2 * step)
-    loss_at(original)
 
     denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
@@ -399,7 +418,9 @@ def reconstruction_metrics(reconstruction: np.ndarray, target: np.ndarray, peak:
 
 def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
     """Write ``<base>.json`` (architecture and seeds) plus ``<base>.bin``
-    (flat float64 parameter array)."""
+    (the bytes of ``model.flat``: encoder weights, encoder biases, decoder
+    weights, decoder biases, layer by layer, each weight matrix row-major
+    as (fan_out, fan_in); native float64)."""
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
     header = {
@@ -410,33 +431,48 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
         "hidden": list(model.hidden),
         "slope": model.slope,
         "param_seed": model.param_seed,
-        "n_params": int(sum(p.size for p in model.params())),
+        "n_params": int(model.flat.size),
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     bin_path = base.with_suffix(".bin")
-    bin_path.write_bytes(flatten(model.params()).tobytes())
+    bin_path.write_bytes(model.flat.tobytes())
     return {"json": json_path, "bin": bin_path}
 
 
 def load_model(basepath: str | Path) -> MaeModel:
+    """Rebuild a checkpoint: the architecture from ``<base>.json`` and the
+    parameter vector read straight from ``<base>.bin``.  A file whose size
+    does not match the header, or that holds a non-finite value, is a
+    ``ValueError`` naming the file."""
     base = Path(basepath)
-    header = json.loads(base.with_suffix(".json").read_text())
-    model = init_mae_model(
-        header["layout"],
-        header["widths"],
-        header["d_c"],
-        header["d_sm"],
-        hidden=tuple(header["hidden"]),
+    json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
+    header = json.loads(json_path.read_text())
+    layout = tuple(header["layout"])
+    widths = {v: int(header["widths"][v]) for v in layout}
+    d_c, d_sm, hidden = int(header["d_c"]), int(header["d_sm"]), tuple(header["hidden"])
+    enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, hidden)
+    n_enc = mlp_size(enc_widths)
+    n_params = n_enc + mlp_size(dec_widths)
+    if header["n_params"] != n_params:
+        raise ValueError(
+            f"{json_path}: n_params is {header['n_params']}, but the architecture it describes has {n_params}"
+        )
+    flat = read_float64(bin_path, n_params)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"{bin_path}: non-finite parameter values")
+    return MaeModel(
+        encoder=Mlp(flat[:n_enc], enc_widths, header["slope"]),
+        decoder=Mlp(flat[n_enc:], dec_widths, header["slope"]),
+        layout=layout,
+        widths=widths,
+        d_c=d_c,
+        d_sm=d_sm,
+        hidden=hidden,
         slope=header["slope"],
-        seed=header["param_seed"],
+        param_seed=header["param_seed"],
+        flat=flat,
     )
-    flat = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype=np.float64)
-    if flat.size != header["n_params"]:
-        raise ValueError("parameter file does not match the checkpoint header")
-    for p, new in zip(model.params(), unflatten(flat, model.params())):
-        p[...] = new
-    return model
 
 
 def save_loss_curve(curve: list[float], path: str | Path) -> Path:

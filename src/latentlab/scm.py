@@ -322,11 +322,29 @@ def save_dataset(ds: Dataset, basepath: str | Path, seed: int | None = None, csv
     return written
 
 
+def read_float64(path: Path, count: int) -> np.ndarray:
+    """Exactly ``count`` native float64 values from ``path``; a file of any
+    other size is a ``ValueError`` naming it and both byte counts."""
+    expected = 8 * count
+    actual = path.stat().st_size
+    if actual != expected:
+        raise ValueError(f"{path} holds {actual} bytes, but its header calls for {expected}")
+    return np.fromfile(path, dtype=np.float64)
+
+
 def load_dataset(basepath: str | Path) -> Dataset:
+    """Read a dataset written by ``save_dataset``.  A ``.bin`` whose size
+    does not match the header, or that holds a non-finite value, is a
+    ``ValueError`` naming the file (and, for a value, its nodes)."""
     base = Path(basepath)
     header = json.loads(base.with_suffix(".json").read_text())
-    n, total = header["n"], header["total_dim"]
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype=np.float64)
+    n, total = int(header["n"]), int(header["total_dim"])
+    bin_path = base.with_suffix(".bin")
+    raw = read_float64(bin_path, n * total)
     values = raw.reshape((n, total), order=header["order"]).copy()
     spans = {v: (int(a), int(b)) for v, (a, b) in header["column_spans"].items()}
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        bad = sorted(v for v, (offset, length) in spans.items() if not finite[offset:offset + length].all())
+        raise ValueError(f"{bin_path}: non-finite values in node(s) {', '.join(bad)}")
     return Dataset(values=values, column_spans=spans, layout=tuple(header["layout"]))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentlab
 from latentlab.cli import main
 
 
@@ -148,6 +152,80 @@ def test_train_requires_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 2
     assert "dataset not found" in capsys.readouterr().err
+
+
+def test_truncated_dataset_bin_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    bin_path = tmp_path / "run" / "dataset.bin"
+    expected = bin_path.stat().st_size
+    bin_path.write_bytes(bin_path.read_bytes()[:1001])
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset.bin holds 1001 bytes, but its header calls for {expected}" in err
+    assert "Traceback" not in err
+
+
+def test_truncated_model_bin_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    bin_path = tmp_path / "run" / "model.bin"
+    expected = bin_path.stat().st_size
+    bin_path.write_bytes(bin_path.read_bytes()[:-8])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"model.bin holds {expected - 8} bytes, but its header calls for {expected}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "ident_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_nan_in_dataset_exits_two(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    if command == "evaluate":
+        assert main(["train", "--config", str(cfg)]) == 0
+    run = tmp_path / "run"
+    header = json.loads((run / "dataset.json").read_text())
+    values = np.fromfile(run / "dataset.bin")
+    offset, _ = header["column_spans"]["x4"]  # a visible node; column-major storage
+    values[offset * header["n"] + 17] = np.nan
+    values.tofile(run / "dataset.bin")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset.bin: non-finite values in node(s) x4" in err
+    assert "Traceback" not in err
+    assert not (run / "ident_report.json").exists()
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``model.bin`` and ``loss_curve.csv`` are the same at one and two BLAS
+    threads; batches of 128 rows and 64-wide layers are large enough for
+    OpenBLAS to split a product across threads."""
+    src = str(Path(latentlab.__file__).resolve().parents[1])
+    script = ("import sys; from latentlab.cli import main; "
+              "sys.exit(main(['simulate', '--config', sys.argv[1]]) or main(['train', '--config', sys.argv[1]]))")
+    procs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        cfg = write_config(work, n=1000, mae={"d_c": None, "d_sm": None, "hidden": [64, 64],
+                                              "train": {"epochs": 2, "batch_size": 128, "seed": 13}})
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs[threads] = subprocess.Popen([sys.executable, "-c", script, str(cfg)], env=env,
+                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    outputs = []
+    for threads, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        run = tmp_path / threads / "run"
+        outputs.append({name: (run / name).read_bytes() for name in ("model.bin", "loss_curve.csv")})
+    assert outputs[0] == outputs[1]
 
 
 def test_config_requires_explicit_seeds(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,8 +201,22 @@ def test_train_resampled_mode_runs(fig4):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_detected():
     cfg = TrainConfig(epochs=5, batch_size=16, step_size=1e200, seed=0)
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match=r"at epoch 0, step 1; last finite loss \d"):
         train(constant_dataset(), Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,))
+
+
+def test_train_divergence_on_first_step_says_no_finite_loss():
+    ds = constant_dataset(row=(1e300, -1e300, 1e300, 1e300))
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="step 0; no finite loss before it"):
+        train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,))
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5])
+def test_model_rejects_slope_outside_unit_interval(slope):
+    layout = unit_layout(4)
+    with pytest.raises(ValueError, match="leaky slope must lie in"):
+        init_mae_model(layout, {v: 1 for v in layout}, 1, 0, slope=slope)
 
 
 def test_train_config_validation():
@@ -241,7 +256,7 @@ def test_grad_check_detects_corruption():
 
     def corrupted(*args, **kwargs):
         value, grads = original(*args, **kwargs)
-        return value, [-g for g in grads]
+        return value, -grads
 
     mae_module._loss_and_grads = corrupted
     try:
@@ -282,3 +297,162 @@ def test_checkpoint_round_trip(tmp_path):
     for a, b in zip(model.params(), back.params()):
         assert np.array_equal(a, b)
     assert back.layout == model.layout and back.d_c == model.d_c
+
+
+def test_checkpoint_bytes_are_the_parameter_vector(tmp_path, monkeypatch):
+    model = unit_model(n=5, d_c=2, d_sm=3, hidden=(7, 4), seed=9)
+    save_model(model, tmp_path / "ckpt")
+    data = (tmp_path / "ckpt.bin").read_bytes()
+    assert data == model.flat.tobytes()
+    # the vector's order: encoder weights, encoder biases, decoder weights, decoder biases
+    assert data == np.concatenate([p.ravel() for p in model.params()]).tobytes()
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model must not draw from an RNG")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", no_rng)
+    back = load_model(tmp_path / "ckpt")
+    assert back.flat.tobytes() == data
+    assert all(np.shares_memory(p, back.flat) for p in back.params())
+    batch = np.random.Generator(np.random.PCG64(1)).standard_normal((3, 5))
+    assert np.array_equal(encode(back, batch[:, 2:], Mask({"o0", "o1"})),
+                          encode(model, batch[:, 2:], Mask({"o0", "o1"})))
+
+
+def test_load_model_rejects_size_mismatch_and_non_finite(tmp_path):
+    model = unit_model(seed=9)
+    save_model(model, tmp_path / "ckpt")
+    bin_path = tmp_path / "ckpt.bin"
+    data = bin_path.read_bytes()
+    bin_path.write_bytes(data[:-3])
+    with pytest.raises(ValueError, match=rf"ckpt\.bin holds {len(data) - 3} bytes, but its header calls for {len(data)}"):
+        load_model(tmp_path / "ckpt")
+    flat = model.flat.copy()
+    flat[5] = np.inf
+    bin_path.write_bytes(flat.tobytes())
+    with pytest.raises(ValueError, match=r"ckpt\.bin: non-finite"):
+        load_model(tmp_path / "ckpt")
+
+
+# -- the trainer against a copy of the list-based trainer it replaced ----------------
+#
+# One array per weight and bias, ``np.where`` activations, a per-array Adam and
+# per-step column bookkeeping.  ``train`` must give the same bytes.
+
+
+def _ref_init(widths, rng):
+    weights = [np.sqrt(2.0 / max(1, a)) * rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])]
+    return weights, [np.zeros(b) for b in widths[1:]]
+
+
+def _ref_forward(net, x, slope):
+    weights, biases = net
+    cache = []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        pre = x @ w.T + b
+        cache.append((x, pre))
+        x = pre if i == len(weights) - 1 else np.where(pre >= 0, pre, slope * pre)
+    return x, cache
+
+
+def _ref_backward(net, cache, grad, slope):
+    weights, _ = net
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        x_in, pre = cache[i]
+        if i != len(weights) - 1:
+            grad = grad * np.where(pre >= 0, 1.0, slope)
+        grads_w[i] = grad.T @ x_in
+        grads_b[i] = grad.sum(axis=0)
+        grad = grad @ weights[i]
+    return grads_w + grads_b, grad
+
+
+def _ref_adam_step(state, params, grads, cfg):
+    state["t"] += 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** state["t"])
+        v_hat = v / (1 - b2 ** state["t"])
+        p -= cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden, slope=0.2):
+    layout = ds.layout
+    widths = {v: ds.column_spans[v][1] for v in layout}
+    offsets = dict(zip(layout, np.cumsum([0] + [widths[v] for v in layout])))
+    rows = ds.stack(layout)
+    obs = sum(widths.values())
+
+    def columns(nodes):
+        return np.asarray([c for v in sorted(nodes, key=layout.index)
+                           for c in range(offsets[v], offsets[v] + widths[v])], dtype=int)
+
+    def indicator(mask, n):
+        return np.broadcast_to(np.array([1.0 if v in mask.masked else 0.0 for v in layout]), (n, len(layout)))
+
+    def active_columns(mask):
+        return columns(active_masked_nodes(SimpleNamespace(layout=layout), mask, cfg.boundary_exclusion))
+
+    param_ss, shuffle_ss, noise_ss, mask_ss = np.random.SeedSequence(cfg.seed).spawn(4)
+    param_seed = int(param_ss.generate_state(1)[0])
+    enc_rng, dec_rng = (np.random.default_rng(c) for c in np.random.SeedSequence(param_seed).spawn(2))
+    enc = _ref_init((obs + len(layout), *hidden, d_c), enc_rng)
+    dec = _ref_init((d_c + d_sm + len(layout), *hidden, obs), dec_rng)
+    params = enc[0] + enc[1] + dec[0] + dec[1]
+    state = {"t": 0, "m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params]}
+    shuffle_rng, noise_rng, mask_rng = (np.random.default_rng(s) for s in (shuffle_ss, noise_ss, mask_ss))
+
+    sampler = mask_spec if isinstance(mask_spec, MaskSampler) else None
+    mask = sample_mask(sampler, mask_rng) if sampler else mask_spec
+    active = active_columns(mask)
+    curve = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(ds.n)
+        losses = []
+        for start in range(0, ds.n, cfg.batch_size):
+            batch = rows[order[start:start + cfg.batch_size]]
+            n = batch.shape[0]
+            if cfg.mask_mode == "resampled":
+                mask = sample_mask(sampler, mask_rng)
+                active = active_columns(mask)
+            s_hat = noise_rng.standard_normal((n, d_sm))
+            x = batch.copy()
+            x[:, columns(mask.masked)] = 0.0
+            chat, enc_cache = _ref_forward(enc, np.hstack([x, indicator(mask, n)]), slope)
+            recon, dec_cache = _ref_forward(dec, np.hstack([chat, s_hat, indicator(mask, n)]), slope)
+            err = recon[:, active] - batch[:, active]
+            losses.append(float(np.mean(err ** 2)))
+            grad_recon = np.zeros_like(recon)
+            grad_recon[:, active] = 2.0 * err / err.size
+            dec_grads, grad_dec_in = _ref_backward(dec, dec_cache, grad_recon, slope)
+            enc_grads, _ = _ref_backward(enc, enc_cache, grad_dec_in[:, :d_c], slope)
+            _ref_adam_step(state, params, enc_grads + dec_grads, cfg)
+        curve.append(float(np.mean(losses)))
+    return np.concatenate([p.ravel() for p in params]), curve
+
+
+@pytest.mark.parametrize(
+    "mode, spec, boundary_exclusion, d_sm",
+    [
+        ("fixed", "mask", False, 2),
+        ("fixed", "mask", True, 2),
+        ("fixed", "mask", False, 0),
+        ("fixed", "sampler", True, 0),
+        ("resampled", "sampler", False, 3),
+        ("resampled", "sampler", True, 1),
+    ],
+)
+def test_train_matches_list_based_trainer(fig4, mode, spec, boundary_exclusion, d_sm):
+    ds = sample(build_scm(fig4, alpha=0.5, seed=4), 300, seed=5)  # 300 = 4 * 64 + 44: a partial last batch
+    mask_spec = Mask({"x1", "x2", "x3"}) if spec == "mask" else MaskSampler(0.5, 3, ds.layout)
+    cfg = TrainConfig(epochs=3, batch_size=64, seed=6, mask_mode=mode, boundary_exclusion=boundary_exclusion)
+    model, curve = train(ds, mask_spec, d_c=2, d_sm=d_sm, cfg=cfg, hidden=(16, 8))
+    ref_flat, ref_curve = _ref_train(ds, mask_spec, 2, d_sm, cfg, (16, 8))
+    assert model.flat.tobytes() == ref_flat.tobytes()
+    assert curve == ref_curve
