@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -131,21 +131,21 @@ class ExperimentConfig:
         for key in ("graph", "mask", "scm", "n", "sample_seed", "mae", "ident", "out_dir"):
             if key not in raw:
                 raise ConfigError(f"config is missing the {key!r} entry")
-        scm_params = dict(raw["scm"])
+        scm_params = _section(raw["scm"], "scm")
         if "seed" not in scm_params:
             raise ConfigError("scm config must carry an explicit seed")
-        mae_params = dict(raw["mae"])
-        train_params = dict(mae_params.get("train", {}))
+        mae_params = _section(raw["mae"], "mae")
+        train_params = _section(mae_params.get("train", {}), "mae.train")
         if "seed" not in train_params:
             raise ConfigError("mae.train config must carry an explicit seed")
         mae_params["train"] = train_params
-        ident_params = dict(raw["ident"])
+        ident_params = _section(raw["ident"], "ident")
         if "seed" not in ident_params:
             raise ConfigError("ident config must carry an explicit seed")
-        mask_spec = dict(raw["mask"])
+        mask_spec = _section(raw["mask"], "mask")
         if "observables" not in mask_spec and "seed" not in mask_spec:
             raise ConfigError("sampled masks must carry an explicit seed")
-        return cls(
+        cfg = cls(
             graph_path=str(raw["graph"]),
             mask_spec=mask_spec,
             scm_params=scm_params,
@@ -155,6 +155,9 @@ class ExperimentConfig:
             ident_params=ident_params,
             out_dir=path.parent / raw["out_dir"] if not Path(raw["out_dir"]).is_absolute() else Path(raw["out_dir"]),
         )
+        cfg.train_config()  # every stage rejects bad settings before it runs
+        cfg.regressor_config()
+        return cfg
 
     def graph(self) -> LatentGraph:
         return _resolve_graph(self.graph_path)
@@ -179,13 +182,31 @@ class ExperimentConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.mae_params["train"])
+        return _build_section(TrainConfig, self.mae_params["train"], "mae.train")
 
     def regressor_config(self) -> RegressorConfig:
         params = dict(self.ident_params)
         if "mlp_hidden" in params:
             params["mlp_hidden"] = tuple(params["mlp_hidden"])
-        return RegressorConfig(**params)
+        return _build_section(RegressorConfig, params, "ident")
+
+
+def _section(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _build_section(kind, params: dict, name: str):
+    """The settings dataclass ``kind`` from a config section; an unknown key
+    or a rejected value is a ``ConfigError`` naming the section."""
+    unknown = sorted(set(params) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ConfigError(f"config section {name!r} has unknown key(s): {', '.join(map(repr, unknown))}")
+    try:
+        return kind(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section {name!r}: {exc}") from exc
 
 
 def _model_dims(cfg: ExperimentConfig, g: LatentGraph, spec) -> tuple[int, int, Mask]:

@@ -12,7 +12,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from latentlab.nets import Adam, init_mlp, mlp_backward, mlp_forward
+from latentlab.nets import Adam, init_mlp, mlp_backward, mlp_forward, row_blocks
+
+# Rows per elementwise pass over a kernel block, so that the pass's one
+# temporary (the sums of squared norms) stays small next to the block.
+_RBF_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,10 @@ class RegressorConfig:
     mlp_step_size: float = 1e-2
 
     def __post_init__(self):
+        for name, least in (("max_train_rows", 50), ("median_rows", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not 0.0 < self.split < 1.0:
             raise ValueError(f"split fraction must be in (0, 1), got {self.split}")
         if self.ridge <= 0:
@@ -57,12 +65,16 @@ class KernelRidge:
 
     Inputs are standardized per column and targets scaled to unit variance
     internally, so the ridge penalty has a scale-free meaning; predictions
-    are returned in the original target units.
+    are returned in the original target units.  The n x n Gram matrix (and
+    the copy LAPACK's solver makes of it) is the only array that grows with
+    the square of the row count: ``predict`` builds the kernel one block of
+    test rows at a time.
     """
 
     def __init__(self, ridge: float):
         self.ridge = ridge
         self.x_train: np.ndarray | None = None
+        self.train_sq: np.ndarray | None = None  # squared norm of each training row
         self.dual: np.ndarray | None = None
         self.bandwidth: float = 1.0
         self.x_mean: np.ndarray | None = None
@@ -70,14 +82,20 @@ class KernelRidge:
         self.y_mean: np.ndarray | None = None
         self.y_std: np.ndarray | None = None
 
-    def _gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = (
-            np.sum(a ** 2, axis=1)[:, None]
-            + np.sum(b ** 2, axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * self.bandwidth ** 2))
+    def _rbf(self, cross: np.ndarray, a_sq: np.ndarray) -> None:
+        """Turn ``cross``, the products of rows ``a`` (squared norms
+        ``a_sq``) with the training rows, into their RBF kernel in place:
+        ``exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / (2 bw^2))``, rounded step by
+        step as the whole-matrix expression would be."""
+        scale = 2.0 * self.bandwidth ** 2
+        for start in range(0, cross.shape[0], _RBF_CHUNK_ROWS):
+            part = cross[start:start + _RBF_CHUNK_ROWS]
+            part *= 2.0
+            np.subtract(np.add.outer(a_sq[start:start + _RBF_CHUNK_ROWS], self.train_sq), part, out=part)
+            np.maximum(part, 0.0, out=part)
+            np.negative(part, out=part)
+            part /= scale
+            np.exp(part, out=part)
 
     def fit(self, x: np.ndarray, y: np.ndarray, median_rows: int, rng: np.random.Generator):
         self.x_mean, self.x_std = x.mean(axis=0), x.std(axis=0)
@@ -89,12 +107,11 @@ class KernelRidge:
         self.y_std = np.where(self.y_std == 0, 1.0, self.y_std)
         ys = (y - self.y_mean) / self.y_std
         sub = xs if xs.shape[0] <= median_rows else xs[rng.choice(xs.shape[0], median_rows, replace=False)]
-        diff = sub[:, None, :] - sub[None, :, :]
-        dists = np.sqrt(np.sum(diff ** 2, axis=-1))
-        median = float(np.median(dists[np.triu_indices_from(dists, k=1)]))
-        self.bandwidth = median if median > 0 else 1.0
+        self.bandwidth = median_distance(sub)
         self.x_train = xs
-        gram = self._gram(xs, xs)
+        self.train_sq = np.sum(xs ** 2, axis=1)
+        gram = xs @ xs.T  # the solve needs it whole, so it is one product
+        self._rbf(gram, self.train_sq)
         gram[np.diag_indices_from(gram)] += self.ridge
         self.dual = np.linalg.solve(gram, ys)
         return self
@@ -103,7 +120,32 @@ class KernelRidge:
         if self.dual is None:
             raise RuntimeError("regressor is not fitted")
         xs = (x - self.x_mean) / self.x_std
-        return (self._gram(xs, self.x_train) @ self.dual) * self.y_std + self.y_mean
+        out = np.empty((xs.shape[0], self.dual.shape[1]))
+        blocks = row_blocks(xs.shape[0], self.x_train.shape[0])
+        kernel = np.empty((max(b.stop - b.start for b in blocks), self.x_train.shape[0]))
+        for rows in blocks:
+            block = kernel[: rows.stop - rows.start]
+            np.matmul(xs[rows], self.x_train.T, out=block)
+            self._rbf(block, np.sum(xs[rows] ** 2, axis=1))
+            np.matmul(block, self.dual, out=out[rows])
+        out *= self.y_std
+        out += self.y_mean
+        return out
+
+
+def median_distance(x: np.ndarray) -> float:
+    """Median Euclidean distance over the pairs of rows of ``x``, filled one
+    row of the upper triangle at a time; 1.0 when it is not positive or
+    there is no pair."""
+    m = x.shape[0]
+    dists = np.empty(m * (m - 1) // 2)
+    at = 0
+    for i in range(m - 1):
+        row = dists[at:at + m - 1 - i]
+        np.sqrt(np.sum((x[i] - x[i + 1:]) ** 2, axis=-1), out=row)
+        at += row.size
+    median = float(np.median(dists)) if dists.size else 0.0
+    return median if median > 0 else 1.0
 
 
 class MlpRegressor:

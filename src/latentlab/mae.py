@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from latentlab.graph import Mask, NodeId
-from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
+from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size, row_blocks
 from latentlab.scm import Dataset, read_float64
 
 
@@ -218,16 +218,21 @@ def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = Fal
 
 
 def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
-    """Deterministic code for the visible coordinates (given in layout order)."""
+    """Deterministic code for the visible coordinates (given in layout order),
+    computed over row blocks through one plan sized to a block."""
     x_visible = np.asarray(x_visible, dtype=float)
     single = x_visible.ndim == 1
     rows = np.atleast_2d(x_visible)
-    plan = _plan(model, mask, rows.shape[0])
+    blocks = row_blocks(rows.shape[0], max(model.encoder.widths))
+    plan = _plan(model, mask, max(b.stop - b.start for b in blocks))
     width = int(np.count_nonzero(plan.visible))
     if rows.shape[1] != width:
         raise ValueError(f"expected visible width {width}, got {rows.shape[1]}")
-    plan.enc_in[:, : model.obs_width][:, plan.visible] = rows
-    chat, _ = mlp_forward(model.encoder, plan.enc_in)
+    chat = np.empty((rows.shape[0], model.d_c))
+    for block in blocks:
+        enc_in = plan.enc_in[: block.stop - block.start]
+        enc_in[:, : model.obs_width][:, plan.visible] = rows[block]
+        chat[block], _ = mlp_forward(model.encoder, enc_in)
     return chat[0] if single else chat
 
 

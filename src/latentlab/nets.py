@@ -14,6 +14,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Row blocks for products that must round exactly as one unblocked product
+# would.  With OpenBLAS a row of a product can round differently depending on
+# where it falls in the kernel's row unroll, and products of at most 100**3
+# multiply-adds take a separate small-matrix kernel.  Blocks that start at
+# multiples of ROW_ALIGN rows and hold at least BLOCK_ENTRIES entries keep
+# every row on the kernel path it takes in the unblocked product at one BLAS
+# thread (tests/test_blocking.py compares them).  At more threads a large
+# product is split between threads at row offsets that depend on its size,
+# so for some row counts the last bits can differ.
+BLOCK_ENTRIES = 1 << 19
+ROW_ALIGN = 192
+
+
+def row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Consecutive row ranges covering ``n_rows`` rows of ``row_size``
+    entries each.  Every range starts at a multiple of ``ROW_ALIGN``, and
+    when there is more than one, each holds at least ``BLOCK_ENTRIES``
+    entries and two rows: a shorter remainder joins the range before it (a
+    lone row would go to numpy's matrix-vector path), so no range is more
+    than twice the usual length."""
+    min_rows = max(2, -(-BLOCK_ENTRIES // max(1, row_size)))
+    step = -(-min_rows // ROW_ALIGN) * ROW_ALIGN
+    starts = list(range(0, max(n_rows, 1), step))
+    if len(starts) > 1 and n_rows - starts[-1] < min_rows:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
 def mlp_size(widths: tuple[int, ...]) -> int:
     """Number of parameters of a network with these layer widths."""
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))

@@ -298,3 +298,27 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         code = main(["train", "--config", str(cfg)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        ({"ident": {"seed": 14, "bandwith": 2.0}}, "config section 'ident' has unknown key(s): 'bandwith'"),
+        ({"mae": {"d_c": None, "d_sm": None, "train": {"epochs": 1, "seed": 13, "lr": 0.1}}},
+         "config section 'mae.train' has unknown key(s): 'lr'"),
+        ({"ident": [1]}, "config section 'ident' must be a JSON object, got list"),
+        ({"ident": {"seed": 14, "max_train_rows": "2000"}},
+         "config section 'ident': max_train_rows must be an integer of at least 50, got '2000'"),
+        ({"ident": {"seed": 14, "max_train_rows": 0}},
+         "config section 'ident': max_train_rows must be an integer of at least 50, got 0"),
+        ({"ident": {"seed": 14, "median_rows": 1}},
+         "config section 'ident': median_rows must be an integer of at least 2, got 1"),
+    ],
+)
+def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()

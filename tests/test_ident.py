@@ -169,3 +169,21 @@ def test_report_serializes():
     report = block_identifiability(c, c, rng.standard_normal((200, 1)), CFG)
     as_dict = report.to_dict()
     assert set(as_dict) >= {"r2_c_from_chat", "r2_chat_from_c", "r2_sm_from_chat", "n_train", "n_test"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_train_rows", 0), ("max_train_rows", 10), ("max_train_rows", 49), ("max_train_rows", 2000.0),
+     ("max_train_rows", "2000"), ("max_train_rows", True), ("median_rows", 1), ("median_rows", 0),
+     ("median_rows", 2.5)],
+)
+def test_regressor_config_row_bounds(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least"):
+        RegressorConfig(**{field: value})
+
+
+def test_regressor_config_row_floors_are_allowed():
+    cfg = RegressorConfig(max_train_rows=50, median_rows=2)
+    x = np.random.default_rng(0).standard_normal((80, 2))
+    model = fit_regressor(x, np.tanh(x[:, :1]), cfg)
+    assert model.x_train.shape == (50, 2)
