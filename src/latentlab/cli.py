@@ -128,9 +128,12 @@ class ExperimentConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         for key in ("graph", "mask", "scm", "n", "sample_seed", "mae", "ident", "out_dir"):
             if key not in raw:
                 raise ConfigError(f"config is missing the {key!r} entry")
+        _check_kinds(raw, "")
         scm_params = _section(raw["scm"], "scm")
         if "seed" not in scm_params:
             raise ConfigError("scm config must carry an explicit seed")
@@ -194,7 +197,44 @@ class ExperimentConfig:
 def _section(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object, got {type(value).__name__}")
+    _check_kinds(value, name)
     return dict(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_KINDS = {
+    "an integer": _is_integer,
+    "an integer or null": lambda v: v is None or _is_integer(v),
+    "a number": lambda v: _is_integer(v) or isinstance(v, float),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+    "an object of integers or null": lambda v: v is None
+    or isinstance(v, dict) and all(map(_is_integer, v.values())),
+}
+
+# The JSON type of each config value that the `mae.train` and `ident`
+# settings classes do not check themselves, by section ("" is the top level).
+_VALUE_KINDS = {
+    "": {"graph": "a string", "n": "an integer", "sample_seed": "an integer", "out_dir": "a string"},
+    "mask": {"observables": "a list of strings", "ratio": "a number", "patch": "an integer",
+             "seed": "an integer"},
+    "scm": {"exo_dims": "an object of integers or null", "layers": "an integer",
+            "alpha": "a number", "seed": "an integer", "bias": "a boolean"},
+    "mae": {"d_c": "an integer or null", "d_sm": "an integer or null",
+            "hidden": "a list of integers", "slope": "a number"},
+}
+
+
+def _check_kinds(section: dict, name: str) -> None:
+    for key, kind in _VALUE_KINDS.get(name, {}).items():
+        if key in section and not _KINDS[kind](section[key]):
+            label = f"{name}.{key}" if name else key
+            raise ConfigError(f"config value {label!r} must be {kind}, got {json.dumps(section[key])}")
 
 
 def _build_section(kind, params: dict, name: str):
@@ -309,13 +349,34 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
+    """The dataset under ``cfg.out_dir``, refused when its header shows it
+    was written for another graph, ``n`` or ``sample_seed``."""
+    base = cfg.out_dir / "dataset"
+    header_path = base.with_suffix(".json")
+    if not header_path.exists():
+        raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
+    header = json.loads(header_path.read_text())
+    if not isinstance(header, dict):
+        raise ConfigError(f"{header_path} is not a dataset header; run simulate again")
+    if set(header.get("column_spans", ())) != set(g.node_ids):
+        raise ConfigError(
+            f"{header_path} is stale: its nodes are not those of the config's graph "
+            f"{cfg.graph_path!r}; run simulate again"
+        )
+    for field, key, expected in (("n", "n", cfg.n), ("seed", "sample_seed", cfg.sample_seed)):
+        if header.get(field) != expected:
+            raise ConfigError(
+                f"{header_path} is stale: its {field} is {header.get(field)!r}, "
+                f"but the config's {key!r} is {expected!r}; run simulate again"
+            )
+    return load_dataset(base)
+
+
 def cmd_train(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     g = cfg.graph()
-    dataset_base = cfg.out_dir / "dataset"
-    if not dataset_base.with_suffix(".json").exists():
-        raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
-    ds = load_dataset(dataset_base)
+    ds = _load_current_dataset(cfg, g)
     spec = cfg.build(g)
     d_c, d_sm, mask = _model_dims(cfg, g, spec)
     model, curve = train(
@@ -341,11 +402,8 @@ def cmd_evaluate(args) -> int:
     model_base = cfg.out_dir / "model"
     if not model_base.with_suffix(".json").exists():
         raise ConfigError(f"checkpoint not found under {cfg.out_dir}; run train first")
-    dataset_base = cfg.out_dir / "dataset"
-    if not dataset_base.with_suffix(".json").exists():
-        raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
+    ds = _load_current_dataset(cfg, g)
     model = load_model(model_base)
-    ds = load_dataset(dataset_base)
     mask = cfg.mask(g)
     info = locate_shared_info(g, mask)
     visible_nodes = [v for v in ds.layout if v not in mask.masked]

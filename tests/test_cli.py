@@ -322,3 +322,63 @@ def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
     assert expected in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        ({"n": [1]}, "config value 'n' must be an integer, got [1]"),
+        ({"scm": {"layers": [2], "alpha": 0.5, "seed": 11}},
+         "config value 'scm.layers' must be an integer, got [2]"),
+    ],
+)
+def test_wrongly_typed_config_value_exits_two(tmp_path, capsys, overrides, expected):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_wrongly_typed_mae_value_exits_two_on_train(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    write_config(tmp_path, mae={"d_c": None, "d_sm": None, "hidden": "ab",
+                                "train": {"epochs": 3, "batch_size": 128, "seed": 13}})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config value 'mae.hidden' must be a list of integers, got \"ab\"" in err
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        ({"graph": "fig2"}, "its nodes are not those of the config's graph 'fig2'"),
+        ({"n": 500}, "its n is 400, but the config's 'n' is 500"),
+    ],
+)
+def test_stale_dataset_after_config_edit_exits_two(tmp_path, capsys, overrides, expected):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    model = (tmp_path / "run" / "model.bin").read_bytes()
+    write_config(tmp_path, **overrides)
+    capsys.readouterr()
+    for command in ("train", "evaluate"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert expected in err and "run simulate again" in err
+    assert (tmp_path / "run" / "model.bin").read_bytes() == model
+    assert not (tmp_path / "run" / "ident_report.json").exists()
+
+
+def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    (tmp_path / "run" / "dataset.json").write_text("[1]\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "is not a dataset header" in capsys.readouterr().err
