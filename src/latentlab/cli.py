@@ -185,7 +185,13 @@ class ExperimentConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return _build_section(TrainConfig, self.mae_params["train"], "mae.train")
+        cfg = _build_section(TrainConfig, self.mae_params["train"], "mae.train")
+        if cfg.mask_mode != "fixed":
+            raise ConfigError(
+                f"config value 'mae.train.mask_mode' is {cfg.mask_mode!r}, but the CLI trains "
+                "the one mask in 'mask'; set it to 'fixed'"
+            )
+        return cfg
 
     def regressor_config(self) -> RegressorConfig:
         params = dict(self.ident_params)
@@ -405,6 +411,13 @@ def cmd_evaluate(args) -> int:
     ds = _load_current_dataset(cfg, g)
     model = load_model(model_base)
     mask = cfg.mask(g)
+    expected = tuple(sorted(mask.masked))
+    if model.mask != expected:
+        trained = "no mask" if model.mask is None else f"mask {','.join(map(str, model.mask))}"
+        raise ConfigError(
+            f"{model_base.with_suffix('.json')} records {trained}, but the config's mask is "
+            f"{','.join(expected)}; run train again"
+        )
     info = locate_shared_info(g, mask)
     visible_nodes = [v for v in ds.layout if v not in mask.masked]
     chat = encode(model, ds.stack(visible_nodes), mask)

@@ -75,6 +75,7 @@ class MaeModel:
     slope: float
     param_seed: int
     flat: np.ndarray  # encoder.flat then decoder.flat, as one contiguous vector
+    mask: tuple[NodeId, ...] | None = None  # sorted masked nodes it was trained on; None if resampled or unknown
 
     @property
     def obs_width(self) -> int:
@@ -190,6 +191,7 @@ class _MaskPlan:
     coordinates stay zero and whose indicator columns are written once."""
 
     visible: np.ndarray  # bool per coordinate column
+    visible_runs: tuple[slice, ...]  # the visible columns as runs of adjacent columns
     active_cols: np.ndarray  # masked coordinates the loss reads
     enc_in: np.ndarray  # rows x (obs_width + len(layout))
     dec_in: np.ndarray  # rows x (d_c + d_sm + len(layout))
@@ -205,8 +207,10 @@ def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = Fal
     enc_in[:, obs:] = masked
     dec_in = np.zeros((rows, model.d_c + model.d_sm + len(model.layout)))
     dec_in[:, model.d_c + model.d_sm:] = masked
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], visible, [False]))))
     return _MaskPlan(
         visible=visible,
+        visible_runs=tuple(slice(a, b) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())),
         active_cols=np.flatnonzero(np.array([v in active for v in model.layout])[model.column_nodes]),
         enc_in=enc_in,
         dec_in=dec_in,
@@ -266,7 +270,8 @@ def _loss_and_grads(
     n = batch.shape[0]
     d_c = model.d_c
     enc_in = plan.enc_in[:n]
-    np.copyto(enc_in[:, : model.obs_width], batch, where=plan.visible)
+    for run in plan.visible_runs:
+        enc_in[:, run] = batch[:, run]
     chat, enc_cache = mlp_forward(model.encoder, enc_in)
     dec_in = plan.dec_in[:n]
     dec_in[:, :d_c] = chat
@@ -275,7 +280,7 @@ def _loss_and_grads(
 
     active_cols = plan.active_cols
     err = recon[:, active_cols] - batch[:, active_cols]
-    value = float(np.mean(err ** 2))
+    value = float(np.add.reduce(err ** 2, axis=None) / err.size)  # np.mean's sum, without its wrapper
 
     grad_recon = plan.grad_recon[:n]
     grad_recon[:, active_cols] = 2.0 * err / err.size
@@ -313,8 +318,9 @@ def train(
     slope: float = 0.2,
 ) -> tuple[MaeModel, list[float]]:
     """Minibatch adaptive-moment training of the masked-reconstruction
-    objective; returns the model and the per-epoch loss curve.  Fully
-    deterministic given the config seed."""
+    objective; returns the model and the per-epoch loss curve.  Under a
+    fixed mask the model records its sorted masked nodes in ``mask``.
+    Fully deterministic given the config seed."""
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     layout = dataset.layout
@@ -366,6 +372,8 @@ def train(
             epoch_losses.append(value)
             last_finite = value
         curve.append(float(np.mean(epoch_losses)))
+    if cfg.mask_mode == "fixed":
+        model.mask = tuple(sorted(mask.masked))
     return model, curve
 
 
@@ -422,7 +430,8 @@ def reconstruction_metrics(reconstruction: np.ndarray, target: np.ndarray, peak:
 
 
 def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
-    """Write ``<base>.json`` (architecture and seeds) plus ``<base>.bin``
+    """Write ``<base>.json`` (architecture, seeds and the masked nodes the
+    model was trained on, null when unknown or resampled) plus ``<base>.bin``
     (the bytes of ``model.flat``: encoder weights, encoder biases, decoder
     weights, decoder biases, layer by layer, each weight matrix row-major
     as (fan_out, fan_in); native float64)."""
@@ -437,6 +446,7 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
         "slope": model.slope,
         "param_seed": model.param_seed,
         "n_params": int(model.flat.size),
+        "mask": None if model.mask is None else list(model.mask),
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
@@ -477,6 +487,7 @@ def load_model(basepath: str | Path) -> MaeModel:
         slope=header["slope"],
         param_seed=header["param_seed"],
         flat=flat,
+        mask=None if header.get("mask") is None else tuple(header["mask"]),
     )
 
 

@@ -2,6 +2,15 @@
 adaptive-moment optimizer.  Hidden layers use a leaky elementwise
 nonlinearity; the output layer is linear.
 
+The forward pass computes each hidden layer's gate, the unit's derivative
+(1.0 where the pre-activation is >= 0, the slope elsewhere), applies the
+unit as one multiply by it, and keeps it for the backward pass, which
+scales the gradient by the same array.  The gate is built from a
+comparison and a maximum, which have no per-element branch.  A select
+(numpy's ``where``) branches on every element, and on fresh GEMM output of
+mixed sign that branch mispredicts often enough to make the select several
+times as slow as the multiply that replaces it.
+
 A network's parameters live in one contiguous float64 vector, all weights
 first and then all biases, layer by layer; ``Mlp.weights`` and
 ``Mlp.biases`` are views into it.  Gradients use the same layout, so the
@@ -90,16 +99,29 @@ def init_mlp(
     return net
 
 
+def _leaky_gate(pre: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky unit's derivative at ``pre``: exactly 1.0 where
+    ``pre >= 0`` and ``slope`` elsewhere, NaN included.  With ``slope`` in
+    [0, 1], ``pre * gate`` is, bit for bit, ``pre`` where ``pre >= 0`` and
+    ``slope * pre`` elsewhere."""
+    gate = np.greater_equal(pre, 0.0, out=np.empty_like(pre))
+    return np.maximum(gate, slope, out=gate)
+
+
 def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Returns the output and a cache of (layer input, pre-activation)."""
+    """Returns the output and a cache of (layer input, gate) per layer; the
+    output layer is linear, so its gate is None."""
     cache = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         pre = x @ w.T
         pre += b
-        cache.append((x, pre))
-        # With slope in [0, 1] the larger of pre and slope * pre is the leaky unit.
-        x = pre if i == last else np.maximum(pre, net.slope * pre)
+        gate = None
+        if i != last:
+            gate = _leaky_gate(pre, net.slope)
+            pre *= gate
+        cache.append((x, gate))
+        x = pre
     return x, cache
 
 
@@ -108,16 +130,17 @@ def mlp_backward(
 ) -> np.ndarray | None:
     """Writes the gradient of every parameter into ``out`` (laid out like
     ``net.flat``) and returns the gradient w.r.t. the input, or None when
-    ``input_grad`` is False."""
+    ``input_grad`` is False.  Each hidden layer's gradient is scaled by its
+    cached gate in place, in the array ``grad @ W`` made for it, so
+    ``grad_out`` is never written."""
     grads_w, grads_b = param_views(net.widths, out)
     grad = grad_out
-    last = len(net.weights) - 1
-    for i in range(last, -1, -1):
-        x_in, pre = cache[i]
-        if i != last:
-            grad = np.where(pre >= 0, grad, net.slope * grad)
+    for i in range(len(net.weights) - 1, -1, -1):
+        x_in, gate = cache[i]
+        if gate is not None:
+            grad *= gate
         np.matmul(grad.T, x_in, out=grads_w[i])
-        grad.sum(axis=0, out=grads_b[i])
+        np.add.reduce(grad, axis=0, out=grads_b[i])
         if i or input_grad:
             grad = grad @ net.weights[i]
     return grad if input_grad else None

@@ -382,3 +382,41 @@ def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     assert "is not a dataset header" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_model_trained_on_another_mask(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    header = json.loads((run / "model.json").read_text())
+    assert header["mask"] == ["x1", "x2", "x3"]
+
+    write_config(tmp_path, mask={"observables": ["x1"]})
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "records mask x1,x2,x3, but the config's mask is x1; run train again" in err
+
+    del header["mask"]  # a checkpoint written before the field existed
+    (run / "model.json").write_text(json.dumps(header))
+    write_config(tmp_path)
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "records no mask, but the config's mask is x1,x2,x3; run train again" in err
+    assert not (run / "ident_report.json").exists()
+
+
+def test_resampled_mask_mode_is_rejected_by_every_stage(tmp_path, capsys):
+    cfg = write_config(tmp_path, mae={"d_c": None, "d_sm": None, "hidden": [16, 16],
+                                      "train": {"epochs": 3, "batch_size": 128, "seed": 13,
+                                                "mask_mode": "resampled"}})
+    commands = [[stage, "--config", str(cfg)] for stage in ("simulate", "train", "evaluate")]
+    commands.append(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "1",
+                     "--out", str(tmp_path / "sweep.csv"), "--with-training", "--config", str(cfg)])
+    for argv in commands:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config value 'mae.train.mask_mode' is 'resampled'" in err, argv
+        assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()

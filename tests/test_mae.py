@@ -437,22 +437,28 @@ def _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden, slope=0.2):
     return np.concatenate([p.ravel() for p in params]), curve
 
 
+SMALL = (2, (16, 8), 64)  # d_c, hidden widths, batch size
+BENCHMARK = (1, (64, 64), 128)  # those of perfbench's experiment_fig4, where the trainer is timed
+
+
 @pytest.mark.parametrize(
-    "mode, spec, boundary_exclusion, d_sm",
+    "mode, spec, boundary_exclusion, d_sm, shape",
     [
-        ("fixed", "mask", False, 2),
-        ("fixed", "mask", True, 2),
-        ("fixed", "mask", False, 0),
-        ("fixed", "sampler", True, 0),
-        ("resampled", "sampler", False, 3),
-        ("resampled", "sampler", True, 1),
+        pytest.param("fixed", "mask", False, 2, SMALL, id="fixed-mask-False-2"),
+        pytest.param("fixed", "mask", True, 2, SMALL, id="fixed-mask-True-2"),
+        pytest.param("fixed", "mask", False, 0, SMALL, id="fixed-mask-False-0"),
+        pytest.param("fixed", "sampler", True, 0, SMALL, id="fixed-sampler-True-0"),
+        pytest.param("resampled", "sampler", False, 3, SMALL, id="resampled-sampler-False-3"),
+        pytest.param("resampled", "sampler", True, 1, SMALL, id="resampled-sampler-True-1"),
+        pytest.param("fixed", "mask", False, 6, BENCHMARK, id="fixed-mask-False-6-benchmark"),
     ],
 )
-def test_train_matches_list_based_trainer(fig4, mode, spec, boundary_exclusion, d_sm):
-    ds = sample(build_scm(fig4, alpha=0.5, seed=4), 300, seed=5)  # 300 = 4 * 64 + 44: a partial last batch
+def test_train_matches_list_based_trainer(fig4, mode, spec, boundary_exclusion, d_sm, shape):
+    d_c, hidden, batch_size = shape
+    ds = sample(build_scm(fig4, alpha=0.5, seed=4), 300, seed=5)  # 300 = 4 * 64 + 44 = 2 * 128 + 44: a partial last batch
     mask_spec = Mask({"x1", "x2", "x3"}) if spec == "mask" else MaskSampler(0.5, 3, ds.layout)
-    cfg = TrainConfig(epochs=3, batch_size=64, seed=6, mask_mode=mode, boundary_exclusion=boundary_exclusion)
-    model, curve = train(ds, mask_spec, d_c=2, d_sm=d_sm, cfg=cfg, hidden=(16, 8))
-    ref_flat, ref_curve = _ref_train(ds, mask_spec, 2, d_sm, cfg, (16, 8))
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=6, mask_mode=mode, boundary_exclusion=boundary_exclusion)
+    model, curve = train(ds, mask_spec, d_c=d_c, d_sm=d_sm, cfg=cfg, hidden=hidden)
+    ref_flat, ref_curve = _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden)
     assert model.flat.tobytes() == ref_flat.tobytes()
     assert curve == ref_curve
