@@ -23,9 +23,9 @@ from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph, validate
 from latentlab.ident import RegressorConfig, block_identifiability
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
+    _locate_bits,
+    _require_valid,
     brute_force_minimal_c,
-    level_stats,
-    locate_c,
     locate_shared_info,
     verify_conditions,
 )
@@ -77,7 +77,8 @@ def _parse_mask_list(g: LatentGraph, raw: str) -> Mask:
     ids = [token.strip() for token in raw.split(",") if token.strip()]
     if not ids:
         raise ConfigError("mask is empty")
-    unknown = [v for v in ids if v not in set(g.observables)]
+    observables = set(g.observables)
+    unknown = [v for v in ids if v not in observables]
     if unknown:
         raise ConfigError(f"mask names are not observables: {unknown}")
     return Mask(ids)
@@ -306,7 +307,13 @@ def cmd_locate(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_DATA
 
 
+def _require_count(value: int, flag: str) -> None:
+    if value < 0:
+        raise ConfigError(f"{flag} must be a non-negative count, got {value}")
+
+
 def cmd_verify(args) -> int:
+    _require_count(args.trials, "--trials")
     g = _resolve_graph(args.graph)
     if len(g.latents) > args.max_latents:
         raise ConfigError(
@@ -460,8 +467,14 @@ def sweep_rows(
     k_masks: int,
     seed: int,
 ) -> list[list]:
-    """One row per sampled mask: level statistics of the located shared set."""
-    dims = derive_dims(g)
+    """One row per sampled mask: level statistics of the located shared set.
+
+    The graph is checked once, and each mask goes through ``locate_c``'s
+    bit-mask core; the row is read from the graph's level and dimension
+    tables."""
+    _require_valid(g)
+    bits = g.bit_index()
+    level, dim = bits.level, bits.dim
     cells = sorted((float(r), int(s)) for r in ratios for s in patches)
     cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
 
@@ -471,12 +484,14 @@ def sweep_rows(
         sampler = MaskSampler(r, s, tuple(g.layout))
         for idx in range(k_masks):
             mask = sample_mask(sampler, rng)
-            c, _ = locate_c(g, mask)
-            stats = level_stats(g, c, dims=dims)
-            rows.append(
-                [r, s, k_masks, idx, len(mask.masked),
-                 float(stats["mean_level"]), int(stats["max_level"]), int(stats["total_dim"])]
-            )
+            c, _ = _locate_bits(bits, bits.encode(mask.masked))
+            members = bits.positions(c)
+            if members:
+                levels = [level[i] for i in members]
+                stats = [sum(levels) / len(levels), max(levels), sum(dim[i] for i in members)]
+            else:
+                stats = [0.0, 0, 0]
+            rows.append([r, s, k_masks, idx, len(mask.masked), *stats])
     return rows
 
 
@@ -522,19 +537,22 @@ def training_sweep_rows(
 
 
 def cmd_sweep(args) -> int:
+    _require_count(args.masks_per_cell, "--masks-per-cell")
     g = _resolve_graph(args.graph)
     ratios = [float(x) for x in args.ratios.split(",") if x.strip()]
     patches = [int(x) for x in args.patches.split(",") if x.strip()]
     if not ratios or not patches:
         raise ConfigError("sweep needs at least one ratio and one patch size")
-    rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)
-    out = Path(args.out)
-    _write_csv(out, SWEEP_HEADER, rows)
-    print(f"sweep: {out} ({len(rows)} rows)")
+    cfg = None
     if args.with_training:
         if not args.config:
             raise ConfigError("--with-training needs --config for simulator and training settings")
         cfg = ExperimentConfig.load(args.config)
+    rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)
+    out = Path(args.out)
+    _write_csv(out, SWEEP_HEADER, rows)
+    print(f"sweep: {out} ({len(rows)} rows)")
+    if cfg is not None:
         training_out = out.with_name(out.stem + "_training" + out.suffix)
         training = training_sweep_rows(g, ratios, patches, args.seed, cfg)
         _write_csv(training_out, TRAINING_SWEEP_HEADER, training)

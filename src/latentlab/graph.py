@@ -14,6 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -91,12 +92,13 @@ class LatentGraph:
             parent_map[child].add(parent)
             child_map[parent].add(child)
         self._kinds = kinds
+        self._of_kind = {k: tuple(v for v, kind in kinds.items() if kind is k) for k in NodeKind}
+        self._observable_set = frozenset(self._of_kind[NodeKind.OBSERVABLE])
         self._parents = {v: frozenset(ps) for v, ps in parent_map.items()}
         self._children = {v: frozenset(cs) for v, cs in child_map.items()}
         self.edges = frozenset(edge_set)
         self.layout = tuple(layout)
         self._topo: tuple[NodeId, ...] | None = None
-        self._levels: dict[NodeId, int | None] | None = None
         self._bits: BitIndex | None = None
         self._validation: ValidationReport | None = None
 
@@ -114,7 +116,7 @@ class LatentGraph:
         return self._kinds[v]
 
     def nodes_of_kind(self, kind: NodeKind) -> tuple[NodeId, ...]:
-        return tuple(v for v, k in self._kinds.items() if k is kind)
+        return self._of_kind[kind]
 
     @property
     def latents(self) -> tuple[NodeId, ...]:
@@ -236,21 +238,8 @@ class LatentGraph:
         """
         if self.kind(v) is not NodeKind.LATENT:
             raise ValueError(f"topo_depth is defined for latent nodes, got {v!r}")
-        depth = self._level_map().get(v)
-        return 0 if depth is None else depth
-
-    def _level_map(self) -> dict[NodeId, int | None]:
-        # None marks nodes with no directed path to any observable.
-        if self._levels is None:
-            levels: dict[NodeId, int | None] = {}
-            for v in reversed(self.topo_order()):
-                if self._kinds[v] is NodeKind.OBSERVABLE:
-                    levels[v] = 0
-                else:
-                    below = [levels[c] for c in self._children[v] if levels.get(c) is not None]
-                    levels[v] = 1 + max(below) if below else None
-            self._levels = levels
-        return self._levels
+        idx = self.bit_index()
+        return idx.level[idx.bit[v]]
 
     def bit_index(self) -> "BitIndex":
         """The graph's nodes interned to bit positions, built on first use.
@@ -272,7 +261,10 @@ class BitIndex:
     Bit ``i`` stands for ``ids[i]``; positions follow the topological order,
     so every parent sits on a lower bit than its children.  ``parents[i]``
     and ``ancestors[i]`` are the masks of node ``i``'s parents and of its
-    proper ancestors.
+    proper ancestors; ``exogenous``, ``latents`` and ``observables`` mask
+    the nodes of each kind.  ``level[i]`` is the length of node ``i``'s
+    longest directed path down to an observable (0 where there is none), and
+    ``dim[i]`` its dimension under unit noise widths.
     """
 
     def __init__(self, g: LatentGraph):
@@ -280,7 +272,7 @@ class BitIndex:
         self.bit: dict[NodeId, int] = {v: i for i, v in enumerate(self.ids)}
         self.parents: list[int] = []
         self.ancestors: list[int] = []
-        self.exogenous = 0
+        kind_masks = dict.fromkeys(NodeKind, 0)
         for i, v in enumerate(self.ids):
             parents = ancestors = 0
             for p in g.parents(v):
@@ -289,13 +281,47 @@ class BitIndex:
                 ancestors |= self.ancestors[j]
             self.parents.append(parents)
             self.ancestors.append(ancestors | parents)
-            if g.kind(v) is NodeKind.EXOGENOUS:
-                self.exogenous |= 1 << i
+            kind_masks[g.kind(v)] |= 1 << i
+        self.exogenous = kind_masks[NodeKind.EXOGENOUS]
+        self.latents = kind_masks[NodeKind.LATENT]
+        self.observables = kind_masks[NodeKind.OBSERVABLE]
         # (bit, parent mask) of every node with parents, parents first.
         self.forward: tuple[tuple[int, int], ...] = tuple(
             (1 << i, ps) for i, ps in enumerate(self.parents) if ps
         )
         self.non_roots = sum(bit for bit, _ in self.forward)
+        # Children come after their parents, so one backward pass settles
+        # every level; None marks nodes with no directed path to an observable.
+        depth: list[int | None] = [None] * len(self.ids)
+        for i in reversed(range(len(self.ids))):
+            if self.observables >> i & 1:
+                depth[i] = 0
+                continue
+            below = [depth[self.bit[c]] for c in g.children(self.ids[i])]
+            below = [d for d in below if d is not None]
+            depth[i] = 1 + max(below) if below else None
+        self.level: tuple[int, ...] = tuple(d or 0 for d in depth)
+
+    @cached_property
+    def dim(self) -> tuple[int, ...]:
+        return tuple(self.dims())
+
+    def dims(self, exo_dims: Mapping[NodeId, int] | None = None, default: int = 1) -> list[int]:
+        """Dimension of every node by bit, under the additive rule of
+        :func:`derive_dims`."""
+        exo_dims = exo_dims or {}
+        dims: list[int] = []
+        for i, v in enumerate(self.ids):
+            if self.exogenous >> i & 1:
+                d = int(exo_dims.get(v, default))
+                if d <= 0:
+                    raise ValueError(f"exogenous dimension for {v} must be positive, got {d}")
+            elif not self.parents[i]:
+                raise ValueError(f"non-exogenous node {v} has no parents; dimensions undefined")
+            else:
+                d = sum(dims[j] for j in self.positions(self.parents[i]))
+            dims.append(d)
+        return dims
 
     def encode(self, nodes: Iterable[NodeId]) -> int:
         mask = 0
@@ -307,10 +333,16 @@ class BitIndex:
         return mask
 
     def decode(self, mask: int) -> set[NodeId]:
-        ids, out = self.ids, set()
+        ids = self.ids
+        return {ids[i] for i in self.positions(mask)}
+
+    @staticmethod
+    def positions(mask: int) -> list[int]:
+        """The set bits of ``mask``, lowest first."""
+        out = []
         while mask:
             low = mask & -mask
-            out.add(ids[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             mask ^= low
         return out
 
@@ -477,19 +509,8 @@ def derive_dims(
     """Dimension of every node under the additive rule: exogenous nodes get
     their assigned width (``default`` unless overridden), every other node
     the sum of its parents' widths."""
-    exo_dims = dict(exo_dims or {})
-    dims: dict[NodeId, int] = {}
-    for v in g.topo_order():
-        if g.kind(v) is NodeKind.EXOGENOUS:
-            d = int(exo_dims.get(v, default))
-            if d <= 0:
-                raise ValueError(f"exogenous dimension for {v} must be positive, got {d}")
-            dims[v] = d
-        else:
-            if not g.parents(v):
-                raise ValueError(f"non-exogenous node {v} has no parents; dimensions undefined")
-            dims[v] = sum(dims[p] for p in g.parents(v))
-    return dims
+    idx = g.bit_index()
+    return dict(zip(idx.ids, idx.dims(exo_dims, default)))
 
 
 # -- file format -------------------------------------------------------------

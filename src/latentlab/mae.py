@@ -49,8 +49,9 @@ class MaskSampler:
     def num_patches(self) -> int:
         return math.ceil(len(self.layout) / self.s)
 
-    def patches(self) -> list[tuple[NodeId, ...]]:
-        return [tuple(self.layout[i:i + self.s]) for i in range(0, len(self.layout), self.s)]
+    @cached_property
+    def patches(self) -> tuple[tuple[NodeId, ...], ...]:
+        return tuple(tuple(self.layout[i:i + self.s]) for i in range(0, len(self.layout), self.s))
 
     def num_masked_patches(self) -> int:
         k = int(math.floor(self.r * self.num_patches + 0.5))
@@ -58,7 +59,7 @@ class MaskSampler:
 
 
 def sample_mask(sampler: MaskSampler, rng: np.random.Generator) -> Mask:
-    patches = sampler.patches()
+    patches = sampler.patches
     chosen = rng.choice(len(patches), size=sampler.num_masked_patches(), replace=False)
     return Mask(v for i in chosen for v in patches[i])
 

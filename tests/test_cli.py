@@ -287,6 +287,35 @@ def test_sweep_with_training_requires_config(tmp_path, capsys):
                  "--with-training"]) == 2
 
 
+def test_sweep_with_training_loads_config_before_sweeping(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bad": 1}')
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "1",
+                 "--out", str(out), "--with-training", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "config is missing the 'graph' entry" in captured.err
+    assert "sweep:" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "fig4", "--trials", "-2", "--seed", "1"], "--trials"),
+    (["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "-3",
+      "--seed", "1"], "--masks-per-cell"),
+])
+def test_negative_counts_exit_cleanly(tmp_path, capsys, argv, flag):
+    out = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be a non-negative count" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -398,3 +398,242 @@ def test_level_peak_at_intermediate_mask(fig4):
     assert best_level(3) == 2
     assert best_level(1) == 1
     assert best_level(5) == 1
+
+
+# -- set-based references ---------------------------------------------------------
+#
+# The library answers locate, smc, verify and sweep queries on the graph's
+# BitIndex.  These references work on node-id sets over `parents`/`children`
+# and `d_separated`, with no BitIndex, and must give the same answers.
+
+
+def _set_descendants(g: LatentGraph, v) -> set:
+    seen, stack = set(), [v]
+    while stack:
+        for c in g.children(stack.pop()):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _set_levels(g: LatentGraph) -> dict:
+    """Longest directed path down to an observable; None where there is none."""
+    levels = {}
+
+    def level(v):
+        if v not in levels:
+            if g.kind(v) is NodeKind.OBSERVABLE:
+                levels[v] = 0
+            else:
+                below = [d for d in map(level, g.children(v)) if d is not None]
+                levels[v] = 1 + max(below) if below else None
+        return levels[v]
+
+    for v in g.node_ids:
+        level(v)
+    return levels
+
+
+def _set_dims(g: LatentGraph) -> dict:
+    dims = {}
+
+    def dim(v):
+        if v not in dims:
+            kind = g.kind(v)
+            dims[v] = 1 if kind is NodeKind.EXOGENOUS else sum(map(dim, g.parents(v)))
+        return dims[v]
+
+    for v in g.node_ids:
+        dim(v)
+    return dims
+
+
+def _set_locate_c(g: LatentGraph, mask: Mask):
+    """Walk up from the masked observables, then prune: a candidate goes when
+    another candidate lies on one of its directed paths to the visible side."""
+    masked = set(mask.masked)
+    visible = set(g.observables) - masked
+    reaches_visible = {v for v in g.node_ids if _set_descendants(g, v) & visible}
+    candidates, s_m, walked = set(), set(), set(masked)
+    frontier = list(masked)
+    while frontier:
+        for p in g.parents(frontier.pop()):
+            if g.kind(p) is NodeKind.EXOGENOUS:
+                s_m.add(p)
+            elif p in reaches_visible:
+                candidates.add(p)
+            elif p not in walked:
+                walked.add(p)
+                frontier.append(p)
+    pruned = set()
+    for d in candidates:
+        on_paths = {
+            v for v in _set_descendants(g, d)
+            if v in visible or _set_descendants(g, v) & visible
+        }
+        if not on_paths & (candidates - {d}):
+            pruned.add(d)
+    return frozenset(pruned), frozenset(s_m)
+
+
+def _set_locate_smc(g: LatentGraph, mask: Mask, c) -> frozenset:
+    c = frozenset(c)
+    s_mc, processed = set(), set()
+    frontier = set(g.observables) - set(mask.masked)
+    while frontier:
+        v = frontier.pop()
+        if v in processed:
+            continue
+        processed.add(v)
+        parents = g.parents(v)
+        if parents & c:
+            s_mc |= parents - c
+        else:
+            for p in parents:
+                if g.kind(p) is NodeKind.EXOGENOUS:
+                    s_mc.add(p)
+                else:
+                    frontier.add(p)
+    return frozenset(s_mc)
+
+
+def _set_verify_conditions(g: LatentGraph, mask: Mask, info: SharedInfo, dims=None):
+    """The four flags, the witnesses and the total dimension, on sets, with
+    the minimality check against `_eager_oracle`."""
+    masked = set(mask.masked)
+    visible = set(g.observables) - masked
+    witnesses = []
+    bad_c = {v for v in info.c if g.kind(v) is not NodeKind.LATENT}
+    if bad_c:
+        witnesses.append(f"c contains non-latent nodes: {sorted(bad_c)}")
+    bad_sm = {v for v in info.s_m if g.kind(v) is not NodeKind.EXOGENOUS}
+    if bad_sm:
+        witnesses.append(f"s_m contains non-exogenous nodes: {sorted(bad_sm)}")
+    masked_side = _naive_closure(g, info.c | info.s_m)
+    invertible_masked = masked <= masked_side
+    if not invertible_masked:
+        witnesses.append(f"masked observables not determined by c + s_m: {sorted(masked - masked_side)}")
+    visible_side = _naive_closure(g, info.c | info.s_mc)
+    invertible_visible = visible <= visible_side
+    if not invertible_visible:
+        witnesses.append(
+            f"visible observables not determined by c + s_mc: {sorted(visible - visible_side)}"
+        )
+    of_masked = _naive_closure(g, masked)
+    recoverable = (info.c | info.s_m) <= of_masked
+    if not recoverable:
+        witnesses.append(
+            "c + s_m not recoverable from the masked observables: "
+            f"{sorted((info.c | info.s_m) - of_masked)}"
+        )
+    other = info.c | info.s_mc
+    independence_ok = not info.s_m or not other or d_separated(g, info.s_m, other, set())
+    if not independence_ok:
+        witnesses.append("s_m is d-connected to c + s_mc given the empty set")
+    effective_dims = _set_dims(g) if dims is None else dims
+    total_dim_c = sum(effective_dims[v] for v in info.c)
+    minimal_ok = None
+    if dims is not None:
+        oracle = _eager_oracle(g, mask, dims)
+        minimal_ok = total_dim_c == oracle.total_dim
+        if not minimal_ok:
+            witnesses.append(
+                f"c has total dimension {total_dim_c}, minimum is {oracle.total_dim} "
+                f"(achieved by {sorted(oracle.c)})"
+            )
+    return (invertible_masked, invertible_visible, recoverable, independence_ok,
+            total_dim_c, minimal_ok, tuple(witnesses))
+
+
+def _set_sweep_rows(g: LatentGraph, ratios, patches, k_masks, seed):
+    from latentlab.mae import MaskSampler, sample_mask
+
+    levels, dims = _set_levels(g), _set_dims(g)
+    cells = sorted((float(r), int(s)) for r in ratios for s in patches)
+    rows = []
+    for (r, s), cell_seed in zip(cells, np.random.SeedSequence(seed).spawn(len(cells))):
+        rng = np.random.default_rng(cell_seed)
+        sampler = MaskSampler(r, s, tuple(g.layout))
+        for i in range(k_masks):
+            mask = sample_mask(sampler, rng)
+            c = sorted(_set_locate_c(g, mask)[0])
+            depth = [levels[v] or 0 for v in c]
+            mean = sum(depth) / len(depth) if c else 0.0
+            rows.append([r, s, k_masks, i, len(mask.masked), float(mean),
+                         max(depth, default=0), sum(dims[v] for v in c)])
+    return rows
+
+
+def _corrupted_triples(rng, g: LatentGraph, info: SharedInfo):
+    """The located triple and variants with one part added to, dropped from
+    or replaced; members are kept pairwise disjoint."""
+    latents, exogenous = sorted(g.latents), sorted(g.exogenous)
+
+    def pick(pool):
+        return str(rng.choice(sorted(pool))) if pool else None
+
+    def triple(c, s_m, s_mc):
+        c = frozenset(c)
+        s_m = frozenset(s_m) - c
+        return SharedInfo(c=c, s_m=s_m, s_mc=frozenset(s_mc) - c - s_m, mask=info.mask)
+
+    yield info
+    for name in ("c", "s_m", "s_mc"):
+        part = getattr(info, name)
+        if part:
+            yield triple(*(getattr(info, n) - ({pick(part)} if n == name else set())
+                           for n in ("c", "s_m", "s_mc")))
+    extra = pick(set(latents) - info.c)
+    if extra:
+        yield triple(info.c | {extra}, info.s_m, info.s_mc)
+    yield triple(info.c, info.s_m | {pick(latents)}, info.s_mc)
+    yield triple(info.c | {pick(exogenous)}, info.s_m, info.s_mc)
+    random_c = {v for v in latents if rng.random() < 0.3}
+    yield triple(random_c, info.s_m, _set_locate_smc(g, info.mask, random_c))
+    yield triple(info.c, {v for v in exogenous if rng.random() < 0.3}, info.s_mc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_smc_and_conditions_match_set_references(seed):
+    rng = np.random.default_rng(seed)
+    g = random_hierarchy(rng)
+    mask = random_mask(rng, g)
+    info = locate_shared_info(g, mask)
+    assert (info.c, info.s_m) == _set_locate_c(g, mask)
+    assert info.s_mc == _set_locate_smc(g, mask, info.c)
+    random_c = {v for v in g.latents if rng.random() < 0.4}
+    assert locate_smc(g, mask, random_c) == _set_locate_smc(g, mask, random_c)
+    dims = derive_dims(g, {v: int(rng.integers(1, 4)) for v in g.exogenous})
+    for triple in _corrupted_triples(rng, g, info):
+        for d in (None, dims):
+            report = verify_conditions(g, mask, triple, dims=d)
+            got = (report.invertible_masked, report.invertible_visible,
+                   report.recoverable_from_masked, report.independence_ok,
+                   report.total_dim_c, report.minimal_ok, report.witnesses)
+            assert got == _set_verify_conditions(g, mask, triple, dims=d), triple
+
+
+@pytest.mark.parametrize("graph_name", ["bench3", "fig2", "fig4"])
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_sweep_rows_match_set_reference(request, graph_name, seed):
+    from latentlab.cli import sweep_rows
+
+    g = request.getfixturevalue(graph_name)
+    ratios, patches = [0.1, 0.3, 0.5, 0.7, 0.9], [1, 2, 4]
+    assert sweep_rows(g, ratios, patches, 6, seed) == _set_sweep_rows(g, ratios, patches, 6, seed)
+
+
+def test_sweep_rows_match_set_reference_on_random_graphs():
+    from latentlab.cli import sweep_rows
+
+    rng = np.random.default_rng(20_261_018)
+    empty_c_rows = 0
+    for trial in range(40):
+        g = random_hierarchy(rng, max_observables=12)
+        patches = [s for s in (1, 2, 4) if -(-len(g.layout) // s) >= 2]
+        rows = sweep_rows(g, [0.2, 0.5, 0.8], patches, 5, seed=trial)
+        assert rows == _set_sweep_rows(g, [0.2, 0.5, 0.8], patches, 5, seed=trial)
+        empty_c_rows += sum(row[-1] == 0 for row in rows)
+    assert empty_c_rows > 0
