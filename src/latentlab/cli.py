@@ -169,21 +169,25 @@ class ExperimentConfig:
     def mask(self, g: LatentGraph) -> Mask:
         if "observables" in self.mask_spec:
             return _parse_mask_list(g, ",".join(self.mask_spec["observables"]))
-        sampler = MaskSampler(
-            float(self.mask_spec["ratio"]), int(self.mask_spec["patch"]), tuple(g.layout)
+        sampler = _sampler(
+            float(self.mask_spec["ratio"]), int(self.mask_spec["patch"]), g, "mask.ratio", "mask.patch"
         )
         return sample_mask(sampler, np.random.default_rng(int(self.mask_spec["seed"])))
 
-    def build(self, g: LatentGraph):
+    def scm_settings(self) -> dict:
+        """The ``scm`` section with its defaults filled in: ``build_scm``'s
+        arguments besides the graph, as ``dataset.json`` records them."""
         params = self.scm_params
-        return build_scm(
-            g,
-            exo_dims=params.get("exo_dims") or None,
-            layers=int(params.get("layers", 2)),
-            alpha=float(params.get("alpha", 0.2)),
-            seed=int(params["seed"]),
-            bias=bool(params.get("bias", False)),
-        )
+        return {
+            "exo_dims": params.get("exo_dims") or None,
+            "layers": int(params.get("layers", 2)),
+            "alpha": float(params.get("alpha", 0.2)),
+            "seed": int(params["seed"]),
+            "bias": bool(params.get("bias", False)),
+        }
+
+    def build(self, g: LatentGraph):
+        return build_scm(g, **self.scm_settings())
 
     def train_config(self) -> TrainConfig:
         cfg = _build_section(TrainConfig, self.mae_params["train"], "mae.train")
@@ -256,6 +260,15 @@ def _build_section(kind, params: dict, name: str):
         raise ConfigError(f"config section {name!r}: {exc}") from exc
 
 
+def _sampler(r: float, s: int, g: LatentGraph, ratio_flag: str, patch_flag: str) -> MaskSampler:
+    """A mask sampler over the graph's layout; a ratio or patch size it
+    refuses is a ``ConfigError`` naming both settings."""
+    try:
+        return MaskSampler(r, s, tuple(g.layout))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} ({ratio_flag} {r}, {patch_flag} {s})") from exc
+
+
 def _model_dims(cfg: ExperimentConfig, g: LatentGraph, spec) -> tuple[int, int, Mask]:
     mask = cfg.mask(g)
     info = locate_shared_info(g, mask)
@@ -280,7 +293,7 @@ def cmd_locate(args) -> int:
     elif args.ratio is not None:
         if args.patch is None or args.seed is None:
             raise ConfigError("sampled masks need --ratio, --patch, and --seed")
-        sampler = MaskSampler(args.ratio, args.patch, tuple(g.layout))
+        sampler = _sampler(args.ratio, args.patch, g, "--ratio", "--patch")
         mask = sample_mask(sampler, np.random.default_rng(args.seed))
     else:
         raise ConfigError("provide either --mask or --ratio/--patch/--seed")
@@ -356,7 +369,7 @@ def cmd_simulate(args) -> int:
     g = cfg.graph()
     spec = cfg.build(g)
     ds = sample(spec, cfg.n, seed=cfg.sample_seed)
-    written = save_dataset(ds, cfg.out_dir / "dataset", seed=cfg.sample_seed)
+    written = save_dataset(ds, cfg.out_dir / "dataset", seed=cfg.sample_seed, scm=cfg.scm_settings())
     for kind, path in sorted(written.items()):
         print(f"{kind}: {path}")
     return EXIT_OK
@@ -364,7 +377,8 @@ def cmd_simulate(args) -> int:
 
 def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     """The dataset under ``cfg.out_dir``, refused when its header shows it
-    was written for another graph, ``n`` or ``sample_seed``."""
+    was written for another graph, ``n``, ``sample_seed`` or ``scm``
+    section."""
     base = cfg.out_dir / "dataset"
     header_path = base.with_suffix(".json")
     if not header_path.exists():
@@ -382,6 +396,15 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
             raise ConfigError(
                 f"{header_path} is stale: its {field} is {header.get(field)!r}, "
                 f"but the config's {key!r} is {expected!r}; run simulate again"
+            )
+    recorded = header.get("scm")
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{header_path} is stale: it records no 'scm' section; run simulate again")
+    for key, expected in cfg.scm_settings().items():
+        if recorded.get(key) != expected:
+            raise ConfigError(
+                f"{header_path} is stale: its scm.{key} is {recorded.get(key)!r}, "
+                f"but the config's 'scm.{key}' is {expected!r}; run simulate again"
             )
     return load_dataset(base)
 
@@ -543,6 +566,9 @@ def cmd_sweep(args) -> int:
     patches = [int(x) for x in args.patches.split(",") if x.strip()]
     if not ratios or not patches:
         raise ConfigError("sweep needs at least one ratio and one patch size")
+    for r in ratios:
+        for s in patches:
+            _sampler(r, s, g, "--ratios", "--patches")
     cfg = None
     if args.with_training:
         if not args.config:

@@ -5,13 +5,18 @@ mask indicator appended) and emits a code of width ``d_c``; the decoder reads
 the code plus a fresh noise vector of width ``d_sm`` and the indicator, and
 reconstructs the full pixel row.  Training minimizes the squared error on
 the masked coordinates only.
+
+``train`` runs in float32: it rounds the float64 initial parameters once
+and keeps the rows, the noise draws, the optimizer state and every
+intermediate in float32.  Checkpoints hold those float32 parameters.
+``encode`` and ``grad_check`` compute from an exact float64 copy of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,7 +25,7 @@ import numpy as np
 
 from latentlab.graph import Mask, NodeId
 from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size, row_blocks
-from latentlab.scm import Dataset, read_float64
+from latentlab.scm import Dataset, read_array
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,7 +48,10 @@ class MaskSampler:
         if self.s < 1:
             raise ValueError(f"patch size must be positive, got {self.s}")
         if self.num_patches < 2:
-            raise ValueError("layout must split into at least two patches")
+            raise ValueError(
+                f"patch size {self.s} leaves the {len(self.layout)}-node layout in one patch, "
+                "but masking needs at least two patches"
+            )
 
     @property
     def num_patches(self) -> int:
@@ -89,6 +97,18 @@ class MaeModel:
 
     def params(self) -> list[np.ndarray]:
         return self.encoder.params() + self.decoder.params()
+
+
+def _with_params(model: MaeModel, flat: np.ndarray) -> MaeModel:
+    """The same model with its parameters read from ``flat`` (a vector laid
+    out like ``model.flat``), which its weights and biases become views of."""
+    n_enc = model.encoder.flat.size
+    return replace(
+        model,
+        encoder=Mlp(flat[:n_enc], model.encoder.widths, model.slope),
+        decoder=Mlp(flat[n_enc:], model.decoder.widths, model.slope),
+        flat=flat,
+    )
 
 
 def _net_widths(
@@ -188,8 +208,9 @@ def active_masked_nodes(model: MaeModel, mask: Mask, boundary_exclusion: bool) -
 @dataclass(frozen=True)
 class _MaskPlan:
     """What one mask fixes for every batch: coordinate columns in layout
-    order, and input buffers for up to ``rows`` rows whose masked
-    coordinates stay zero and whose indicator columns are written once."""
+    order, and input buffers for up to ``rows`` rows, at the model's dtype,
+    whose masked coordinates stay zero and whose indicator columns are
+    written once."""
 
     visible: np.ndarray  # bool per coordinate column
     visible_runs: tuple[slice, ...]  # the visible columns as runs of adjacent columns
@@ -204,9 +225,10 @@ def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = Fal
     masked = np.array([v in mask.masked for v in model.layout])
     visible = ~masked[model.column_nodes]
     obs = model.obs_width
-    enc_in = np.zeros((rows, obs + len(model.layout)))
+    dtype = model.flat.dtype
+    enc_in = np.zeros((rows, obs + len(model.layout)), dtype)
     enc_in[:, obs:] = masked
-    dec_in = np.zeros((rows, model.d_c + model.d_sm + len(model.layout)))
+    dec_in = np.zeros((rows, model.d_c + model.d_sm + len(model.layout)), dtype)
     dec_in[:, model.d_c + model.d_sm:] = masked
     edges = np.flatnonzero(np.diff(np.concatenate(([False], visible, [False]))))
     return _MaskPlan(
@@ -215,7 +237,7 @@ def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = Fal
         active_cols=np.flatnonzero(np.array([v in active for v in model.layout])[model.column_nodes]),
         enc_in=enc_in,
         dec_in=dec_in,
-        grad_recon=np.zeros((rows, obs)),
+        grad_recon=np.zeros((rows, obs), dtype),
     )
 
 
@@ -224,7 +246,8 @@ def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = Fal
 
 def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
     """Deterministic code for the visible coordinates (given in layout order),
-    computed over row blocks through one plan sized to a block."""
+    computed in float64 over row blocks through one plan sized to a block."""
+    model = _with_params(model, model.flat.astype(np.float64))  # an exact upcast
     x_visible = np.asarray(x_visible, dtype=float)
     single = x_visible.ndim == 1
     rows = np.atleast_2d(x_visible)
@@ -242,8 +265,8 @@ def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
 
 
 def decode(model: MaeModel, chat: np.ndarray, s_hat: np.ndarray, mask: Mask) -> np.ndarray:
-    """Full-width reconstruction from a code and a noise draw; only the masked
-    coordinates are meaningful to the loss."""
+    """Full-width reconstruction from a code and a noise draw, at the
+    model's dtype; only the masked coordinates are meaningful to the loss."""
     _check_mask(model, mask)
     chat = np.asarray(chat, dtype=float)
     single = chat.ndim == 1
@@ -267,7 +290,7 @@ def _loss_and_grads(
 ) -> tuple[float, np.ndarray]:
     """The masked-coordinate loss on ``batch``; the gradient of every
     parameter is written into ``grads`` (laid out like ``model.flat``),
-    which is returned."""
+    which is returned.  Computes at the dtype of ``model.flat``."""
     n = batch.shape[0]
     d_c = model.d_c
     enc_in = plan.enc_in[:n]
@@ -298,9 +321,10 @@ def loss(
     rng: np.random.Generator,
     boundary_exclusion: bool = False,
 ) -> float:
-    """Mean squared error on the masked coordinates, averaged over the batch;
-    the decoder noise is drawn per example from ``rng``."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    """Mean squared error on the masked coordinates, averaged over the batch
+    and computed at the model's dtype; the decoder noise is drawn per
+    example from ``rng``."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=model.flat.dtype))
     if batch.shape[1] != model.obs_width:
         raise ValueError(f"expected rows of width {model.obs_width}, got {batch.shape[1]}")
     plan = _plan(model, mask, batch.shape[0], boundary_exclusion)
@@ -319,19 +343,21 @@ def train(
     slope: float = 0.2,
 ) -> tuple[MaeModel, list[float]]:
     """Minibatch adaptive-moment training of the masked-reconstruction
-    objective; returns the model and the per-epoch loss curve.  Under a
-    fixed mask the model records its sorted masked nodes in ``mask``.
-    Fully deterministic given the config seed."""
+    objective in float32; returns the model, whose parameters are float32,
+    and the per-epoch loss curve.  Under a fixed mask the model records its
+    sorted masked nodes in ``mask``.  Fully deterministic given the config
+    seed."""
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     layout = dataset.layout
     widths = {v: dataset.column_spans[v][1] for v in layout}
-    rows = dataset.stack(layout)
+    rows = dataset.stack(layout).astype(np.float32)
 
     ss = np.random.SeedSequence(cfg.seed)
     param_ss, shuffle_ss, noise_ss, mask_ss = ss.spawn(4)
     param_seed = int(param_ss.generate_state(1)[0])
     model = init_mae_model(layout, widths, d_c, d_sm, hidden=hidden, slope=slope, seed=param_seed)
+    model = _with_params(model, model.flat.astype(np.float32))
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     noise_rng = np.random.default_rng(noise_ss)
@@ -360,7 +386,7 @@ def train(
             if cfg.mask_mode == "resampled":
                 mask = sample_mask(sampler, mask_rng)
                 plan = _plan(model, mask, plan_rows, cfg.boundary_exclusion)
-            s_hat = noise_rng.standard_normal((batch.shape[0], model.d_sm))
+            s_hat = noise_rng.standard_normal((batch.shape[0], model.d_sm), dtype=np.float32)
             value, grads = _loss_and_grads(model, batch, plan, s_hat, grads)
             if not np.isfinite(value):
                 before = (
@@ -387,9 +413,10 @@ def grad_check(
     step: float = 1e-5,
 ) -> float:
     """Max relative deviation between the analytic gradient and central finite
-    differences over every parameter; the noise draw is frozen across all
-    evaluations."""
+    differences over every parameter, both taken in float64 on a copy of
+    the parameters; the noise draw is frozen across all evaluations."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    model = _with_params(model, model.flat.astype(np.float64))
     flat = model.flat
     if flat.size > 10_000:
         raise ValueError(f"model has {flat.size} parameters, too many for finite differences")
@@ -431,11 +458,13 @@ def reconstruction_metrics(reconstruction: np.ndarray, target: np.ndarray, peak:
 
 
 def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
-    """Write ``<base>.json`` (architecture, seeds and the masked nodes the
-    model was trained on, null when unknown or resampled) plus ``<base>.bin``
-    (the bytes of ``model.flat``: encoder weights, encoder biases, decoder
-    weights, decoder biases, layer by layer, each weight matrix row-major
-    as (fan_out, fan_in); native float64)."""
+    """Write ``<base>.json`` (architecture, seeds, ``"dtype": "float32"``
+    and the masked nodes the model was trained on, null when unknown or
+    resampled) plus ``<base>.bin`` (``model.flat`` as native float32:
+    encoder weights, encoder biases, decoder weights, decoder biases, layer
+    by layer, each weight matrix row-major as (fan_out, fan_in)).  A
+    trained model's bytes are its parameters; float64 parameters, as
+    ``init_mae_model`` makes, are rounded to nearest."""
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
     header = {
@@ -447,23 +476,31 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
         "slope": model.slope,
         "param_seed": model.param_seed,
         "n_params": int(model.flat.size),
+        "dtype": "float32",
         "mask": None if model.mask is None else list(model.mask),
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     bin_path = base.with_suffix(".bin")
-    bin_path.write_bytes(model.flat.tobytes())
+    bin_path.write_bytes(model.flat.astype(np.float32, copy=False).tobytes())
     return {"json": json_path, "bin": bin_path}
 
 
 def load_model(basepath: str | Path) -> MaeModel:
     """Rebuild a checkpoint: the architecture from ``<base>.json`` and the
-    parameter vector read straight from ``<base>.bin``.  A file whose size
-    does not match the header, or that holds a non-finite value, is a
-    ``ValueError`` naming the file."""
+    float32 parameter vector read straight from ``<base>.bin``.  A header
+    that does not declare ``"dtype": "float32"`` (as one written before
+    checkpoints were float32 does not), a file whose size does not match
+    the header, or one that holds a non-finite value, is a ``ValueError``
+    naming the file."""
     base = Path(basepath)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
     header = json.loads(json_path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError(f"{json_path} is not a checkpoint header; run train again")
+    if header.get("dtype") != "float32":
+        found = "has no 'dtype' field" if "dtype" not in header else f"has 'dtype' {header['dtype']!r}"
+        raise ValueError(f"{json_path} {found}, but checkpoints hold float32 parameters; run train again")
     layout = tuple(header["layout"])
     widths = {v: int(header["widths"][v]) for v in layout}
     d_c, d_sm, hidden = int(header["d_c"]), int(header["d_sm"]), tuple(header["hidden"])
@@ -474,7 +511,7 @@ def load_model(basepath: str | Path) -> MaeModel:
         raise ValueError(
             f"{json_path}: n_params is {header['n_params']}, but the architecture it describes has {n_params}"
         )
-    flat = read_float64(bin_path, n_params)
+    flat = read_array(bin_path, n_params, np.float32)
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{bin_path}: non-finite parameter values")
     return MaeModel(

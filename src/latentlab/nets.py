@@ -11,13 +11,16 @@ comparison and a maximum, which have no per-element branch.  A select
 mixed sign that branch mispredicts often enough to make the select several
 times as slow as the multiply that replaces it.
 
-A network's parameters live in one contiguous float64 vector, all weights
-first and then all biases, layer by layer; ``Mlp.weights`` and
-``Mlp.biases`` are views into it.  Gradients use the same layout, so the
-optimizer updates every parameter with a few whole-vector operations."""
+A network's parameters live in one contiguous vector, all weights first and
+then all biases, layer by layer; ``Mlp.weights`` and ``Mlp.biases`` are
+views into it.  Gradients use the same layout, so the optimizer updates
+every parameter with a few whole-vector operations.  ``init_mlp`` draws
+float64 values; the forward and backward passes and the optimizer compute
+at the dtype of the arrays they are given."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +104,11 @@ def init_mlp(
 
 def _leaky_gate(pre: np.ndarray, slope: float) -> np.ndarray:
     """The leaky unit's derivative at ``pre``: exactly 1.0 where
-    ``pre >= 0`` and ``slope`` elsewhere, NaN included.  With ``slope`` in
-    [0, 1], ``pre * gate`` is, bit for bit, ``pre`` where ``pre >= 0`` and
-    ``slope * pre`` elsewhere."""
+    ``pre >= 0`` and ``slope`` (rounded to ``pre``'s dtype) elsewhere, NaN
+    included.  With ``slope`` in [0, 1], ``pre * gate`` is, bit for bit,
+    ``pre`` where ``pre >= 0`` and ``slope * pre`` elsewhere."""
     gate = np.greater_equal(pre, 0.0, out=np.empty_like(pre))
-    return np.maximum(gate, slope, out=gate)
+    return np.maximum(gate, pre.dtype.type(slope), out=gate)
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -159,10 +162,17 @@ class Adam:
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """Update ``params`` in place.  Pass each network's flat vector, so
         the update is a few whole-vector operations into preallocated
-        scratch; the arithmetic is the same elementwise for any split."""
+        scratch; the arithmetic is the same elementwise for any split.
+
+        The bias corrections c1 and c2 are folded into the step size and
+        epsilon, ``p -= (step * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))``,
+        which is the textbook update with no pass over the moments to
+        correct them."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        step_size = self.step_size * math.sqrt(c2) / c1
+        eps = self.eps * math.sqrt(c2)
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
             m *= b1
             np.multiply(1 - b1, g, out=a)
@@ -171,10 +181,8 @@ class Adam:
             np.multiply(1 - b2, g, out=a)
             a *= g
             v += a
-            np.divide(v, c2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.eps
-            np.divide(m, c1, out=a)  # m_hat
-            a *= self.step_size
+            np.sqrt(v, out=b)
+            b += eps
+            np.multiply(m, step_size, out=a)
             a /= b
             p -= a

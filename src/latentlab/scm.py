@@ -287,9 +287,17 @@ def extract_blocks(
 # -- on-disk format ------------------------------------------------------------
 
 
-def save_dataset(ds: Dataset, basepath: str | Path, seed: int | None = None, csv_max_rows: int = 1000) -> dict[str, Path]:
+def save_dataset(
+    ds: Dataset,
+    basepath: str | Path,
+    seed: int | None = None,
+    csv_max_rows: int = 1000,
+    scm: Mapping | None = None,
+) -> dict[str, Path]:
     """Write ``<base>.bin`` (float64, column-major) plus a ``<base>.json``
-    header; small datasets also get a ``<base>.csv``."""
+    header, which records the sampling ``seed`` and the simulator settings
+    ``scm`` (null when not given); small datasets also get a
+    ``<base>.csv``."""
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
     bin_path = base.with_suffix(".bin")
@@ -302,6 +310,7 @@ def save_dataset(ds: Dataset, basepath: str | Path, seed: int | None = None, csv
         "column_spans": {v: list(span) for v, span in sorted(ds.column_spans.items())},
         "layout": list(ds.layout),
         "seed": seed,
+        "scm": None if scm is None else dict(scm),
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
@@ -322,14 +331,14 @@ def save_dataset(ds: Dataset, basepath: str | Path, seed: int | None = None, csv
     return written
 
 
-def read_float64(path: Path, count: int) -> np.ndarray:
-    """Exactly ``count`` native float64 values from ``path``; a file of any
-    other size is a ``ValueError`` naming it and both byte counts."""
-    expected = 8 * count
+def read_array(path: Path, count: int, dtype=np.float64) -> np.ndarray:
+    """Exactly ``count`` native values of ``dtype`` from ``path``; a file of
+    any other size is a ``ValueError`` naming it and both byte counts."""
+    expected = np.dtype(dtype).itemsize * count
     actual = path.stat().st_size
     if actual != expected:
         raise ValueError(f"{path} holds {actual} bytes, but its header calls for {expected}")
-    return np.fromfile(path, dtype=np.float64)
+    return np.fromfile(path, dtype=dtype)
 
 
 def load_dataset(basepath: str | Path) -> Dataset:
@@ -340,7 +349,7 @@ def load_dataset(basepath: str | Path) -> Dataset:
     header = json.loads(base.with_suffix(".json").read_text())
     n, total = int(header["n"]), int(header["total_dim"])
     bin_path = base.with_suffix(".bin")
-    raw = read_float64(bin_path, n * total)
+    raw = read_array(bin_path, n * total)
     values = raw.reshape((n, total), order=header["order"]).copy()
     spans = {v: (int(a), int(b)) for v, (a, b) in header["column_spans"].items()}
     finite = np.isfinite(values).all(axis=0)

@@ -387,6 +387,10 @@ def test_wrongly_typed_mae_value_exits_two_on_train(tmp_path, capsys):
     [
         ({"graph": "fig2"}, "its nodes are not those of the config's graph 'fig2'"),
         ({"n": 500}, "its n is 400, but the config's 'n' is 500"),
+        ({"scm": {"layers": 2, "alpha": 0.9, "seed": 11}},
+         "its scm.alpha is 0.5, but the config's 'scm.alpha' is 0.9"),
+        ({"scm": {"layers": 3, "alpha": 0.5, "seed": 11}},
+         "its scm.layers is 2, but the config's 'scm.layers' is 3"),
     ],
 )
 def test_stale_dataset_after_config_edit_exits_two(tmp_path, capsys, overrides, expected):
@@ -402,6 +406,16 @@ def test_stale_dataset_after_config_edit_exits_two(tmp_path, capsys, overrides, 
         assert expected in err and "run simulate again" in err
     assert (tmp_path / "run" / "model.bin").read_bytes() == model
     assert not (tmp_path / "run" / "ident_report.json").exists()
+
+
+def test_dataset_header_records_the_resolved_scm_section(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    header = json.loads((tmp_path / "run" / "dataset.json").read_text())
+    assert header["scm"] == {"alpha": 0.5, "bias": False, "exo_dims": None, "layers": 2, "seed": 11}
+    del header["scm"]  # a dataset written before the field existed
+    (tmp_path / "run" / "dataset.json").write_text(json.dumps(header))
+    assert main(["train", "--config", str(cfg)]) == 2
 
 
 def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):
@@ -449,3 +463,50 @@ def test_resampled_mask_mode_is_rejected_by_every_stage(tmp_path, capsys):
         assert "config value 'mae.train.mask_mode' is 'resampled'" in err, argv
         assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_refuses_a_float64_checkpoint(tmp_path, capsys):
+    """A checkpoint in the format written before training ran in float32:
+    no 'dtype' field and 8 bytes per parameter."""
+    cfg = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    header = json.loads((run / "model.json").read_text())
+    del header["dtype"]
+    (run / "model.json").write_text(json.dumps(header))
+    flat = np.fromfile(run / "model.bin", dtype=np.float32).astype(np.float64)
+    assert flat.size == header["n_params"]
+    flat.tofile(run / "model.bin")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "model.json has no 'dtype' field, but checkpoints hold float32 parameters; run train again" in err
+    assert "Traceback" not in err
+    assert not (run / "ident_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["sweep", "fig4", "--ratios", "0.5", "--patches", "1,6", "--seed", "1"], "(--ratios 0.5, --patches 6)"),
+        (["locate", "fig4", "--ratio", "0.5", "--patch", "6", "--seed", "1"], "(--ratio 0.5, --patch 6)"),
+    ],
+)
+def test_patch_size_too_large_for_the_layout_names_it(tmp_path, capsys, argv, flags):
+    out = tmp_path / "sweep.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert ("patch size 6 leaves the 6-node layout in one patch, but masking needs at least two patches "
+            + flags) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sampled_config_mask_names_its_settings(tmp_path, capsys):
+    cfg = write_config(tmp_path, mask={"ratio": 1.5, "patch": 1, "seed": 3})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "masking ratio must be in (0, 1), got 1.5 (mask.ratio 1.5, mask.patch 1)" in err

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 
 from latentlab import Mask
 from latentlab.mae import (
+    MaeModel,
     MaskSampler,
     TrainConfig,
     TrainingDiverged,
@@ -21,6 +23,7 @@ from latentlab.mae import (
     save_model,
     train,
 )
+from latentlab.mae import _with_params
 from latentlab.scm import Dataset, build_scm, sample
 
 
@@ -31,6 +34,12 @@ def unit_layout(n):
 def unit_model(n=6, d_c=2, d_sm=1, hidden=(8,), seed=0):
     layout = unit_layout(n)
     return init_mae_model(layout, {v: 1 for v in layout}, d_c, d_sm, hidden=hidden, seed=seed)
+
+
+def float32_model(model: MaeModel) -> MaeModel:
+    """``model`` as ``train`` starts from it: its float64 draws rounded once
+    to float32."""
+    return _with_params(model, model.flat.astype(np.float32))
 
 
 def constant_dataset(n_rows=64, row=(0.3, -0.7, 1.1, 0.2)):
@@ -291,7 +300,7 @@ def test_psnr_monotone_in_mse():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    model = unit_model(seed=9)
+    model = float32_model(unit_model(seed=9))
     save_model(model, tmp_path / "ckpt")
     back = load_model(tmp_path / "ckpt")
     for a, b in zip(model.params(), back.params()):
@@ -300,7 +309,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_bytes_are_the_parameter_vector(tmp_path, monkeypatch):
-    model = unit_model(n=5, d_c=2, d_sm=3, hidden=(7, 4), seed=9)
+    model = float32_model(unit_model(n=5, d_c=2, d_sm=3, hidden=(7, 4), seed=9))
     save_model(model, tmp_path / "ckpt")
     data = (tmp_path / "ckpt.bin").read_bytes()
     assert data == model.flat.tobytes()
@@ -321,7 +330,7 @@ def test_checkpoint_bytes_are_the_parameter_vector(tmp_path, monkeypatch):
 
 
 def test_load_model_rejects_size_mismatch_and_non_finite(tmp_path):
-    model = unit_model(seed=9)
+    model = float32_model(unit_model(seed=9))
     save_model(model, tmp_path / "ckpt")
     bin_path = tmp_path / "ckpt.bin"
     data = bin_path.read_bytes()
@@ -335,15 +344,80 @@ def test_load_model_rejects_size_mismatch_and_non_finite(tmp_path):
         load_model(tmp_path / "ckpt")
 
 
+def test_save_model_rounds_float64_parameters(tmp_path):
+    model = unit_model(seed=9)
+    save_model(model, tmp_path / "ckpt")
+    assert (tmp_path / "ckpt.bin").read_bytes() == model.flat.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [None, "float64", 32])
+def test_load_model_refuses_a_header_without_float32_dtype(tmp_path, dtype):
+    save_model(float32_model(unit_model(seed=9)), tmp_path / "ckpt")
+    json_path = tmp_path / "ckpt.json"
+    header = json.loads(json_path.read_text())
+    if dtype is None:
+        del header["dtype"]
+        found = "has no 'dtype' field"
+    else:
+        header["dtype"] = dtype
+        found = f"has 'dtype' {dtype!r}"
+    json_path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=rf"ckpt\.json {found}, but checkpoints hold float32 parameters; run train again"):
+        load_model(tmp_path / "ckpt")
+
+
+def test_load_model_refuses_a_header_that_is_not_an_object(tmp_path):
+    save_model(float32_model(unit_model(seed=9)), tmp_path / "ckpt")
+    (tmp_path / "ckpt.json").write_text("[1]\n")
+    with pytest.raises(ValueError, match=r"ckpt\.json is not a checkpoint header; run train again"):
+        load_model(tmp_path / "ckpt")
+
+
+def small_trained_model(fig4):
+    ds = sample(build_scm(fig4, alpha=0.5, seed=4), 200, seed=5)
+    cfg = TrainConfig(epochs=3, batch_size=32, seed=6)
+    model, _ = train(ds, Mask({"x1", "x2", "x3"}), d_c=2, d_sm=2, cfg=cfg, hidden=(8, 8))
+    return model, ds
+
+
+def test_train_returns_float32_parameters(fig4):
+    model, ds = small_trained_model(fig4)
+    assert model.flat.dtype == np.float32
+    assert all(p.dtype == np.float32 and np.shares_memory(p, model.flat) for p in model.params())
+    # encode computes from the exactly upcast parameters, in float64
+    visible = [v for v in ds.layout if v not in {"x1", "x2", "x3"}]
+    chat = encode(model, ds.stack(visible), Mask({"x1", "x2", "x3"}))
+    assert chat.dtype == np.float64 and chat.shape == (ds.n, 2)
+
+
+def test_grad_check_on_a_trained_model(fig4):
+    model, ds = small_trained_model(fig4)
+    before = model.flat.tobytes()
+    batch = ds.stack(ds.layout)[:5]
+    assert grad_check(model, batch, Mask({"x1", "x2", "x3"}), rng=np.random.default_rng(0)) <= 1e-4
+    assert model.flat.tobytes() == before
+
+
+def test_checkpoint_round_trip_keeps_trained_float32_bytes(fig4, tmp_path):
+    model, _ = small_trained_model(fig4)
+    save_model(model, tmp_path / "ckpt")
+    assert json.loads((tmp_path / "ckpt.json").read_text())["dtype"] == "float32"
+    assert (tmp_path / "ckpt.bin").stat().st_size == 4 * model.flat.size
+    back = load_model(tmp_path / "ckpt")
+    assert back.flat.dtype == np.float32
+    assert back.flat.tobytes() == model.flat.tobytes()
+
+
 # -- the trainer against a copy of the list-based trainer it replaced ----------------
 #
 # One array per weight and bias, ``np.where`` activations, a per-array Adam and
-# per-step column bookkeeping.  ``train`` must give the same bytes.
+# per-step column bookkeeping, all in float32 from initial parameters drawn in
+# float64 and rounded once.  ``train`` must give the same bytes.
 
 
 def _ref_init(widths, rng):
     weights = [np.sqrt(2.0 / max(1, a)) * rng.standard_normal((b, a)) for a, b in zip(widths[:-1], widths[1:])]
-    return weights, [np.zeros(b) for b in widths[1:]]
+    return [w.astype(np.float32) for w in weights], [np.zeros(b, np.float32) for b in widths[1:]]
 
 
 def _ref_forward(net, x, slope):
@@ -362,7 +436,7 @@ def _ref_backward(net, cache, grad, slope):
     for i in range(len(weights) - 1, -1, -1):
         x_in, pre = cache[i]
         if i != len(weights) - 1:
-            grad = grad * np.where(pre >= 0, 1.0, slope)
+            grad = grad * np.where(pre >= 0, np.float32(1.0), np.float32(slope))
         grads_w[i] = grad.T @ x_in
         grads_b[i] = grad.sum(axis=0)
         grad = grad @ weights[i]
@@ -370,23 +444,23 @@ def _ref_backward(net, cache, grad, slope):
 
 
 def _ref_adam_step(state, params, grads, cfg):
+    """Adam with the bias corrections folded into the step size and epsilon."""
     state["t"] += 1
     b1, b2 = cfg.beta1, cfg.beta2
+    c1, c2 = 1 - b1 ** state["t"], 1 - b2 ** state["t"]
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** state["t"])
-        v_hat = v / (1 - b2 ** state["t"])
-        p -= cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+        p -= cfg.step_size * math.sqrt(c2) / c1 * m / (np.sqrt(v) + 1e-8 * math.sqrt(c2))
 
 
 def _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden, slope=0.2):
     layout = ds.layout
     widths = {v: ds.column_spans[v][1] for v in layout}
     offsets = dict(zip(layout, np.cumsum([0] + [widths[v] for v in layout])))
-    rows = ds.stack(layout)
+    rows = ds.stack(layout).astype(np.float32)
     obs = sum(widths.values())
 
     def columns(nodes):
@@ -394,7 +468,8 @@ def _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden, slope=0.2):
                            for c in range(offsets[v], offsets[v] + widths[v])], dtype=int)
 
     def indicator(mask, n):
-        return np.broadcast_to(np.array([1.0 if v in mask.masked else 0.0 for v in layout]), (n, len(layout)))
+        return np.broadcast_to(np.array([1.0 if v in mask.masked else 0.0 for v in layout], np.float32),
+                               (n, len(layout)))
 
     def active_columns(mask):
         return columns(active_masked_nodes(SimpleNamespace(layout=layout), mask, cfg.boundary_exclusion))
@@ -421,7 +496,7 @@ def _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden, slope=0.2):
             if cfg.mask_mode == "resampled":
                 mask = sample_mask(sampler, mask_rng)
                 active = active_columns(mask)
-            s_hat = noise_rng.standard_normal((n, d_sm))
+            s_hat = noise_rng.standard_normal((n, d_sm), dtype=np.float32)
             x = batch.copy()
             x[:, columns(mask.masked)] = 0.0
             chat, enc_cache = _ref_forward(enc, np.hstack([x, indicator(mask, n)]), slope)
@@ -460,5 +535,6 @@ def test_train_matches_list_based_trainer(fig4, mode, spec, boundary_exclusion, 
     cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=6, mask_mode=mode, boundary_exclusion=boundary_exclusion)
     model, curve = train(ds, mask_spec, d_c=d_c, d_sm=d_sm, cfg=cfg, hidden=hidden)
     ref_flat, ref_curve = _ref_train(ds, mask_spec, d_c, d_sm, cfg, hidden)
+    assert ref_flat.dtype == np.float32
     assert model.flat.tobytes() == ref_flat.tobytes()
     assert curve == ref_curve
