@@ -20,9 +20,10 @@ import numpy as np
 
 from latentlab import fixtures
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph, validate_graph
-from latentlab.ident import RegressorConfig, block_identifiability
+from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
+    SharedInfo,
     _locate_bits,
     _require_valid,
     brute_force_minimal_c,
@@ -40,7 +41,7 @@ from latentlab.mae import (
     save_model,
     train,
 )
-from latentlab.scm import build_scm, extract_blocks, load_dataset, sample, save_dataset
+from latentlab.scm import build_scm, extract_blocks, load_dataset, read_header, sample, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,7 +195,7 @@ class ExperimentConfig:
         if cfg.mask_mode != "fixed":
             raise ConfigError(
                 f"config value 'mae.train.mask_mode' is {cfg.mask_mode!r}, but the CLI trains "
-                "the one mask in 'mask'; set it to 'fixed'"
+                "each model on one fixed mask; set it to 'fixed'"
             )
         return cfg
 
@@ -267,20 +268,6 @@ def _sampler(r: float, s: int, g: LatentGraph, ratio_flag: str, patch_flag: str)
         return MaskSampler(r, s, tuple(g.layout))
     except ValueError as exc:
         raise ConfigError(f"{exc} ({ratio_flag} {r}, {patch_flag} {s})") from exc
-
-
-def _model_dims(cfg: ExperimentConfig, g: LatentGraph, spec) -> tuple[int, int, Mask]:
-    mask = cfg.mask(g)
-    info = locate_shared_info(g, mask)
-    d_c = cfg.mae_params.get("d_c")
-    d_sm = cfg.mae_params.get("d_sm")
-    if d_c is None:
-        d_c = sum(spec.dims[v] for v in info.c)
-    if d_sm is None:
-        d_sm = sum(spec.dims[v] for v in info.s_m)
-    if d_c < 1:
-        raise ConfigError("located shared set is empty; set mae.d_c explicitly")
-    return int(d_c), int(d_sm), mask
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -383,21 +370,19 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     header_path = base.with_suffix(".json")
     if not header_path.exists():
         raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
-    header = json.loads(header_path.read_text())
-    if not isinstance(header, dict):
-        raise ConfigError(f"{header_path} is not a dataset header; run simulate again")
-    if set(header.get("column_spans", ())) != set(g.node_ids):
+    header = read_header(header_path, "dataset", ("column_spans", "n", "seed", "scm"), "simulate")
+    if set(header["column_spans"]) != set(g.node_ids):
         raise ConfigError(
             f"{header_path} is stale: its nodes are not those of the config's graph "
             f"{cfg.graph_path!r}; run simulate again"
         )
     for field, key, expected in (("n", "n", cfg.n), ("seed", "sample_seed", cfg.sample_seed)):
-        if header.get(field) != expected:
+        if header[field] != expected:
             raise ConfigError(
-                f"{header_path} is stale: its {field} is {header.get(field)!r}, "
+                f"{header_path} is stale: its {field} is {header[field]!r}, "
                 f"but the config's {key!r} is {expected!r}; run simulate again"
             )
-    recorded = header.get("scm")
+    recorded = header["scm"]
     if not isinstance(recorded, dict):
         raise ConfigError(f"{header_path} is stale: it records no 'scm' section; run simulate again")
     for key, expected in cfg.scm_settings().items():
@@ -409,21 +394,45 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     return load_dataset(base)
 
 
-def cmd_train(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    g = cfg.graph()
-    ds = _load_current_dataset(cfg, g)
-    spec = cfg.build(g)
-    d_c, d_sm, mask = _model_dims(cfg, g, spec)
-    model, curve = train(
+def _train_cell(cfg: ExperimentConfig, ds, mask: Mask, info: SharedInfo):
+    """Train the masked autoencoder on ``mask``; returns ``(model, curve)``.
+    The code and noise widths are ``mae.d_c``/``mae.d_sm``, or the located
+    ``c``/``s_m``'s total width read from the dataset's columns.  A mask
+    whose ``c`` is empty is refused whatever ``mae.d_c`` says: no latent
+    links its two sides, so a code would have nothing to identify."""
+    if not info.c:
+        raise ConfigError(
+            f"mask {','.join(sorted(mask.masked))}: the masked and visible observables share no "
+            "latent (the located c is empty), so there is no shared code to train"
+        )
+    widths = {v: length for v, (_, length) in ds.column_spans.items()}
+    d_c, d_sm = cfg.mae_params.get("d_c"), cfg.mae_params.get("d_sm")
+    return train(
         ds,
         mask,
-        d_c=d_c,
-        d_sm=d_sm,
+        d_c=sum(widths[v] for v in info.c) if d_c is None else d_c,
+        d_sm=sum(widths[v] for v in info.s_m) if d_sm is None else d_sm,
         cfg=cfg.train_config(),
         hidden=tuple(cfg.mae_params.get("hidden", (64, 64))),
         slope=float(cfg.mae_params.get("slope", 0.2)),
     )
+
+
+def _score_cell(cfg: ExperimentConfig, ds, model, mask: Mask, info: SharedInfo) -> IdentReport:
+    """Block identifiability of ``model``'s code for ``mask``, encoded from
+    the visible columns, against the located ``c`` and ``s_m``."""
+    visible_nodes = [v for v in ds.layout if v not in mask.masked]
+    chat = encode(model, ds.stack(visible_nodes), mask)
+    c_block, s_m_block, *_ = extract_blocks(ds, info)
+    return block_identifiability(chat, c_block, s_m_block, cfg.regressor_config())
+
+
+def cmd_train(args) -> int:
+    cfg = ExperimentConfig.load(args.config)
+    g = cfg.graph()
+    ds = _load_current_dataset(cfg, g)
+    mask = cfg.mask(g)
+    model, curve = _train_cell(cfg, ds, mask, locate_shared_info(g, mask))
     written = save_model(model, cfg.out_dir / "model")
     curve_path = save_loss_curve(curve, cfg.out_dir / "loss_curve.csv")
     print(f"checkpoint: {written['json']}")
@@ -449,38 +458,32 @@ def cmd_evaluate(args) -> int:
             f"{','.join(expected)}; run train again"
         )
     info = locate_shared_info(g, mask)
-    visible_nodes = [v for v in ds.layout if v not in mask.masked]
-    chat = encode(model, ds.stack(visible_nodes), mask)
-    c_block, s_m_block, *_ = extract_blocks(ds, info)
-    report = block_identifiability(chat, c_block, s_m_block, cfg.regressor_config())
+    report = _score_cell(cfg, ds, model, mask, info)
     payload = report.to_dict()
     payload["mask"] = sorted(mask.masked)
     payload["c"] = sorted(info.c)
     _dump_json(payload, cfg.out_dir / "ident_report.json")
     summary = cfg.out_dir / "summary.csv"
-    header = "graph,mask,n,r2_c_from_chat,r2_chat_from_c,r2_sm_from_chat,n_train,n_test"
-    line = ",".join(
-        [
-            cfg.graph_path,
-            ";".join(sorted(mask.masked)),
-            str(ds.n),
-            repr(report.r2_c_from_chat),
-            repr(report.r2_chat_from_c),
-            repr(report.r2_sm_from_chat),
-            str(report.n_train),
-            str(report.n_test),
-        ]
-    )
     if not summary.exists():
-        summary.write_text(header + "\n" + line + "\n")
-    else:
-        with open(summary, "a") as fh:
-            fh.write(line + "\n")
+        summary.write_text("graph,mask,n,r2_c_from_chat,r2_chat_from_c,r2_sm_from_chat,n_train,n_test\n")
+    row = [cfg.graph_path, ";".join(expected), ds.n, report.r2_c_from_chat, report.r2_chat_from_c,
+           report.r2_sm_from_chat, report.n_train, report.n_test]
+    with open(summary, "a") as fh:
+        fh.write(",".join(map(_csv_cell, row)) + "\n")
     print(f"ident_report: {cfg.out_dir / 'ident_report.json'}")
     print(f"r2_c_from_chat: {report.r2_c_from_chat!r}")
     print(f"r2_chat_from_c: {report.r2_chat_from_c!r}")
     print(f"r2_sm_from_chat: {report.r2_sm_from_chat!r}")
     return EXIT_OK
+
+
+def _cells(ratios: Sequence[float], patches: Sequence[int], seed: int):
+    """Each (ratio, patch) cell in sorted order with its own generator,
+    spawned from ``seed``.  A cell's masks are its generator's successive
+    draws, ``mask_idx`` 0 first; the training sweep trains that first one."""
+    cells = sorted((float(r), int(s)) for r in ratios for s in patches)
+    for (r, s), cell_seed in zip(cells, np.random.SeedSequence(seed).spawn(len(cells))):
+        yield r, s, np.random.default_rng(cell_seed)
 
 
 def sweep_rows(
@@ -498,12 +501,8 @@ def sweep_rows(
     _require_valid(g)
     bits = g.bit_index()
     level, dim = bits.level, bits.dim
-    cells = sorted((float(r), int(s)) for r in ratios for s in patches)
-    cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
-
     rows = []
-    for (r, s), cell_seed in zip(cells, cell_seeds):
-        rng = np.random.default_rng(cell_seed)
+    for r, s, rng in _cells(ratios, patches, seed):
         sampler = MaskSampler(r, s, tuple(g.layout))
         for idx in range(k_masks):
             mask = sample_mask(sampler, rng)
@@ -530,30 +529,18 @@ def training_sweep_rows(
     seed: int,
     cfg: ExperimentConfig,
 ) -> list[list]:
-    """Slow path: per cell, train and score on that cell's first sampled mask.
-    The dataset is mask-independent and shared across cells."""
-    spec = cfg.build(g)
-    ds = sample(spec, cfg.n, seed=cfg.sample_seed)
-    cells = sorted((float(r), int(s)) for r in ratios for s in patches)
-    cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
+    """Slow path: per cell, train and score on that cell's first sampled
+    mask, as ``train`` and ``evaluate`` do.  The dataset is mask-independent
+    and shared across cells."""
+    ds = sample(cfg.build(g), cfg.n, seed=cfg.sample_seed)
     rows = []
-    for (r, s), cell_seed in zip(cells, cell_seeds):
-        sampler = MaskSampler(r, s, tuple(g.layout))
-        mask = sample_mask(sampler, np.random.default_rng(cell_seed))
+    for r, s, rng in _cells(ratios, patches, seed):
+        mask = sample_mask(MaskSampler(r, s, tuple(g.layout)), rng)
         info = locate_shared_info(g, mask)
-        d_c = max(1, sum(spec.dims[v] for v in info.c))
-        d_sm = sum(spec.dims[v] for v in info.s_m)
-        model, curve = train(
-            ds, mask, d_c=d_c, d_sm=d_sm, cfg=cfg.train_config(),
-            hidden=tuple(cfg.mae_params.get("hidden", (64, 64))),
-            slope=float(cfg.mae_params.get("slope", 0.2)),
-        )
-        visible_nodes = [v for v in ds.layout if v not in mask.masked]
-        chat = encode(model, ds.stack(visible_nodes), mask)
-        c_block, s_m_block, *_ = extract_blocks(ds, locate_shared_info(g, mask))
-        report = block_identifiability(chat, c_block, s_m_block, cfg.regressor_config())
+        model, curve = _train_cell(cfg, ds, mask, info)
+        report = _score_cell(cfg, ds, model, mask, info)
         rows.append([
-            r, s, ";".join(sorted(mask.masked)), d_c, d_sm, curve[-1],
+            r, s, ";".join(sorted(mask.masked)), model.d_c, model.d_sm, curve[-1],
             report.r2_c_from_chat, report.r2_chat_from_c, report.r2_sm_from_chat,
         ])
     return rows

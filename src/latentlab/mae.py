@@ -25,7 +25,7 @@ import numpy as np
 
 from latentlab.graph import Mask, NodeId
 from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size, row_blocks
-from latentlab.scm import Dataset, read_array
+from latentlab.scm import Dataset, read_array, read_header
 
 
 class TrainingDiverged(RuntimeError):
@@ -490,14 +490,17 @@ def load_model(basepath: str | Path) -> MaeModel:
     """Rebuild a checkpoint: the architecture from ``<base>.json`` and the
     float32 parameter vector read straight from ``<base>.bin``.  A header
     that does not declare ``"dtype": "float32"`` (as one written before
-    checkpoints were float32 does not), a file whose size does not match
-    the header, or one that holds a non-finite value, is a ``ValueError``
-    naming the file."""
+    checkpoints were float32 does not) or that lacks a field this reads,
+    a file whose size does not match the header, or one that holds a
+    non-finite value, is a ``ValueError`` naming the file."""
     base = Path(basepath)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
-    header = json.loads(json_path.read_text())
-    if not isinstance(header, dict):
-        raise ValueError(f"{json_path} is not a checkpoint header; run train again")
+    header = read_header(
+        json_path,
+        "checkpoint",
+        ("layout", "widths", "d_c", "d_sm", "hidden", "slope", "param_seed", "n_params"),
+        "train",
+    )
     if header.get("dtype") != "float32":
         found = "has no 'dtype' field" if "dtype" not in header else f"has 'dtype' {header['dtype']!r}"
         raise ValueError(f"{json_path} {found}, but checkpoints hold float32 parameters; run train again")

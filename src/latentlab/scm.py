@@ -341,12 +341,29 @@ def read_array(path: Path, count: int, dtype=np.float64) -> np.ndarray:
     return np.fromfile(path, dtype=dtype)
 
 
+def read_header(path: Path, kind: str, fields: Iterable[str], writer: str) -> dict:
+    """The JSON object in ``path``, a ``kind`` header written by the CLI's
+    ``writer`` stage.  A file that holds anything else, or an object that
+    lacks one of ``fields``, is a ``ValueError`` naming the file (and the
+    missing field) and saying to run ``writer`` again."""
+    header = json.loads(path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path} is not a {kind} header; run {writer} again")
+    for field in fields:
+        if field not in header:
+            raise ValueError(f"{path} has no {field!r} field; run {writer} again")
+    return header
+
+
 def load_dataset(basepath: str | Path) -> Dataset:
     """Read a dataset written by ``save_dataset``.  A ``.bin`` whose size
     does not match the header, or that holds a non-finite value, is a
-    ``ValueError`` naming the file (and, for a value, its nodes)."""
+    ``ValueError`` naming the file (and, for a value, its nodes), as is a
+    header that lacks a field this reads."""
     base = Path(basepath)
-    header = json.loads(base.with_suffix(".json").read_text())
+    header = read_header(
+        base.with_suffix(".json"), "dataset", ("n", "total_dim", "order", "column_spans", "layout"), "simulate"
+    )
     n, total = int(header["n"]), int(header["total_dim"])
     bin_path = base.with_suffix(".bin")
     raw = read_array(bin_path, n * total)

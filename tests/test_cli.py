@@ -280,6 +280,90 @@ def test_sweep_with_training(tmp_path, capsys):
     assert len(lines) == 3  # header + two cells
 
 
+def sweep_training_rows(path: Path) -> list[dict]:
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_training_sweep_row_matches_train_and_evaluate(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "1",
+                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
+    [row] = sweep_training_rows(tmp_path / "sweep_training.csv")
+    masked = row["mask"].split(";")
+    assert out.read_text().splitlines()[1].split(",")[3:5] == ["0", str(len(masked))]
+
+    write_config(tmp_path, mask={"observables": masked})
+    for stage in ("simulate", "train", "evaluate"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    run = tmp_path / "run"
+    model = json.loads((run / "model.json").read_text())
+    report = json.loads((run / "ident_report.json").read_text())
+    final_loss = (run / "loss_curve.csv").read_text().splitlines()[-1].split(",")[1]
+    assert [row["d_c"], row["d_sm"], row["final_loss"]] == [str(model["d_c"]), str(model["d_sm"]), final_loss]
+    for key in ("r2_c_from_chat", "r2_chat_from_c", "r2_sm_from_chat"):
+        assert row[key] == repr(report[key])
+
+
+def test_training_sweep_honours_the_configured_widths(tmp_path, capsys):
+    cfg = write_config(tmp_path, mae={"d_c": 2, "d_sm": 1, "hidden": [16, 16],
+                                      "train": {"epochs": 3, "batch_size": 128, "seed": 13}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1,3", "--masks-per-cell", "1",
+                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
+    rows = sweep_training_rows(tmp_path / "sweep_training.csv")
+    assert [(row["d_c"], row["d_sm"]) for row in rows] == [("2", "1"), ("2", "1")]
+
+
+def write_two_component_graph(tmp_path: Path) -> Path:
+    """z1 -> x1 and z2 -> x2, x3: under mask x1 the two sides share no latent."""
+    graph = {
+        "nodes": [{"id": "z1", "kind": "latent"}, {"id": "z2", "kind": "latent"}]
+        + [{"id": v, "kind": "observable"} for v in ("x1", "x2", "x3")],
+        "edges": [["z1", "x1"], ["z2", "x2"], ["z2", "x3"]],
+        "layout": ["x1", "x2", "x3"],
+        "implicit_exogenous": True,
+    }
+    path = tmp_path / "two_components.json"
+    path.write_text(json.dumps(graph))
+    return path
+
+
+def empty_c_config(tmp_path: Path, d_c) -> tuple[Path, Path]:
+    graph = write_two_component_graph(tmp_path)
+    cfg = write_config(tmp_path, graph=str(graph), mask={"observables": ["x1"]},
+                       mae={"d_c": d_c, "d_sm": None, "hidden": [16, 16],
+                            "train": {"epochs": 3, "batch_size": 128, "seed": 13}})
+    return graph, cfg
+
+
+EMPTY_C = "mask x1: the masked and visible observables share no latent"
+
+
+@pytest.mark.parametrize("d_c", [None, 1])
+def test_train_refuses_a_mask_whose_c_is_empty(tmp_path, capsys, d_c):
+    _, cfg = empty_c_config(tmp_path, d_c)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert EMPTY_C in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+@pytest.mark.parametrize("d_c", [None, 1])
+def test_training_sweep_refuses_a_cell_whose_c_is_empty(tmp_path, capsys, d_c):
+    graph, cfg = empty_c_config(tmp_path, d_c)
+    # at this seed the cell's first mask is x1
+    assert main(["sweep", str(graph), "--ratios", "0.3", "--patches", "1", "--masks-per-cell", "1",
+                 "--seed", "1", "--out", str(tmp_path / "sweep.csv"),
+                 "--with-training", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert EMPTY_C in err and "Traceback" not in err
+    assert not (tmp_path / "sweep_training.csv").exists()
+
+
 def test_sweep_with_training_requires_config(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1",
@@ -425,6 +509,25 @@ def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     assert "is not a dataset header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field, command, writer", [
+    ("model.json", "layout", "evaluate", "train"),
+    ("dataset.json", "total_dim", "train", "simulate"),
+])
+def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command, writer):
+    cfg = write_config(tmp_path)
+    header_path = tmp_path / "run" / name
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    header = json.loads(header_path.read_text())
+    del header[field]
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{header_path} has no {field!r} field; run {writer} again" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_refuses_a_model_trained_on_another_mask(tmp_path, capsys):
