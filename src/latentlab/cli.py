@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from latentlab import fixtures
-from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph, validate_graph
+from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
 from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
@@ -68,9 +68,7 @@ def _resolve_graph(path: str) -> LatentGraph:
         except FileNotFoundError:
             raise ConfigError(f"graph file not found: {path}")
     g = load_graph(candidate)
-    report = validate_graph(g)
-    if not report.ok:
-        raise ConfigError("invalid graph: " + "; ".join(report.violations))
+    _require_valid(g)
     return g
 
 
@@ -191,13 +189,7 @@ class ExperimentConfig:
         return build_scm(g, **self.scm_settings())
 
     def train_config(self) -> TrainConfig:
-        cfg = _build_section(TrainConfig, self.mae_params["train"], "mae.train")
-        if cfg.mask_mode != "fixed":
-            raise ConfigError(
-                f"config value 'mae.train.mask_mode' is {cfg.mask_mode!r}, but the CLI trains "
-                "each model on one fixed mask; set it to 'fixed'"
-            )
-        return cfg
+        return _build_section(TrainConfig, self.mae_params["train"], "mae.train")
 
     def regressor_config(self) -> RegressorConfig:
         params = dict(self.ident_params)
@@ -394,17 +386,24 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     return load_dataset(base)
 
 
-def _train_cell(cfg: ExperimentConfig, ds, mask: Mask, info: SharedInfo):
-    """Train the masked autoencoder on ``mask``; returns ``(model, curve)``.
-    The code and noise widths are ``mae.d_c``/``mae.d_sm``, or the located
-    ``c``/``s_m``'s total width read from the dataset's columns.  A mask
-    whose ``c`` is empty is refused whatever ``mae.d_c`` says: no latent
-    links its two sides, so a code would have nothing to identify."""
+def _trainable_info(g: LatentGraph, mask: Mask) -> SharedInfo:
+    """The located shared set for a mask a model is to be trained on.  A
+    mask whose ``c`` is empty is refused whatever ``mae.d_c`` says: no
+    latent links its two sides, so a code would have nothing to identify."""
+    info = locate_shared_info(g, mask)
     if not info.c:
         raise ConfigError(
             f"mask {','.join(sorted(mask.masked))}: the masked and visible observables share no "
             "latent (the located c is empty), so there is no shared code to train"
         )
+    return info
+
+
+def _train_cell(cfg: ExperimentConfig, ds, mask: Mask, info: SharedInfo):
+    """Train the masked autoencoder on ``mask``, whose shared set ``info``
+    comes from ``_trainable_info``; returns ``(model, curve)``.  The code
+    and noise widths are ``mae.d_c``/``mae.d_sm``, or the located
+    ``c``/``s_m``'s total width read from the dataset's columns."""
     widths = {v: length for v, (_, length) in ds.column_spans.items()}
     d_c, d_sm = cfg.mae_params.get("d_c"), cfg.mae_params.get("d_sm")
     return train(
@@ -432,7 +431,7 @@ def cmd_train(args) -> int:
     g = cfg.graph()
     ds = _load_current_dataset(cfg, g)
     mask = cfg.mask(g)
-    model, curve = _train_cell(cfg, ds, mask, locate_shared_info(g, mask))
+    model, curve = _train_cell(cfg, ds, mask, _trainable_info(g, mask))
     written = save_model(model, cfg.out_dir / "model")
     curve_path = save_loss_curve(curve, cfg.out_dir / "loss_curve.csv")
     print(f"checkpoint: {written['json']}")
@@ -522,21 +521,27 @@ TRAINING_SWEEP_HEADER = ["r", "s", "mask", "d_c", "d_sm", "final_loss",
                          "r2_c_from_chat", "r2_chat_from_c", "r2_sm_from_chat"]
 
 
+def training_cells(
+    g: LatentGraph, ratios: Sequence[float], patches: Sequence[int], seed: int
+) -> list[tuple[float, int, Mask, SharedInfo]]:
+    """Each cell's first sampled mask with its located shared set, all
+    refused by ``_trainable_info`` before any cell is trained."""
+    cells = []
+    for r, s, rng in _cells(ratios, patches, seed):
+        mask = sample_mask(MaskSampler(r, s, tuple(g.layout)), rng)
+        cells.append((r, s, mask, _trainable_info(g, mask)))
+    return cells
+
+
 def training_sweep_rows(
-    g: LatentGraph,
-    ratios: Sequence[float],
-    patches: Sequence[int],
-    seed: int,
-    cfg: ExperimentConfig,
+    g: LatentGraph, cells: Sequence[tuple[float, int, Mask, SharedInfo]], cfg: ExperimentConfig
 ) -> list[list]:
-    """Slow path: per cell, train and score on that cell's first sampled
+    """Slow path: per cell from ``training_cells``, train and score on its
     mask, as ``train`` and ``evaluate`` do.  The dataset is mask-independent
     and shared across cells."""
     ds = sample(cfg.build(g), cfg.n, seed=cfg.sample_seed)
     rows = []
-    for r, s, rng in _cells(ratios, patches, seed):
-        mask = sample_mask(MaskSampler(r, s, tuple(g.layout)), rng)
-        info = locate_shared_info(g, mask)
+    for r, s, mask, info in cells:
         model, curve = _train_cell(cfg, ds, mask, info)
         report = _score_cell(cfg, ds, model, mask, info)
         rows.append([
@@ -556,18 +561,19 @@ def cmd_sweep(args) -> int:
     for r in ratios:
         for s in patches:
             _sampler(r, s, g, "--ratios", "--patches")
-    cfg = None
+    cfg = cells = None
     if args.with_training:
         if not args.config:
             raise ConfigError("--with-training needs --config for simulator and training settings")
         cfg = ExperimentConfig.load(args.config)
+        cells = training_cells(g, ratios, patches, args.seed)
     rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)
     out = Path(args.out)
     _write_csv(out, SWEEP_HEADER, rows)
     print(f"sweep: {out} ({len(rows)} rows)")
     if cfg is not None:
         training_out = out.with_name(out.stem + "_training" + out.suffix)
-        training = training_sweep_rows(g, ratios, patches, args.seed, cfg)
+        training = training_sweep_rows(g, cells, cfg)
         _write_csv(training_out, TRAINING_SWEEP_HEADER, training)
         print(f"training sweep: {training_out} ({len(training)} rows)")
     return EXIT_OK

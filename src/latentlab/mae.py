@@ -84,7 +84,7 @@ class MaeModel:
     slope: float
     param_seed: int
     flat: np.ndarray  # encoder.flat then decoder.flat, as one contiguous vector
-    mask: tuple[NodeId, ...] | None = None  # sorted masked nodes it was trained on; None if resampled or unknown
+    mask: tuple[NodeId, ...] | None = None  # sorted masked nodes it was trained on; None if unknown
 
     @property
     def obs_width(self) -> int:
@@ -164,45 +164,15 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     seed: int = 0
-    mask_mode: str = "fixed"  # "fixed" or "resampled"
-    boundary_exclusion: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.step_size <= 0:
             raise ValueError("epochs, batch size, and step size must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("moment decay rates must lie in (0, 1)")
-        if self.mask_mode not in ("fixed", "resampled"):
-            raise ValueError(f"unknown mask mode {self.mask_mode!r}")
 
 
 # -- coordinate bookkeeping -----------------------------------------------------
-
-
-def _check_mask(model: MaeModel, mask: Mask) -> None:
-    unknown = mask.masked - set(model.layout)
-    if unknown:
-        raise ValueError(f"mask refers to nodes outside the layout: {sorted(unknown)}")
-    if not mask.masked or mask.masked == set(model.layout):
-        raise ValueError("mask must leave both a masked and a visible part")
-
-
-def active_masked_nodes(model: MaeModel, mask: Mask, boundary_exclusion: bool) -> list[NodeId]:
-    """Masked pixels contributing to the loss.  With boundary exclusion on,
-    masked pixels adjacent to a visible pixel in the layout are dropped."""
-    _check_mask(model, mask)
-    if not boundary_exclusion:
-        return [v for v in model.layout if v in mask.masked]
-    keep = []
-    for i, v in enumerate(model.layout):
-        if v not in mask.masked:
-            continue
-        neighbors = [model.layout[j] for j in (i - 1, i + 1) if 0 <= j < len(model.layout)]
-        if all(w in mask.masked for w in neighbors):
-            keep.append(v)
-    if not keep:
-        raise ValueError("boundary exclusion removed every masked coordinate")
-    return keep
 
 
 @dataclass(frozen=True)
@@ -214,14 +184,18 @@ class _MaskPlan:
 
     visible: np.ndarray  # bool per coordinate column
     visible_runs: tuple[slice, ...]  # the visible columns as runs of adjacent columns
-    active_cols: np.ndarray  # masked coordinates the loss reads
+    masked_cols: np.ndarray  # the masked coordinate columns, which the loss reads
     enc_in: np.ndarray  # rows x (obs_width + len(layout))
     dec_in: np.ndarray  # rows x (d_c + d_sm + len(layout))
-    grad_recon: np.ndarray  # rows x obs_width, zero outside active_cols
+    grad_recon: np.ndarray  # rows x obs_width, zero outside masked_cols
 
 
-def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = False) -> _MaskPlan:
-    active = set(active_masked_nodes(model, mask, boundary_exclusion))
+def _plan(model: MaeModel, mask: Mask, rows: int) -> _MaskPlan:
+    unknown = mask.masked - set(model.layout)
+    if unknown:
+        raise ValueError(f"mask refers to nodes outside the layout: {sorted(unknown)}")
+    if not mask.masked or mask.masked == set(model.layout):
+        raise ValueError("mask must leave both a masked and a visible part")
     masked = np.array([v in mask.masked for v in model.layout])
     visible = ~masked[model.column_nodes]
     obs = model.obs_width
@@ -234,7 +208,7 @@ def _plan(model: MaeModel, mask: Mask, rows: int, boundary_exclusion: bool = Fal
     return _MaskPlan(
         visible=visible,
         visible_runs=tuple(slice(a, b) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())),
-        active_cols=np.flatnonzero(np.array([v in active for v in model.layout])[model.column_nodes]),
+        masked_cols=np.flatnonzero(~visible),
         enc_in=enc_in,
         dec_in=dec_in,
         grad_recon=np.zeros((rows, obs), dtype),
@@ -267,7 +241,6 @@ def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
 def decode(model: MaeModel, chat: np.ndarray, s_hat: np.ndarray, mask: Mask) -> np.ndarray:
     """Full-width reconstruction from a code and a noise draw, at the
     model's dtype; only the masked coordinates are meaningful to the loss."""
-    _check_mask(model, mask)
     chat = np.asarray(chat, dtype=float)
     single = chat.ndim == 1
     chat = np.atleast_2d(chat)
@@ -302,12 +275,12 @@ def _loss_and_grads(
     dec_in[:, d_c: d_c + model.d_sm] = s_hat
     recon, dec_cache = mlp_forward(model.decoder, dec_in)
 
-    active_cols = plan.active_cols
-    err = recon[:, active_cols] - batch[:, active_cols]
+    masked_cols = plan.masked_cols
+    err = recon[:, masked_cols] - batch[:, masked_cols]
     value = float(np.add.reduce(err ** 2, axis=None) / err.size)  # np.mean's sum, without its wrapper
 
     grad_recon = plan.grad_recon[:n]
-    grad_recon[:, active_cols] = 2.0 * err / err.size
+    grad_recon[:, masked_cols] = 2.0 * err / err.size
     n_enc = model.encoder.flat.size
     grad_dec_in = mlp_backward(model.decoder, dec_cache, grad_recon, out=grads[n_enc:])
     mlp_backward(model.encoder, enc_cache, grad_dec_in[:, :d_c], out=grads[:n_enc], input_grad=False)
@@ -319,7 +292,6 @@ def loss(
     batch: np.ndarray,
     mask: Mask,
     rng: np.random.Generator,
-    boundary_exclusion: bool = False,
 ) -> float:
     """Mean squared error on the masked coordinates, averaged over the batch
     and computed at the model's dtype; the decoder noise is drawn per
@@ -327,7 +299,7 @@ def loss(
     batch = np.atleast_2d(np.asarray(batch, dtype=model.flat.dtype))
     if batch.shape[1] != model.obs_width:
         raise ValueError(f"expected rows of width {model.obs_width}, got {batch.shape[1]}")
-    plan = _plan(model, mask, batch.shape[0], boundary_exclusion)
+    plan = _plan(model, mask, batch.shape[0])
     s_hat = rng.standard_normal((batch.shape[0], model.d_sm))
     value, _ = _loss_and_grads(model, batch, plan, s_hat, np.empty_like(model.flat))
     return value
@@ -335,7 +307,7 @@ def loss(
 
 def train(
     dataset: Dataset,
-    mask_spec: Mask | MaskSampler,
+    mask: Mask,
     d_c: int,
     d_sm: int,
     cfg: TrainConfig = TrainConfig(),
@@ -344,9 +316,9 @@ def train(
 ) -> tuple[MaeModel, list[float]]:
     """Minibatch adaptive-moment training of the masked-reconstruction
     objective in float32; returns the model, whose parameters are float32,
-    and the per-epoch loss curve.  Under a fixed mask the model records its
-    sorted masked nodes in ``mask``.  Fully deterministic given the config
-    seed."""
+    and the per-epoch loss curve.  Every step reads the same ``mask``, whose
+    sorted masked nodes the model records.  Fully deterministic given the
+    config seed."""
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     layout = dataset.layout
@@ -354,25 +326,14 @@ def train(
     rows = dataset.stack(layout).astype(np.float32)
 
     ss = np.random.SeedSequence(cfg.seed)
-    param_ss, shuffle_ss, noise_ss, mask_ss = ss.spawn(4)
+    param_ss, shuffle_ss, noise_ss = ss.spawn(3)
     param_seed = int(param_ss.generate_state(1)[0])
     model = init_mae_model(layout, widths, d_c, d_sm, hidden=hidden, slope=slope, seed=param_seed)
     model = _with_params(model, model.flat.astype(np.float32))
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     noise_rng = np.random.default_rng(noise_ss)
-    mask_rng = np.random.default_rng(mask_ss)
-
-    if isinstance(mask_spec, MaskSampler):
-        sampler = mask_spec
-        mask = sample_mask(sampler, mask_rng)
-    else:
-        sampler = None
-        mask = mask_spec
-    if cfg.mask_mode == "resampled" and sampler is None:
-        raise ValueError("resampled mask mode requires a MaskSampler")
-    plan_rows = min(cfg.batch_size, dataset.n)
-    plan = _plan(model, mask, plan_rows, cfg.boundary_exclusion)
+    plan = _plan(model, mask, min(cfg.batch_size, dataset.n))
 
     grads = np.empty_like(model.flat)
     optimizer = Adam([model.flat], cfg.step_size, cfg.beta1, cfg.beta2)
@@ -383,9 +344,6 @@ def train(
         epoch_losses = []
         for start in range(0, dataset.n, cfg.batch_size):
             batch = rows[order[start:start + cfg.batch_size]]
-            if cfg.mask_mode == "resampled":
-                mask = sample_mask(sampler, mask_rng)
-                plan = _plan(model, mask, plan_rows, cfg.boundary_exclusion)
             s_hat = noise_rng.standard_normal((batch.shape[0], model.d_sm), dtype=np.float32)
             value, grads = _loss_and_grads(model, batch, plan, s_hat, grads)
             if not np.isfinite(value):
@@ -399,8 +357,7 @@ def train(
             epoch_losses.append(value)
             last_finite = value
         curve.append(float(np.mean(epoch_losses)))
-    if cfg.mask_mode == "fixed":
-        model.mask = tuple(sorted(mask.masked))
+    model.mask = tuple(sorted(mask.masked))
     return model, curve
 
 
@@ -409,7 +366,6 @@ def grad_check(
     batch: np.ndarray,
     mask: Mask,
     rng: np.random.Generator | None = None,
-    boundary_exclusion: bool = False,
     step: float = 1e-5,
 ) -> float:
     """Max relative deviation between the analytic gradient and central finite
@@ -420,7 +376,7 @@ def grad_check(
     flat = model.flat
     if flat.size > 10_000:
         raise ValueError(f"model has {flat.size} parameters, too many for finite differences")
-    plan = _plan(model, mask, batch.shape[0], boundary_exclusion)
+    plan = _plan(model, mask, batch.shape[0])
     rng = rng or np.random.default_rng(0)
     s_hat = rng.standard_normal((batch.shape[0], model.d_sm))
 
@@ -459,8 +415,7 @@ def reconstruction_metrics(reconstruction: np.ndarray, target: np.ndarray, peak:
 
 def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
     """Write ``<base>.json`` (architecture, seeds, ``"dtype": "float32"``
-    and the masked nodes the model was trained on, null when unknown or
-    resampled) plus ``<base>.bin`` (``model.flat`` as native float32:
+    and the masked nodes the model was trained on, null when unknown) plus ``<base>.bin`` (``model.flat`` as native float32:
     encoder weights, encoder biases, decoder weights, decoder biases, layer
     by layer, each weight matrix row-major as (fan_out, fan_in)).  A
     trained model's bytes are its parameters; float64 parameters, as
@@ -490,9 +445,10 @@ def load_model(basepath: str | Path) -> MaeModel:
     """Rebuild a checkpoint: the architecture from ``<base>.json`` and the
     float32 parameter vector read straight from ``<base>.bin``.  A header
     that does not declare ``"dtype": "float32"`` (as one written before
-    checkpoints were float32 does not) or that lacks a field this reads,
-    a file whose size does not match the header, or one that holds a
-    non-finite value, is a ``ValueError`` naming the file."""
+    checkpoints were float32 does not), that lacks a field this reads or
+    a layout node's entry in ``widths``, a file whose size does not match
+    the header, or one that holds a non-finite value, is a ``ValueError``
+    naming the file."""
     base = Path(basepath)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
     header = read_header(
@@ -505,6 +461,12 @@ def load_model(basepath: str | Path) -> MaeModel:
         found = "has no 'dtype' field" if "dtype" not in header else f"has 'dtype' {header['dtype']!r}"
         raise ValueError(f"{json_path} {found}, but checkpoints hold float32 parameters; run train again")
     layout = tuple(header["layout"])
+    missing = [v for v in layout if v not in header["widths"]]
+    if missing:
+        raise ValueError(
+            f"{json_path}: its 'widths' field has no entry for layout node(s) "
+            f"{', '.join(map(repr, missing))}; run train again"
+        )
     widths = {v: int(header["widths"][v]) for v in layout}
     d_c, d_sm, hidden = int(header["d_c"]), int(header["d_sm"]), tuple(header["hidden"])
     enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, hidden)

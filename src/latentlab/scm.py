@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from latentlab.graph import LatentGraph, NodeId, NodeKind, derive_dims, validate_graph
-from latentlab.locate import SharedInfo
+from latentlab.graph import LatentGraph, NodeId, NodeKind, derive_dims
+from latentlab.locate import SharedInfo, _require_valid
 
 
 def _node_stream(seed: int, node_id: NodeId, purpose: int) -> np.random.Generator:
@@ -167,9 +167,7 @@ def build_scm(
     Deterministic given all arguments and invariant to the input order of the
     graph's node and edge lists.
     """
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError("invalid graph: " + "; ".join(report.violations))
+    _require_valid(g)
     if layers < 1:
         raise ValueError("at least one layer is required")
     dims = derive_dims(g, exo_dims)
@@ -359,7 +357,8 @@ def load_dataset(basepath: str | Path) -> Dataset:
     """Read a dataset written by ``save_dataset``.  A ``.bin`` whose size
     does not match the header, or that holds a non-finite value, is a
     ``ValueError`` naming the file (and, for a value, its nodes), as is a
-    header that lacks a field this reads."""
+    header that lacks a field this reads or whose ``column_spans`` holds
+    something other than ``[offset, length]`` pairs."""
     base = Path(basepath)
     header = read_header(
         base.with_suffix(".json"), "dataset", ("n", "total_dim", "order", "column_spans", "layout"), "simulate"
@@ -368,7 +367,14 @@ def load_dataset(basepath: str | Path) -> Dataset:
     bin_path = base.with_suffix(".bin")
     raw = read_array(bin_path, n * total)
     values = raw.reshape((n, total), order=header["order"]).copy()
-    spans = {v: (int(a), int(b)) for v, (a, b) in header["column_spans"].items()}
+    spans = {}
+    for v, span in header["column_spans"].items():
+        if not (isinstance(span, list) and len(span) == 2):
+            raise ValueError(
+                f"{base.with_suffix('.json')}: its 'column_spans' entry for {v!r} is {json.dumps(span)}, "
+                "not an [offset, length] pair; run simulate again"
+            )
+        spans[v] = (int(span[0]), int(span[1]))
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         bad = sorted(v for v, (offset, length) in spans.items() if not finite[offset:offset + length].all())

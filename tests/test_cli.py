@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab.cli import main
+from latentlab.cli import ExperimentConfig, main
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -364,6 +364,21 @@ def test_training_sweep_refuses_a_cell_whose_c_is_empty(tmp_path, capsys, d_c):
     assert not (tmp_path / "sweep_training.csv").exists()
 
 
+def test_training_sweep_locates_every_cell_before_writing(tmp_path, capsys):
+    """At this seed the first cell masks x2 or x3, which share z2, and the
+    second masks x2,x3, whose c is empty: nothing is written or trained."""
+    graph, cfg = empty_c_config(tmp_path, None)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(graph), "--ratios", "0.3,0.6", "--patches", "1", "--seed", "0",
+                 "--out", str(out), "--with-training", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "mask x2,x3: the masked and visible observables share no latent" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not (tmp_path / "sweep_training.csv").exists()
+
+
 def test_sweep_with_training_requires_config(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1",
@@ -435,6 +450,16 @@ def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
     assert expected in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_readme_experiment_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Experiment config\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "exp.json"
+    path.write_text(block)
+    cfg = ExperimentConfig.load(path)
+    assert cfg.train_config().seed == 13 and cfg.out_dir == tmp_path / "run"
 
 
 @pytest.mark.parametrize(
@@ -530,6 +555,29 @@ def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, edit, command, expected", [
+    pytest.param("model.json", lambda h: h["widths"].pop("x1"), "evaluate",
+                 ": its 'widths' field has no entry for layout node(s) 'x1'; run train again",
+                 id="model-widths-without-a-node"),
+    pytest.param("dataset.json", lambda h: h["column_spans"].update(x1=[0]), "train",
+                 ": its 'column_spans' entry for 'x1' is [0], not an [offset, length] pair; run simulate again",
+                 id="dataset-span-not-a-pair"),
+])
+def test_malformed_header_field_exits_two(tmp_path, capsys, name, edit, command, expected):
+    cfg = write_config(tmp_path)
+    header_path = tmp_path / "run" / name
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    header = json.loads(header_path.read_text())
+    edit(header)
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{header_path}{expected}" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_refuses_a_model_trained_on_another_mask(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run = tmp_path / "run"
@@ -554,16 +602,18 @@ def test_evaluate_refuses_a_model_trained_on_another_mask(tmp_path, capsys):
 
 
 def test_resampled_mask_mode_is_rejected_by_every_stage(tmp_path, capsys):
+    """The trainer reads one mask at every step; the keys that once chose
+    otherwise are unknown."""
     cfg = write_config(tmp_path, mae={"d_c": None, "d_sm": None, "hidden": [16, 16],
                                       "train": {"epochs": 3, "batch_size": 128, "seed": 13,
-                                                "mask_mode": "resampled"}})
+                                                "mask_mode": "resampled", "boundary_exclusion": True}})
     commands = [[stage, "--config", str(cfg)] for stage in ("simulate", "train", "evaluate")]
     commands.append(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "1",
                      "--out", str(tmp_path / "sweep.csv"), "--with-training", "--config", str(cfg)])
     for argv in commands:
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "config value 'mae.train.mask_mode' is 'resampled'" in err, argv
+        assert "config section 'mae.train' has unknown key(s): 'boundary_exclusion', 'mask_mode'" in err, argv
         assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
