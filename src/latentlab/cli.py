@@ -41,7 +41,7 @@ from latentlab.mae import (
     save_model,
     train,
 )
-from latentlab.scm import build_scm, extract_blocks, load_dataset, read_header, sample, save_dataset
+from latentlab.scm import JSON_KINDS, build_scm, extract_blocks, load_dataset, read_header, sample, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,10 +192,7 @@ class ExperimentConfig:
         return _build_section(TrainConfig, self.mae_params["train"], "mae.train")
 
     def regressor_config(self) -> RegressorConfig:
-        params = dict(self.ident_params)
-        if "mlp_hidden" in params:
-            params["mlp_hidden"] = tuple(params["mlp_hidden"])
-        return _build_section(RegressorConfig, params, "ident")
+        return _build_section(RegressorConfig, self.ident_params, "ident")
 
 
 def _section(value, name: str) -> dict:
@@ -204,22 +201,6 @@ def _section(value, name: str) -> dict:
     _check_kinds(value, name)
     return dict(value)
 
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_KINDS = {
-    "an integer": _is_integer,
-    "an integer or null": lambda v: v is None or _is_integer(v),
-    "a number": lambda v: _is_integer(v) or isinstance(v, float),
-    "a boolean": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
-    "an object of integers or null": lambda v: v is None
-    or isinstance(v, dict) and all(map(_is_integer, v.values())),
-}
 
 # The JSON type of each config value that the `mae.train` and `ident`
 # settings classes do not check themselves, by section ("" is the top level).
@@ -236,7 +217,7 @@ _VALUE_KINDS = {
 
 def _check_kinds(section: dict, name: str) -> None:
     for key, kind in _VALUE_KINDS.get(name, {}).items():
-        if key in section and not _KINDS[kind](section[key]):
+        if key in section and not JSON_KINDS[kind](section[key]):
             label = f"{name}.{key}" if name else key
             raise ConfigError(f"config value {label!r} must be {kind}, got {json.dumps(section[key])}")
 
@@ -362,7 +343,8 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     header_path = base.with_suffix(".json")
     if not header_path.exists():
         raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
-    header = read_header(header_path, "dataset", ("column_spans", "n", "seed", "scm"), "simulate")
+    schema = {"column_spans": "an object", "n": "an integer", "seed": "an integer", "scm": "an object"}
+    header = read_header(header_path, "dataset", schema, "simulate")
     if set(header["column_spans"]) != set(g.node_ids):
         raise ConfigError(
             f"{header_path} is stale: its nodes are not those of the config's graph "
@@ -375,8 +357,6 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
                 f"but the config's {key!r} is {expected!r}; run simulate again"
             )
     recorded = header["scm"]
-    if not isinstance(recorded, dict):
-        raise ConfigError(f"{header_path} is stale: it records no 'scm' section; run simulate again")
     for key, expected in cfg.scm_settings().items():
         if recorded.get(key) != expected:
             raise ConfigError(
@@ -534,12 +514,11 @@ def training_cells(
 
 
 def training_sweep_rows(
-    g: LatentGraph, cells: Sequence[tuple[float, int, Mask, SharedInfo]], cfg: ExperimentConfig
+    ds, cells: Sequence[tuple[float, int, Mask, SharedInfo]], cfg: ExperimentConfig
 ) -> list[list]:
     """Slow path: per cell from ``training_cells``, train and score on its
-    mask, as ``train`` and ``evaluate`` do.  The dataset is mask-independent
-    and shared across cells."""
-    ds = sample(cfg.build(g), cfg.n, seed=cfg.sample_seed)
+    mask, as ``train`` and ``evaluate`` do.  The dataset, the one that
+    ``simulate`` wrote, is mask-independent and shared across cells."""
     rows = []
     for r, s, mask, info in cells:
         model, curve = _train_cell(cfg, ds, mask, info)
@@ -561,19 +540,26 @@ def cmd_sweep(args) -> int:
     for r in ratios:
         for s in patches:
             _sampler(r, s, g, "--ratios", "--patches")
-    cfg = cells = None
+    cfg = cells = ds = None
     if args.with_training:
         if not args.config:
             raise ConfigError("--with-training needs --config for simulator and training settings")
         cfg = ExperimentConfig.load(args.config)
+        config_graph = cfg.graph()
+        if (config_graph.edges, config_graph.layout) != (g.edges, g.layout):
+            raise ConfigError(
+                f"the config's graph {cfg.graph_path!r} is not the swept graph {args.graph!r}; "
+                "the training sweep trains on the dataset that simulate wrote for the config"
+            )
         cells = training_cells(g, ratios, patches, args.seed)
+        ds = _load_current_dataset(cfg, g)
     rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)
     out = Path(args.out)
     _write_csv(out, SWEEP_HEADER, rows)
     print(f"sweep: {out} ({len(rows)} rows)")
     if cfg is not None:
         training_out = out.with_name(out.stem + "_training" + out.suffix)
-        training = training_sweep_rows(g, cells, cfg)
+        training = training_sweep_rows(ds, cells, cfg)
         _write_csv(training_out, TRAINING_SWEEP_HEADER, training)
         print(f"training sweep: {training_out} ({len(training)} rows)")
     return EXIT_OK

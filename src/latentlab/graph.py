@@ -1,4 +1,4 @@
-"""Hierarchical latent-variable DAGs with reachability and d-separation queries.
+"""Hierarchical latent-variable DAGs with reachability queries and a bit index.
 
 A graph has three node kinds: latent variables, observable variables (the
 "pixels"), and exogenous noise variables.  Observables are sinks, never
@@ -45,10 +45,6 @@ class Mask:
 
     def __len__(self):
         return len(self.masked)
-
-    def visible(self, g: "LatentGraph") -> frozenset[NodeId]:
-        """Complement of the mask within ``g``'s observables."""
-        return frozenset(g.observables) - self.masked
 
 
 @dataclass(frozen=True)
@@ -436,66 +432,6 @@ def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
             return cycle[::-1]
         seen[v] = len(walk)
         walk.append(v)
-
-
-# -- d-separation ---------------------------------------------------------
-
-
-def d_separated(
-    g: LatentGraph,
-    a: Iterable[NodeId],
-    b: Iterable[NodeId],
-    z: Iterable[NodeId],
-) -> bool:
-    """True iff every undirected path between ``a`` and ``b`` is blocked by
-    ``z``: chains/forks block when their middle node is conditioned on,
-    colliders block unless the collider or one of its descendants is.
-
-    The three sets must be pairwise disjoint.
-    """
-    a, b, z = set(a), set(b), set(z)
-    for v in a | b | z:
-        if v not in g:
-            raise UnknownNodeError(f"unknown node id {v!r}")
-    if a & b or a & z or b & z:
-        raise ValueError("d-separation requires pairwise disjoint node sets")
-    if not a or not b:
-        return True
-
-    # Upward closure of z: nodes that are in z or have a descendant in z.
-    z_up = set(z)
-    queue = deque(z)
-    while queue:
-        v = queue.popleft()
-        for p in g.parents(v):
-            if p not in z_up:
-                z_up.add(p)
-                queue.append(p)
-
-    # Walk active trails from `a`; a state is (node, direction of arrival).
-    up, down = 0, 1
-    visited: set[tuple[NodeId, int]] = set()
-    agenda: deque[tuple[NodeId, int]] = deque((v, up) for v in a)
-    while agenda:
-        v, direction = agenda.popleft()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if v not in z and v in b:
-            return False
-        if direction == up and v not in z:
-            for p in g.parents(v):
-                agenda.append((p, up))
-            for c in g.children(v):
-                agenda.append((c, down))
-        elif direction == down:
-            if v not in z:
-                for c in g.children(v):
-                    agenda.append((c, down))
-            if v in z_up:
-                for p in g.parents(v):
-                    agenda.append((p, up))
-    return True
 
 
 # -- dimensions -------------------------------------------------------------

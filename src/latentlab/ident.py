@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from latentlab.nets import Adam, init_mlp, mlp_backward, mlp_forward, row_blocks
+from latentlab.nets import row_blocks
 
 # Rows per elementwise pass over a kernel block, so that the pass's one
 # temporary (the sums of squared norms) stays small next to the block.
@@ -21,15 +21,11 @@ _RBF_CHUNK_ROWS = 32
 
 @dataclass(frozen=True)
 class RegressorConfig:
-    family: str = "kernel_ridge"  # "kernel_ridge" or "mlp"
     ridge: float = 1e-3
     split: float = 0.8
     seed: int = 0
     max_train_rows: int = 2000  # kernel solve stays tractable at large n
     median_rows: int = 1000
-    mlp_hidden: tuple[int, ...] = (64, 64)
-    mlp_epochs: int = 300
-    mlp_step_size: float = 1e-2
 
     def __post_init__(self):
         for name, least in (("max_train_rows", 50), ("median_rows", 2)):
@@ -40,8 +36,6 @@ class RegressorConfig:
             raise ValueError(f"split fraction must be in (0, 1), got {self.split}")
         if self.ridge <= 0:
             raise ValueError(f"ridge penalty must be positive, got {self.ridge}")
-        if self.family not in ("kernel_ridge", "mlp"):
-            raise ValueError(f"unknown regressor family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -148,45 +142,9 @@ def median_distance(x: np.ndarray) -> float:
     return median if median > 0 else 1.0
 
 
-class MlpRegressor:
-    """Small feedforward network fit by full-batch adaptive-moment descent."""
-
-    def __init__(self, hidden: tuple[int, ...], epochs: int, step_size: float):
-        self.hidden = hidden
-        self.epochs = epochs
-        self.step_size = step_size
-        self.net = None
-        self.x_scale: tuple[np.ndarray, np.ndarray] | None = None
-
-    def fit(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        if np.allclose(x.std(axis=0), 0.0):
-            raise ValueError("input matrix has zero variance in every column")
-        mean, std = x.mean(axis=0), x.std(axis=0)
-        std[std == 0] = 1.0
-        self.x_scale = (mean, std)
-        xs = (x - mean) / std
-        self.net = init_mlp((x.shape[1], *self.hidden, y.shape[1]), 0.2, rng)
-        params = [self.net.flat]
-        grads = np.empty_like(self.net.flat)
-        optimizer = Adam(params, self.step_size)
-        for _ in range(self.epochs):
-            out, cache = mlp_forward(self.net, xs)
-            grad = 2.0 * (out - y) / out.size
-            mlp_backward(self.net, cache, grad, out=grads, input_grad=False)
-            optimizer.step(params, [grads])
-        return self
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.net is None:
-            raise RuntimeError("regressor is not fitted")
-        mean, std = self.x_scale
-        out, _ = mlp_forward(self.net, (x - mean) / std)
-        return out
-
-
-def fit_regressor(x: np.ndarray, y: np.ndarray, cfg: RegressorConfig):
-    """Fit the configured family on the given rows (no splitting here);
-    deterministic given the seed."""
+def fit_regressor(x: np.ndarray, y: np.ndarray, cfg: RegressorConfig) -> KernelRidge:
+    """Fit kernel ridge on the given rows (no splitting here); deterministic
+    given the seed."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[0] != y.shape[0]:
@@ -197,9 +155,7 @@ def fit_regressor(x: np.ndarray, y: np.ndarray, cfg: RegressorConfig):
     if x.shape[0] > cfg.max_train_rows:
         keep = rng.choice(x.shape[0], cfg.max_train_rows, replace=False)
         x, y = x[keep], y[keep]
-    if cfg.family == "kernel_ridge":
-        return KernelRidge(cfg.ridge).fit(x, y, cfg.median_rows, rng)
-    return MlpRegressor(cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step_size).fit(x, y, rng)
+    return KernelRidge(cfg.ridge).fit(x, y, cfg.median_rows, rng)
 
 
 def r2_per_dimension(regressor, x_test: np.ndarray, y_test: np.ndarray) -> tuple[float, tuple[float, ...]]:

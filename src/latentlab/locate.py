@@ -189,23 +189,15 @@ def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
     )
 
 
-def information_closure(g: LatentGraph, known: Iterable[NodeId]) -> set[NodeId]:
-    """Least fixpoint of what a set of known node values determines.
-
-    Two rules: knowing a node reveals all its parents (each generating step
-    is invertible), and knowing all parents of a node reveals the node
-    (forward evaluation).  Exogenous nodes enter only via the first rule.
-    The graph must be acyclic.
-    """
-    idx = g.bit_index()
-    return idx.decode(_closure(idx, idx.encode(known)))
-
-
 def _closure(idx: BitIndex, known: int) -> int:
-    """``information_closure`` on bit masks.  The upward rule applied to the
-    known set gives every ancestor; one forward pass in topological order
-    then adds each node whose parents are all known.  That set is already
-    ancestor-closed, so the upward rule adds nothing further."""
+    """Least fixpoint of what the ``known`` node values determine, on bit
+    masks.  Two rules: knowing a node reveals all its parents (each
+    generating step is invertible), and knowing all parents of a node
+    reveals the node (forward evaluation); exogenous nodes enter only via
+    the first.  The upward rule applied to the known set gives every
+    ancestor; one forward pass in topological order then adds each node
+    whose parents are all known.  That set is already ancestor-closed, so
+    the upward rule adds nothing further."""
     closed = idx.ancestors_or_self(known)
     for bit, parents in idx.forward:
         if parents & closed == parents:
@@ -399,25 +391,3 @@ def brute_force_minimal_c(
     s_m = exo & ~idx.ancestors_or_self(idx.encode(c))
     return OracleResult(c=c, s_m=frozenset(idx.decode(s_m)), total_dim=best, ties=tuple(ties))
 
-
-def level_stats(
-    g: LatentGraph,
-    c: Iterable[NodeId],
-    dims: Mapping[NodeId, int] | None = None,
-) -> dict[str, float]:
-    """Aggregate the levels (longest path down to an observable) and total
-    dimension of a latent set; all zeros for the empty set."""
-    c = sorted(set(c))
-    non_latent = [v for v in c if g.kind(v) is not NodeKind.LATENT]
-    if non_latent:
-        raise ValueError(f"level stats are defined for latents only, got {non_latent}")
-    if not c:
-        return {"max_level": 0, "mean_level": 0.0, "total_dim": 0}
-    idx = g.bit_index()
-    members = [idx.bit[v] for v in c]
-    levels = [idx.level[i] for i in members]
-    return {
-        "max_level": max(levels),
-        "mean_level": sum(levels) / len(levels),
-        "total_dim": sum(idx.dim[i] for i in members) if dims is None else sum(dims[v] for v in c),
-    }

@@ -396,20 +396,6 @@ def grad_check(
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def reconstruction_metrics(reconstruction: np.ndarray, target: np.ndarray, peak: float) -> dict[str, float]:
-    """Pixel-level fidelity: mean squared error and peak signal-to-noise ratio
-    (infinite when the error vanishes)."""
-    reconstruction = np.asarray(reconstruction, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if reconstruction.shape != target.shape:
-        raise ValueError("reconstruction and target must have identical shapes")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
-    mse = float(np.mean((reconstruction - target) ** 2))
-    psnr = math.inf if mse == 0 else 10.0 * math.log10(peak ** 2 / mse)
-    return {"mse": mse, "psnr": psnr}
-
-
 # -- checkpoints -------------------------------------------------------------------
 
 
@@ -446,7 +432,8 @@ def load_model(basepath: str | Path) -> MaeModel:
     float32 parameter vector read straight from ``<base>.bin``.  A header
     that does not declare ``"dtype": "float32"`` (as one written before
     checkpoints were float32 does not), that lacks a field this reads or
-    a layout node's entry in ``widths``, a file whose size does not match
+    holds one of another JSON type, or that lacks a layout node's entry in
+    ``widths``, a file whose size does not match
     the header, or one that holds a non-finite value, is a ``ValueError``
     naming the file."""
     base = Path(basepath)
@@ -454,7 +441,9 @@ def load_model(basepath: str | Path) -> MaeModel:
     header = read_header(
         json_path,
         "checkpoint",
-        ("layout", "widths", "d_c", "d_sm", "hidden", "slope", "param_seed", "n_params"),
+        {"layout": "a list of strings", "widths": "an object of integers", "d_c": "an integer",
+         "d_sm": "an integer", "hidden": "a list of integers", "slope": "a number",
+         "param_seed": "an integer", "n_params": "an integer"},
         "train",
     )
     if header.get("dtype") != "float32":
@@ -467,8 +456,8 @@ def load_model(basepath: str | Path) -> MaeModel:
             f"{json_path}: its 'widths' field has no entry for layout node(s) "
             f"{', '.join(map(repr, missing))}; run train again"
         )
-    widths = {v: int(header["widths"][v]) for v in layout}
-    d_c, d_sm, hidden = int(header["d_c"]), int(header["d_sm"]), tuple(header["hidden"])
+    widths = {v: header["widths"][v] for v in layout}
+    d_c, d_sm, hidden = header["d_c"], header["d_sm"], tuple(header["hidden"])
     enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, hidden)
     n_enc = mlp_size(enc_widths)
     n_params = n_enc + mlp_size(dec_widths)

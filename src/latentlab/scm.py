@@ -339,17 +339,44 @@ def read_array(path: Path, count: int, dtype=np.float64) -> np.ndarray:
     return np.fromfile(path, dtype=dtype)
 
 
-def read_header(path: Path, kind: str, fields: Iterable[str], writer: str) -> dict:
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each JSON type that a header field or a config value is checked
+# against accepts, keyed by the name that a refusal gives.
+JSON_KINDS = {
+    "an integer": _is_integer,
+    "an integer or null": lambda v: v is None or _is_integer(v),
+    "a number": lambda v: _is_integer(v) or isinstance(v, float),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+    "an object": lambda v: isinstance(v, dict),
+    "an object of integers": lambda v: isinstance(v, dict) and all(map(_is_integer, v.values())),
+    "an object of integers or null": lambda v: v is None
+    or isinstance(v, dict) and all(map(_is_integer, v.values())),
+}
+
+
+def read_header(path: Path, kind: str, fields: Mapping[str, str], writer: str) -> dict:
     """The JSON object in ``path``, a ``kind`` header written by the CLI's
-    ``writer`` stage.  A file that holds anything else, or an object that
-    lacks one of ``fields``, is a ``ValueError`` naming the file (and the
-    missing field) and saying to run ``writer`` again."""
+    ``writer`` stage, whose ``fields`` each hold the ``JSON_KINDS`` type
+    they map to.  A file that holds anything else, or an object that lacks
+    one of ``fields`` or holds one of another type, is a ``ValueError``
+    naming the file and the field and saying to run ``writer`` again."""
     header = json.loads(path.read_text())
     if not isinstance(header, dict):
         raise ValueError(f"{path} is not a {kind} header; run {writer} again")
-    for field in fields:
+    for field, expected in fields.items():
         if field not in header:
             raise ValueError(f"{path} has no {field!r} field; run {writer} again")
+        if not JSON_KINDS[expected](header[field]):
+            raise ValueError(
+                f"{path}: its {field!r} field must be {expected}, got {json.dumps(header[field])}; "
+                f"run {writer} again"
+            )
     return header
 
 
@@ -357,13 +384,14 @@ def load_dataset(basepath: str | Path) -> Dataset:
     """Read a dataset written by ``save_dataset``.  A ``.bin`` whose size
     does not match the header, or that holds a non-finite value, is a
     ``ValueError`` naming the file (and, for a value, its nodes), as is a
-    header that lacks a field this reads or whose ``column_spans`` holds
-    something other than ``[offset, length]`` pairs."""
+    header that lacks a field this reads, holds one of another JSON type,
+    or whose ``column_spans`` holds something other than ``[offset,
+    length]`` pairs."""
     base = Path(basepath)
-    header = read_header(
-        base.with_suffix(".json"), "dataset", ("n", "total_dim", "order", "column_spans", "layout"), "simulate"
-    )
-    n, total = int(header["n"]), int(header["total_dim"])
+    schema = {"n": "an integer", "total_dim": "an integer", "order": "a string",
+              "column_spans": "an object", "layout": "a list of strings"}
+    header = read_header(base.with_suffix(".json"), "dataset", schema, "simulate")
+    n, total = header["n"], header["total_dim"]
     bin_path = base.with_suffix(".bin")
     raw = read_array(bin_path, n * total)
     values = raw.reshape((n, total), order=header["order"]).copy()

@@ -1,7 +1,10 @@
+from collections import deque
+from typing import Iterable
+
 import numpy as np
 import pytest
 
-from latentlab import LatentGraph, Mask, fixture_path, load_graph
+from latentlab import LatentGraph, Mask, UnknownNodeError, fixture_path, load_graph
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +55,57 @@ def random_mask(rng: np.random.Generator, g: LatentGraph) -> Mask:
     k = int(rng.integers(1, n_obs))
     chosen = rng.choice(sorted(g.observables), size=k, replace=False)
     return Mask(str(v) for v in chosen)
+
+
+def d_separated(g: LatentGraph, a: Iterable[str], b: Iterable[str], z: Iterable[str]) -> bool:
+    """True iff every undirected path between ``a`` and ``b`` is blocked by
+    ``z``: chains/forks block when their middle node is conditioned on,
+    colliders block unless the collider or one of its descendants is.
+
+    The three sets must be pairwise disjoint.  This Bayes-ball walk over
+    ``parents``/``children`` is the naive reference that the bit-mask
+    answers of ``latentlab.locate`` are checked against.
+    """
+    a, b, z = set(a), set(b), set(z)
+    for v in a | b | z:
+        if v not in g:
+            raise UnknownNodeError(f"unknown node id {v!r}")
+    if a & b or a & z or b & z:
+        raise ValueError("d-separation requires pairwise disjoint node sets")
+    if not a or not b:
+        return True
+
+    # Upward closure of z: nodes that are in z or have a descendant in z.
+    z_up = set(z)
+    queue = deque(z)
+    while queue:
+        v = queue.popleft()
+        for p in g.parents(v):
+            if p not in z_up:
+                z_up.add(p)
+                queue.append(p)
+
+    # Walk active trails from `a`; a state is (node, direction of arrival).
+    up, down = 0, 1
+    visited: set[tuple[str, int]] = set()
+    agenda: deque[tuple[str, int]] = deque((v, up) for v in a)
+    while agenda:
+        v, direction = agenda.popleft()
+        if (v, direction) in visited:
+            continue
+        visited.add((v, direction))
+        if v not in z and v in b:
+            return False
+        if direction == up and v not in z:
+            for p in g.parents(v):
+                agenda.append((p, up))
+            for c in g.children(v):
+                agenda.append((c, down))
+        elif direction == down:
+            if v not in z:
+                for c in g.children(v):
+                    agenda.append((c, down))
+            if v in z_up:
+                for p in g.parents(v):
+                    agenda.append((p, up))
+    return True

@@ -270,6 +270,7 @@ def test_sweep_rows_are_sorted(tmp_path, capsys):
 
 def test_sweep_with_training(tmp_path, capsys):
     cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1,3",
                  "--masks-per-cell", "2", "--seed", "5", "--out", str(out),
@@ -287,6 +288,7 @@ def sweep_training_rows(path: Path) -> list[dict]:
 
 def test_training_sweep_row_matches_train_and_evaluate(tmp_path, capsys):
     cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "1",
                  "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
@@ -295,7 +297,7 @@ def test_training_sweep_row_matches_train_and_evaluate(tmp_path, capsys):
     assert out.read_text().splitlines()[1].split(",")[3:5] == ["0", str(len(masked))]
 
     write_config(tmp_path, mask={"observables": masked})
-    for stage in ("simulate", "train", "evaluate"):
+    for stage in ("train", "evaluate"):
         assert main([stage, "--config", str(cfg)]) == 0
     run = tmp_path / "run"
     model = json.loads((run / "model.json").read_text())
@@ -309,6 +311,7 @@ def test_training_sweep_row_matches_train_and_evaluate(tmp_path, capsys):
 def test_training_sweep_honours_the_configured_widths(tmp_path, capsys):
     cfg = write_config(tmp_path, mae={"d_c": 2, "d_sm": 1, "hidden": [16, 16],
                                       "train": {"epochs": 3, "batch_size": 128, "seed": 13}})
+    assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1,3", "--masks-per-cell", "1",
                  "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
@@ -379,6 +382,25 @@ def test_training_sweep_locates_every_cell_before_writing(tmp_path, capsys):
     assert not (tmp_path / "sweep_training.csv").exists()
 
 
+@pytest.mark.parametrize("graph, simulate, expected", [
+    pytest.param("fig4", False, "dataset not found under {run}; run simulate first", id="not-simulated"),
+    pytest.param("fig2", True, "the config's graph 'fig4' is not the swept graph 'fig2'", id="another-graph"),
+])
+def test_training_sweep_needs_the_configs_simulated_dataset(tmp_path, capsys, graph, simulate, expected):
+    cfg = write_config(tmp_path)
+    if simulate:
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", graph, "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "1",
+                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert expected.format(run=tmp_path / "run") in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_with_training_requires_config(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1",
@@ -441,6 +463,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
          "config section 'ident': max_train_rows must be an integer of at least 50, got 0"),
         ({"ident": {"seed": 14, "median_rows": 1}},
          "config section 'ident': median_rows must be an integer of at least 2, got 1"),
+        ({"ident": {"seed": 14, "family": "kernel_ridge"}}, "config section 'ident' has unknown key(s): 'family'"),
     ],
 )
 def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
@@ -562,6 +585,14 @@ def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command
     pytest.param("dataset.json", lambda h: h["column_spans"].update(x1=[0]), "train",
                  ": its 'column_spans' entry for 'x1' is [0], not an [offset, length] pair; run simulate again",
                  id="dataset-span-not-a-pair"),
+    pytest.param("dataset.json", lambda h: h.update(column_spans=[[0, 2]]), "train",
+                 ": its 'column_spans' field must be an object, got [[0, 2]]; run simulate again",
+                 id="dataset-spans-a-list"),
+    pytest.param("dataset.json", lambda h: h.update(n="400"), "train",
+                 ": its 'n' field must be an integer, got \"400\"; run simulate again", id="dataset-n-a-string"),
+    pytest.param("model.json", lambda h: h.update(widths=["x1", "x2"]), "evaluate",
+                 ": its 'widths' field must be an object of integers, got [\"x1\", \"x2\"]; run train again",
+                 id="model-widths-a-list"),
 ])
 def test_malformed_header_field_exits_two(tmp_path, capsys, name, edit, command, expected):
     cfg = write_config(tmp_path)

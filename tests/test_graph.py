@@ -11,7 +11,6 @@ from latentlab import (
     Mask,
     NodeKind,
     UnknownNodeError,
-    d_separated,
     derive_dims,
     graph_from_dict,
     validate_graph,
@@ -19,7 +18,7 @@ from latentlab import (
 from latentlab.graph import graph_to_dict
 from latentlab.locate import locate_c
 
-from conftest import random_hierarchy
+from conftest import d_separated, random_hierarchy
 
 MINIMAL_CHAIN = LatentGraph(
     [("z", "latent"), ("x", "observable"), ("eps_z", "exogenous"), ("eps_x", "exogenous")],

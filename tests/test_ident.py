@@ -46,13 +46,6 @@ def test_elementwise_tanh_is_learned():
     assert r2(model, xte, yte) >= 0.95
 
 
-def test_mlp_family_learns_tanh():
-    x = np.random.default_rng(0).standard_normal((2000, 3))
-    xtr, ytr, xte, yte = split(x, np.tanh(x))
-    model = fit_regressor(xtr, ytr, RegressorConfig(family="mlp", seed=1))
-    assert r2(model, xte, yte) >= 0.95
-
-
 def test_fit_requires_rows_and_variance():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="50 rows"):

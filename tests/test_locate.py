@@ -3,22 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, d_separated, derive_dims
+from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, derive_dims
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
     OracleResult,
     SharedInfo,
+    _closure,
     brute_force_minimal_c,
-    information_closure,
-    level_stats,
     locate_c,
     locate_shared_info,
     locate_smc,
     verify_conditions,
 )
 
-from conftest import random_hierarchy, random_mask
+from conftest import d_separated, random_hierarchy, random_mask
 
 FIG4C_MASK = Mask({"x1", "x2", "x3"})
 FIG4C_SM = frozenset({"eps_z1", "eps_z3", "eps_z4", "eps_x1", "eps_x2", "eps_x3"})
@@ -106,28 +105,33 @@ def test_fig2_pipeline_passes_conditions(fig2):
 # -- information closure ---------------------------------------------------------
 
 
+def closure(g: LatentGraph, known) -> set:
+    idx = g.bit_index()
+    return idx.decode(_closure(idx, idx.encode(known)))
+
+
 def test_closure_full_inversion_from_observable():
     g = LatentGraph(
         [("z", "latent"), ("x", "observable"), ("eps_z", "exogenous"), ("eps_x", "exogenous")],
         [("eps_z", "z"), ("z", "x"), ("eps_x", "x")],
         ["x"],
     )
-    assert information_closure(g, {"x"}) == {"x", "z", "eps_z", "eps_x"}
-    assert information_closure(g, {"eps_z", "eps_x"}) == {"x", "z", "eps_z", "eps_x"}
+    assert closure(g, {"x"}) == {"x", "z", "eps_z", "eps_x"}
+    assert closure(g, {"eps_z", "eps_x"}) == {"x", "z", "eps_z", "eps_x"}
 
 
 def test_closure_covers_masked_side(fig4):
-    assert {"x1", "x2", "x3"} <= information_closure(fig4, {"z2"} | FIG4C_SM)
+    assert {"x1", "x2", "x3"} <= closure(fig4, {"z2"} | FIG4C_SM)
 
 
 def test_closure_exogenous_not_free(fig4):
     # without the child's value or the noise itself, noise stays unknown
-    assert "eps_x6" not in information_closure(fig4, {"z2"})
+    assert "eps_x6" not in closure(fig4, {"z2"})
 
 
 def test_closure_rejects_unknown_nodes(fig4):
     with pytest.raises(UnknownNodeError):
-        information_closure(fig4, {"z2", "nope"})
+        closure(fig4, {"z2", "nope"})
 
 
 def _naive_closure(g: LatentGraph, known) -> set:
@@ -154,7 +158,7 @@ def test_closure_matches_naive_fixpoint(seed):
     g = random_hierarchy(rng)
     nodes = sorted(g.node_ids)
     known = {str(v) for v in rng.choice(nodes, size=int(rng.integers(0, 5)), replace=False)}
-    assert information_closure(g, known) == _naive_closure(g, known)
+    assert closure(g, known) == _naive_closure(g, known)
 
 
 # -- verify_conditions -------------------------------------------------------------
@@ -208,7 +212,7 @@ def test_closure_and_verify_conditions_reject_cyclic_graph(fig4):
     g = graph_from_dict(data)
     info = SharedInfo(c=frozenset({"z2"}), s_m=frozenset(), s_mc=frozenset(), mask=FIG4C_MASK)
     with pytest.raises(ValueError, match="cycle"):
-        information_closure(g, {"z1"})
+        closure(g, {"z1"})
     with pytest.raises(ValueError, match="cycle"):
         verify_conditions(g, FIG4C_MASK, info)
     with pytest.raises(ValueError, match="cycle"):
@@ -258,10 +262,10 @@ def _eager_oracle(g: LatentGraph, mask: Mask, dims) -> OracleResult:
     }
 
     def satisfies(candidate):
-        s_prime = frozenset(exo_anc_masked - information_closure(g, candidate))
-        if not masked <= information_closure(g, candidate | s_prime):
+        s_prime = frozenset(exo_anc_masked - closure(g, candidate))
+        if not masked <= closure(g, candidate | s_prime):
             return False, s_prime
-        if not (candidate | s_prime) <= information_closure(g, masked):
+        if not (candidate | s_prime) <= closure(g, masked):
             return False, s_prime
         if s_prime and not d_separated(g, s_prime, candidate | visible, set()):
             return False, s_prime
@@ -372,15 +376,7 @@ def test_pruned_set_has_no_internal_downstream_member(seed):
         assert not (g.directed_path_nodes(d, visible) & (c - {d}))
 
 
-# -- level stats ------------------------------------------------------------------
-
-
-def test_level_stats_examples(fig4):
-    assert level_stats(fig4, {"z2"})["max_level"] == 2
-    assert level_stats(fig4, {"z3"})["max_level"] == 1
-    assert level_stats(fig4, set()) == {"max_level": 0, "mean_level": 0.0, "total_dim": 0}
-    with pytest.raises(ValueError):
-        level_stats(fig4, {"x1"})
+# -- levels -----------------------------------------------------------------------
 
 
 def test_level_peak_at_intermediate_mask(fig4):
@@ -392,7 +388,7 @@ def test_level_peak_at_intermediate_mask(fig4):
         levels = []
         for start in range(len(layout) - width + 1):
             c, _ = locate_c(fig4, Mask(layout[start:start + width]))
-            levels.append(level_stats(fig4, c)["max_level"])
+            levels.append(max(fig4.topo_depth(v) for v in c))
         return max(levels)
 
     assert best_level(3) == 2

@@ -16,7 +16,6 @@ from latentlab.mae import (
     init_mae_model,
     load_model,
     loss,
-    reconstruction_metrics,
     sample_mask,
     save_model,
     train,
@@ -247,22 +246,7 @@ def test_grad_check_rejects_large_models():
         grad_check(model, np.zeros((2, 6)), Mask({"o0"}))
 
 
-# -- metrics and checkpoints ----------------------------------------------------------
-
-
-def test_reconstruction_metrics_examples():
-    assert reconstruction_metrics(np.full(10, 0.1), np.zeros(10), peak=1.0)["psnr"] == pytest.approx(20.0)
-    perfect = reconstruction_metrics(np.ones(5), np.ones(5), peak=1.0)
-    assert perfect["mse"] == 0.0 and perfect["psnr"] == math.inf
-
-
-def test_psnr_monotone_in_mse():
-    target = np.zeros(100)
-    values = [
-        reconstruction_metrics(np.full(100, eps), target, peak=1.0)["psnr"]
-        for eps in (0.01, 0.1, 0.5)
-    ]
-    assert values[0] > values[1] > values[2]
+# -- checkpoints ----------------------------------------------------------------------
 
 
 def test_checkpoint_round_trip(tmp_path):
