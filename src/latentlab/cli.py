@@ -94,8 +94,7 @@ def _dump_json(data, path: Path | None) -> str:
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
+    lines += (",".join(map(_csv_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -474,25 +473,36 @@ def sweep_rows(
 ) -> list[list]:
     """One row per sampled mask: level statistics of the located shared set.
 
-    The graph is checked once, and each mask goes through ``locate_c``'s
-    bit-mask core; the row is read from the graph's level and dimension
-    tables."""
+    The graph is checked once.  Each cell's masks are drawn as patch
+    indices, and each mask goes through ``locate_c``'s bit-mask core on
+    per-patch tables: the patch's node bits, their proper ancestors and its
+    size.  The layout is a permutation of the observables, so the patches
+    left unchosen hold the visible side.  The row is read from the graph's
+    level and dimension tables."""
     _require_valid(g)
     bits = g.bit_index()
     level, dim = bits.level, bits.dim
     rows = []
     for r, s, rng in _cells(ratios, patches, seed):
         sampler = MaskSampler(r, s, tuple(g.layout))
+        patch_bits = [bits.encode(patch) for patch in sampler.patches]
+        patch_anc = [bits.proper_ancestors(b) for b in patch_bits]
+        patch_size = [len(patch) for patch in sampler.patches]
+        every_patch = (1 << len(patch_bits)) - 1
         for idx in range(k_masks):
-            mask = sample_mask(sampler, rng)
-            c, _ = _locate_bits(bits, bits.encode(mask.masked))
+            masked = chosen = n_masked = 0
+            for i in sampler.draw(rng).tolist():
+                masked |= patch_bits[i]
+                chosen |= 1 << i
+                n_masked += patch_size[i]
+            c, _ = _locate_bits(bits, masked, bits.union(patch_anc, every_patch & ~chosen))
             members = bits.positions(c)
             if members:
                 levels = [level[i] for i in members]
                 stats = [sum(levels) / len(levels), max(levels), sum(dim[i] for i in members)]
             else:
                 stats = [0.0, 0, 0]
-            rows.append([r, s, k_masks, idx, len(mask.masked), *stats])
+            rows.append([r, s, k_masks, idx, n_masked, *stats])
     return rows
 
 

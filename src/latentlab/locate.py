@@ -110,17 +110,17 @@ def locate_c(g: LatentGraph, mask: Mask) -> tuple[frozenset[NodeId], frozenset[N
     are order-independent.
     """
     _require_valid(g)
-    idx, masked, _ = _split_mask(g, mask)
-    c, s_m = _locate_bits(idx, masked)
+    idx, masked, visible = _split_mask(g, mask)
+    c, s_m = _locate_bits(idx, masked, idx.proper_ancestors(visible))
     return frozenset(idx.decode(c)), frozenset(idx.decode(s_m))
 
 
-def _locate_bits(idx: BitIndex, masked: int) -> tuple[int, int]:
+def _locate_bits(idx: BitIndex, masked: int, reaches_visible: int) -> tuple[int, int]:
     """``locate_c`` on bit masks: from the masked observables of a valid
-    graph, with some observable left visible, to the bits of ``c`` and
+    graph, with some observable left visible, and ``reaches_visible``, the
+    proper ancestors of the visible observables, to the bits of ``c`` and
     ``s_m``."""
     parents, exogenous = idx.parents, idx.exogenous
-    reaches_visible = idx.proper_ancestors(idx.observables & ~masked)
 
     # Walk up level by level; `walked` holds the masked observables and the
     # latents backtracked through, and `s_m` gathers their noise.
@@ -179,7 +179,7 @@ def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
     """Run both searches and bundle the triple with its mask."""
     _require_valid(g)
     idx, masked, visible = _split_mask(g, mask)
-    c, s_m = _locate_bits(idx, masked)
+    c, s_m = _locate_bits(idx, masked, idx.proper_ancestors(visible))
     s_mc = _smc_bits(idx, visible, c)
     return SharedInfo(
         c=frozenset(idx.decode(c)),

@@ -65,11 +65,14 @@ class MaskSampler:
         k = int(math.floor(self.r * self.num_patches + 0.5))
         return min(max(k, 1), self.num_patches - 1)
 
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The indices of the patches to mask, in draw order: one
+        ``rng.choice`` call, which every sampled mask goes through."""
+        return rng.choice(self.num_patches, size=self.num_masked_patches(), replace=False)
+
 
 def sample_mask(sampler: MaskSampler, rng: np.random.Generator) -> Mask:
-    patches = sampler.patches
-    chosen = rng.choice(len(patches), size=sampler.num_masked_patches(), replace=False)
-    return Mask(v for i in chosen for v in patches[i])
+    return Mask(v for i in sampler.draw(rng) for v in sampler.patches[i])
 
 
 @dataclass
@@ -443,7 +446,7 @@ def load_model(basepath: str | Path) -> MaeModel:
         "checkpoint",
         {"layout": "a list of strings", "widths": "an object of integers", "d_c": "an integer",
          "d_sm": "an integer", "hidden": "a list of integers", "slope": "a number",
-         "param_seed": "an integer", "n_params": "an integer"},
+         "param_seed": "an integer", "n_params": "an integer", "mask": "a list of strings or null"},
         "train",
     )
     if header.get("dtype") != "float32":

@@ -343,8 +343,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# What each JSON type that a header field or a config value is checked
-# against accepts, keyed by the name that a refusal gives.
+# What each JSON type (or, for a dataset's `order`, value) that a header
+# field or a config value is checked against accepts, keyed by the name that
+# a refusal gives.
 JSON_KINDS = {
     "an integer": _is_integer,
     "an integer or null": lambda v: v is None or _is_integer(v),
@@ -352,27 +353,32 @@ JSON_KINDS = {
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of strings or null": lambda v: v is None
+    or isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
     "an object": lambda v: isinstance(v, dict),
     "an object of integers": lambda v: isinstance(v, dict) and all(map(_is_integer, v.values())),
     "an object of integers or null": lambda v: v is None
     or isinstance(v, dict) and all(map(_is_integer, v.values())),
+    '"C" or "F"': lambda v: v in ("C", "F"),
 }
 
 
 def read_header(path: Path, kind: str, fields: Mapping[str, str], writer: str) -> dict:
     """The JSON object in ``path``, a ``kind`` header written by the CLI's
     ``writer`` stage, whose ``fields`` each hold the ``JSON_KINDS`` type
-    they map to.  A file that holds anything else, or an object that lacks
-    one of ``fields`` or holds one of another type, is a ``ValueError``
-    naming the file and the field and saying to run ``writer`` again."""
+    they map to; a field whose type admits null may be absent, and reads
+    as null.  A file that holds anything else, or an object that lacks one
+    of the other ``fields`` or holds one of another type, is a
+    ``ValueError`` naming the file and the field and saying to run
+    ``writer`` again."""
     header = json.loads(path.read_text())
     if not isinstance(header, dict):
         raise ValueError(f"{path} is not a {kind} header; run {writer} again")
     for field, expected in fields.items():
-        if field not in header:
+        if field not in header and not JSON_KINDS[expected](None):
             raise ValueError(f"{path} has no {field!r} field; run {writer} again")
-        if not JSON_KINDS[expected](header[field]):
+        if not JSON_KINDS[expected](header.get(field)):
             raise ValueError(
                 f"{path}: its {field!r} field must be {expected}, got {json.dumps(header[field])}; "
                 f"run {writer} again"
@@ -385,10 +391,11 @@ def load_dataset(basepath: str | Path) -> Dataset:
     does not match the header, or that holds a non-finite value, is a
     ``ValueError`` naming the file (and, for a value, its nodes), as is a
     header that lacks a field this reads, holds one of another JSON type,
-    or whose ``column_spans`` holds something other than ``[offset,
-    length]`` pairs."""
+    has an ``order`` other than ``"C"`` or ``"F"``, or whose
+    ``column_spans`` holds something other than ``[offset, length]``
+    pairs."""
     base = Path(basepath)
-    schema = {"n": "an integer", "total_dim": "an integer", "order": "a string",
+    schema = {"n": "an integer", "total_dim": "an integer", "order": '"C" or "F"',
               "column_spans": "an object", "layout": "a list of strings"}
     header = read_header(base.with_suffix(".json"), "dataset", schema, "simulate")
     n, total = header["n"], header["total_dim"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab.cli import ExperimentConfig, main
+from latentlab.cli import ExperimentConfig, main, sweep_rows, training_cells
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -257,6 +258,34 @@ def test_sweep_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(out_a)]) == 0
     assert main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
+    """The sweep's rows come from Python ints and floats alone, so its bytes
+    are the same on every machine; a changed mask draw or locate answer
+    changes them."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
+                 "--masks-per-cell", "100", "--seed", "0", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
+
+
+@pytest.mark.parametrize("graph_name", ["fig4", "bench3"])
+def test_training_cells_draw_the_sweeps_first_masks(request, graph_name):
+    """The training sweep trains on each cell's ``mask_idx`` 0, which it
+    reaches through ``sample_mask`` and ``locate_shared_info`` while the
+    sweep works on patch bit masks."""
+    g = request.getfixturevalue(graph_name)
+    ratios, patches = [0.3, 0.5, 0.7], [1, 2, 4]
+    bits = g.bit_index()
+    first = {(row[0], row[1]): row[4:] for row in sweep_rows(g, ratios, patches, 3, 17) if row[3] == 0}
+    cells = training_cells(g, ratios, patches, 17)
+    assert [(r, s) for r, s, _, _ in cells] == list(first)
+    for r, s, mask, info in cells:
+        levels = [bits.level[bits.bit[v]] for v in info.c]
+        total_dim = sum(bits.dim[bits.bit[v]] for v in info.c)
+        assert first[r, s] == [len(mask.masked), sum(levels) / len(levels), max(levels), total_dim]
 
 
 def test_sweep_rows_are_sorted(tmp_path, capsys):
@@ -593,6 +622,12 @@ def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command
     pytest.param("model.json", lambda h: h.update(widths=["x1", "x2"]), "evaluate",
                  ": its 'widths' field must be an object of integers, got [\"x1\", \"x2\"]; run train again",
                  id="model-widths-a-list"),
+    pytest.param("model.json", lambda h: h.update(mask="x1"), "evaluate",
+                 ": its 'mask' field must be a list of strings or null, got \"x1\"; run train again",
+                 id="model-mask-a-string"),
+    pytest.param("dataset.json", lambda h: h.update(order="X"), "train",
+                 ": its 'order' field must be \"C\" or \"F\", got \"X\"; run simulate again",
+                 id="dataset-order-unknown"),
 ])
 def test_malformed_header_field_exits_two(tmp_path, capsys, name, edit, command, expected):
     cfg = write_config(tmp_path)

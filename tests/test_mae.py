@@ -66,6 +66,15 @@ def test_sample_mask_clamps_to_one_patch():
     assert len(mask.masked) == 2  # one patch of two pixels
 
 
+def test_draw_is_one_choice_call_that_sample_mask_reads():
+    sampler = MaskSampler(0.3, 2, unit_layout(11))
+    drawn, reference, masks = (np.random.default_rng(4) for _ in range(3))
+    for _ in range(20):
+        chosen = sampler.draw(drawn)
+        assert chosen.tolist() == reference.choice(6, size=2, replace=False).tolist()
+        assert sample_mask(sampler, masks).masked == {v for i in chosen for v in sampler.patches[i]}
+
+
 def test_sampler_rejects_degenerate_layout():
     with pytest.raises(ValueError, match="two patches"):
         MaskSampler(0.5, 4, unit_layout(4))
