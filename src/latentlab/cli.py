@@ -41,7 +41,9 @@ from latentlab.mae import (
     save_model,
     train,
 )
-from latentlab.scm import JSON_KINDS, build_scm, extract_blocks, load_dataset, read_header, sample, save_dataset
+from latentlab.scm import (
+    DATASET_FIELDS, Field, build_scm, check_fields, extract_blocks, load_dataset, read_header, sample, save_dataset
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,13 +111,16 @@ def _csv_cell(x) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    graph_path: str
-    mask_spec: dict
-    scm_params: dict
+    """A config file that its field tables accept: one attribute per
+    top-level key, with ``out_dir`` resolved against the file's directory."""
+
+    graph: str
+    mask: dict
+    scm: dict
     n: int
     sample_seed: int
-    mae_params: dict
-    ident_params: dict
+    mae: dict
+    ident: dict
     out_dir: Path
 
     @classmethod
@@ -129,104 +134,100 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        for key in ("graph", "mask", "scm", "n", "sample_seed", "mae", "ident", "out_dir"):
-            if key not in raw:
-                raise ConfigError(f"config is missing the {key!r} entry")
-        _check_kinds(raw, "")
-        scm_params = _section(raw["scm"], "scm")
-        if "seed" not in scm_params:
-            raise ConfigError("scm config must carry an explicit seed")
-        mae_params = _section(raw["mae"], "mae")
-        train_params = _section(mae_params.get("train", {}), "mae.train")
-        if "seed" not in train_params:
-            raise ConfigError("mae.train config must carry an explicit seed")
-        mae_params["train"] = train_params
-        ident_params = _section(raw["ident"], "ident")
-        if "seed" not in ident_params:
-            raise ConfigError("ident config must carry an explicit seed")
-        mask_spec = _section(raw["mask"], "mask")
-        if "observables" not in mask_spec and "seed" not in mask_spec:
-            raise ConfigError("sampled masks must carry an explicit seed")
-        cfg = cls(
-            graph_path=str(raw["graph"]),
-            mask_spec=mask_spec,
-            scm_params=scm_params,
-            n=int(raw["n"]),
-            sample_seed=int(raw["sample_seed"]),
-            mae_params=mae_params,
-            ident_params=ident_params,
-            out_dir=path.parent / raw["out_dir"] if not Path(raw["out_dir"]).is_absolute() else Path(raw["out_dir"]),
-        )
+        _check_section(raw, CONFIG_FIELDS, "")
+        mask = raw["mask"]
+        _check_section(mask, LISTED_MASK_FIELDS if "observables" in mask or not mask else SAMPLED_MASK_FIELDS, "mask")
+        _check_section(raw["scm"], SCM_FIELDS, "scm")
+        _check_section(raw["mae"], MAE_FIELDS, "mae")
+        cfg = cls(**{**raw, "out_dir": path.parent / raw["out_dir"]})  # an absolute out_dir stays as it is
         cfg.train_config()  # every stage rejects bad settings before it runs
         cfg.regressor_config()
         return cfg
 
-    def graph(self) -> LatentGraph:
-        return _resolve_graph(self.graph_path)
+    def load_graph(self) -> LatentGraph:
+        """The config's graph, refused when ``scm.exo_dims`` sizes a node that
+        is not one of its exogenous nodes."""
+        g = _resolve_graph(self.graph)
+        unknown = sorted(set(self.scm.get("exo_dims") or ()) - set(g.exogenous))
+        if unknown:
+            raise ConfigError(f"config value 'scm.exo_dims' entry {unknown[0]!r} is not an exogenous node "
+                              f"of the graph {self.graph!r}")
+        return g
 
-    def mask(self, g: LatentGraph) -> Mask:
-        if "observables" in self.mask_spec:
-            return _parse_mask_list(g, ",".join(self.mask_spec["observables"]))
-        sampler = _sampler(
-            float(self.mask_spec["ratio"]), int(self.mask_spec["patch"]), g, "mask.ratio", "mask.patch"
-        )
-        return sample_mask(sampler, np.random.default_rng(int(self.mask_spec["seed"])))
+    def resolve_mask(self, g: LatentGraph) -> Mask:
+        if "observables" in self.mask:
+            return _parse_mask_list(g, ",".join(self.mask["observables"]))
+        sampler = _sampler(float(self.mask["ratio"]), self.mask["patch"], g, "mask.ratio", "mask.patch")
+        return sample_mask(sampler, np.random.default_rng(self.mask["seed"]))
 
     def scm_settings(self) -> dict:
         """The ``scm`` section with its defaults filled in: ``build_scm``'s
         arguments besides the graph, as ``dataset.json`` records them."""
-        params = self.scm_params
+        params = self.scm
         return {
             "exo_dims": params.get("exo_dims") or None,
-            "layers": int(params.get("layers", 2)),
+            "layers": params.get("layers", 2),
             "alpha": float(params.get("alpha", 0.2)),
-            "seed": int(params["seed"]),
-            "bias": bool(params.get("bias", False)),
+            "seed": params["seed"],
+            "bias": params.get("bias", False),
         }
 
     def build(self, g: LatentGraph):
         return build_scm(g, **self.scm_settings())
 
     def train_config(self) -> TrainConfig:
-        return _build_section(TrainConfig, self.mae_params["train"], "mae.train")
+        return _build_section(TrainConfig, self.mae["train"], "mae.train")
 
     def regressor_config(self) -> RegressorConfig:
-        return _build_section(RegressorConfig, self.ident_params, "ident")
+        return _build_section(RegressorConfig, self.ident, "ident")
 
 
-def _section(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object, got {type(value).__name__}")
-    _check_kinds(value, name)
-    return dict(value)
-
-
-# The JSON type of each config value that the `mae.train` and `ident`
-# settings classes do not check themselves, by section ("" is the top level).
-_VALUE_KINDS = {
-    "": {"graph": "a string", "n": "an integer", "sample_seed": "an integer", "out_dir": "a string"},
-    "mask": {"observables": "a list of strings", "ratio": "a number", "patch": "an integer",
-             "seed": "an integer"},
-    "scm": {"exo_dims": "an object of integers or null", "layers": "an integer",
-            "alpha": "a number", "seed": "an integer", "bias": "a boolean"},
-    "mae": {"d_c": "an integer or null", "d_sm": "an integer or null",
-            "hidden": "a list of integers", "slope": "a number"},
+# One field table per config section.  A mask is a list of observables or
+# a sampler entry; `mae.train` and `ident` take theirs from their settings
+# classes (`settings_fields`).
+CONFIG_FIELDS = {
+    "graph": Field("a string"), "mask": Field("an object"), "scm": Field("an object"),
+    "n": Field("an integer"), "sample_seed": Field("a non-negative integer"),
+    "mae": Field("an object"), "ident": Field("an object"), "out_dir": Field("a string"),
+}
+SEED = Field("a non-negative integer")
+LISTED_MASK_FIELDS = {"observables": Field("a list", entries="a string")}
+SAMPLED_MASK_FIELDS = {"ratio": Field("a number"), "patch": Field("an integer"), "seed": SEED}
+SCM_FIELDS = {
+    "exo_dims": Field("an object", False, "a positive integer"), "layers": Field("an integer", False),
+    "alpha": Field("a number", False), "seed": SEED, "bias": Field("a boolean", False),
+}
+MAE_FIELDS = {
+    "d_c": Field("an integer", False), "d_sm": Field("an integer", False),
+    "hidden": Field("a list", False, "a positive integer"), "slope": Field("a number", False),
+    "train": Field("an object"),
 }
 
 
-def _check_kinds(section: dict, name: str) -> None:
-    for key, kind in _VALUE_KINDS.get(name, {}).items():
-        if key in section and not JSON_KINDS[kind](section[key]):
-            label = f"{name}.{key}" if name else key
-            raise ConfigError(f"config value {label!r} must be {kind}, got {json.dumps(section[key])}")
+def settings_fields(kind) -> dict[str, Field]:
+    """The field table of the config section behind the settings dataclass
+    ``kind``: its fields, of their annotated types; only the seed is required."""
+    kinds = {"int": "an integer", "float": "a number"}
+    return {f.name: SEED if f.name == "seed" else Field(kinds[f.type], False) for f in fields(kind)}
+
+
+def _check_section(section: dict, table: dict[str, Field], name: str) -> None:
+    """``check_fields`` on a config section (``name`` "" is the top level),
+    its report worded as a ``ConfigError`` naming the key."""
+    if report := check_fields(section, table):
+        key, problem = report
+        label = f"{name}.{key}" if name else key
+        raise ConfigError({
+            "missing": f"config is missing the {label!r} entry",
+            "unknown": f"config{f' section {name!r}' if name else ''} has unknown key(s): {key}",
+        }.get(problem, f"config value {label!r} {problem}"))
 
 
 def _build_section(kind, params: dict, name: str):
-    """The settings dataclass ``kind`` from a config section; an unknown key
-    or a rejected value is a ``ConfigError`` naming the section."""
-    unknown = sorted(set(params) - {f.name for f in fields(kind)})
-    if unknown:
-        raise ConfigError(f"config section {name!r} has unknown key(s): {', '.join(map(repr, unknown))}")
+    """The settings dataclass ``kind`` from its config section, checked
+    against ``settings_fields(kind)``; a value that the table or the class
+    refuses is a ``ConfigError`` naming the key or the section."""
+    _check_section(params, settings_fields(kind), name)
     try:
         return kind(**params)
     except (TypeError, ValueError) as exc:
@@ -252,6 +253,7 @@ def cmd_locate(args) -> int:
     elif args.ratio is not None:
         if args.patch is None or args.seed is None:
             raise ConfigError("sampled masks need --ratio, --patch, and --seed")
+        _require_count(args.seed, "--seed")
         sampler = _sampler(args.ratio, args.patch, g, "--ratio", "--patch")
         mask = sample_mask(sampler, np.random.default_rng(args.seed))
     else:
@@ -281,11 +283,12 @@ def cmd_locate(args) -> int:
 
 def _require_count(value: int, flag: str) -> None:
     if value < 0:
-        raise ConfigError(f"{flag} must be a non-negative count, got {value}")
+        raise ConfigError(f"{flag} must be a non-negative integer, got {value}")
 
 
 def cmd_verify(args) -> int:
     _require_count(args.trials, "--trials")
+    _require_count(args.seed, "--seed")
     g = _resolve_graph(args.graph)
     if len(g.latents) > args.max_latents:
         raise ConfigError(
@@ -325,7 +328,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    g = cfg.graph()
+    g = cfg.load_graph()
     spec = cfg.build(g)
     ds = sample(spec, cfg.n, seed=cfg.sample_seed)
     written = save_dataset(ds, cfg.out_dir / "dataset", seed=cfg.sample_seed, scm=cfg.scm_settings())
@@ -334,35 +337,32 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _require_current(path: Path, writer: str, compared) -> None:
+    """Refuse the artifact at ``path`` when its header shows it was written
+    for other settings: the first of the ``compared`` (key, recorded,
+    expected) triples whose values differ names the config key."""
+    for key, recorded, expected in compared:
+        if recorded != expected:
+            raise ConfigError(f"{path} is stale: its {key} is {json.dumps(recorded)}, "
+                              f"but the config's {key!r} is {json.dumps(expected)}; run {writer} again")
+
+
 def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     """The dataset under ``cfg.out_dir``, refused when its header shows it
-    was written for another graph, ``n``, ``sample_seed`` or ``scm``
-    section."""
+    was written for another graph (by its nodes), ``n``, ``sample_seed`` or
+    ``scm`` section."""
     base = cfg.out_dir / "dataset"
     header_path = base.with_suffix(".json")
     if not header_path.exists():
         raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
-    schema = {"column_spans": "an object", "n": "an integer", "seed": "an integer", "scm": "an object"}
-    header = read_header(header_path, "dataset", schema, "simulate")
-    if set(header["column_spans"]) != set(g.node_ids):
-        raise ConfigError(
-            f"{header_path} is stale: its nodes are not those of the config's graph "
-            f"{cfg.graph_path!r}; run simulate again"
-        )
-    for field, key, expected in (("n", "n", cfg.n), ("seed", "sample_seed", cfg.sample_seed)):
-        if header[field] != expected:
-            raise ConfigError(
-                f"{header_path} is stale: its {field} is {header[field]!r}, "
-                f"but the config's {key!r} is {expected!r}; run simulate again"
-            )
-    recorded = header["scm"]
-    for key, expected in cfg.scm_settings().items():
-        if recorded.get(key) != expected:
-            raise ConfigError(
-                f"{header_path} is stale: its scm.{key} is {recorded.get(key)!r}, "
-                f"but the config's 'scm.{key}' is {expected!r}; run simulate again"
-            )
-    return load_dataset(base)
+    header = read_header(header_path, "dataset", DATASET_FIELDS, "simulate")
+    recorded_scm = header.get("scm") or {}
+    _require_current(header_path, "simulate", [
+        ("graph", sorted(header["column_spans"]), sorted(g.node_ids)),
+        ("n", header["n"], cfg.n), ("sample_seed", header.get("seed"), cfg.sample_seed),
+        *((f"scm.{key}", recorded_scm.get(key), value) for key, value in cfg.scm_settings().items()),
+    ])
+    return load_dataset(base, header)
 
 
 def _trainable_info(g: LatentGraph, mask: Mask) -> SharedInfo:
@@ -384,15 +384,15 @@ def _train_cell(cfg: ExperimentConfig, ds, mask: Mask, info: SharedInfo):
     and noise widths are ``mae.d_c``/``mae.d_sm``, or the located
     ``c``/``s_m``'s total width read from the dataset's columns."""
     widths = {v: length for v, (_, length) in ds.column_spans.items()}
-    d_c, d_sm = cfg.mae_params.get("d_c"), cfg.mae_params.get("d_sm")
+    d_c, d_sm = cfg.mae.get("d_c"), cfg.mae.get("d_sm")
     return train(
         ds,
         mask,
         d_c=sum(widths[v] for v in info.c) if d_c is None else d_c,
         d_sm=sum(widths[v] for v in info.s_m) if d_sm is None else d_sm,
         cfg=cfg.train_config(),
-        hidden=tuple(cfg.mae_params.get("hidden", (64, 64))),
-        slope=float(cfg.mae_params.get("slope", 0.2)),
+        hidden=tuple(cfg.mae.get("hidden", (64, 64))),
+        slope=float(cfg.mae.get("slope", 0.2)),
     )
 
 
@@ -407,9 +407,9 @@ def _score_cell(cfg: ExperimentConfig, ds, model, mask: Mask, info: SharedInfo) 
 
 def cmd_train(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    g = cfg.graph()
+    g = cfg.load_graph()
     ds = _load_current_dataset(cfg, g)
-    mask = cfg.mask(g)
+    mask = cfg.resolve_mask(g)
     model, curve = _train_cell(cfg, ds, mask, _trainable_info(g, mask))
     written = save_model(model, cfg.out_dir / "model")
     curve_path = save_loss_curve(curve, cfg.out_dir / "loss_curve.csv")
@@ -421,20 +421,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    g = cfg.graph()
+    g = cfg.load_graph()
     model_base = cfg.out_dir / "model"
     if not model_base.with_suffix(".json").exists():
         raise ConfigError(f"checkpoint not found under {cfg.out_dir}; run train first")
     ds = _load_current_dataset(cfg, g)
     model = load_model(model_base)
-    mask = cfg.mask(g)
+    mask = cfg.resolve_mask(g)
     expected = tuple(sorted(mask.masked))
-    if model.mask != expected:
-        trained = "no mask" if model.mask is None else f"mask {','.join(map(str, model.mask))}"
-        raise ConfigError(
-            f"{model_base.with_suffix('.json')} records {trained}, but the config's mask is "
-            f"{','.join(expected)}; run train again"
-        )
+    _require_current(model_base.with_suffix(".json"), "train", [("mask", model.mask, expected)])
     info = locate_shared_info(g, mask)
     report = _score_cell(cfg, ds, model, mask, info)
     payload = report.to_dict()
@@ -444,7 +439,7 @@ def cmd_evaluate(args) -> int:
     summary = cfg.out_dir / "summary.csv"
     if not summary.exists():
         summary.write_text("graph,mask,n,r2_c_from_chat,r2_chat_from_c,r2_sm_from_chat,n_train,n_test\n")
-    row = [cfg.graph_path, ";".join(expected), ds.n, report.r2_c_from_chat, report.r2_chat_from_c,
+    row = [cfg.graph, ";".join(expected), ds.n, report.r2_c_from_chat, report.r2_chat_from_c,
            report.r2_sm_from_chat, report.n_train, report.n_test]
     with open(summary, "a") as fh:
         fh.write(",".join(map(_csv_cell, row)) + "\n")
@@ -542,6 +537,7 @@ def training_sweep_rows(
 
 def cmd_sweep(args) -> int:
     _require_count(args.masks_per_cell, "--masks-per-cell")
+    _require_count(args.seed, "--seed")
     g = _resolve_graph(args.graph)
     ratios = [float(x) for x in args.ratios.split(",") if x.strip()]
     patches = [int(x) for x in args.patches.split(",") if x.strip()]
@@ -555,10 +551,10 @@ def cmd_sweep(args) -> int:
         if not args.config:
             raise ConfigError("--with-training needs --config for simulator and training settings")
         cfg = ExperimentConfig.load(args.config)
-        config_graph = cfg.graph()
+        config_graph = cfg.load_graph()
         if (config_graph.edges, config_graph.layout) != (g.edges, g.layout):
             raise ConfigError(
-                f"the config's graph {cfg.graph_path!r} is not the swept graph {args.graph!r}; "
+                f"the config's graph {cfg.graph!r} is not the swept graph {args.graph!r}; "
                 "the training sweep trains on the dataset that simulate wrote for the config"
             )
         cells = training_cells(g, ratios, patches, args.seed)

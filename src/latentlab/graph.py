@@ -454,13 +454,41 @@ def derive_dims(
 EXOGENOUS_PREFIX = "eps_"
 
 
+def _edge(entry) -> tuple[NodeId, NodeId]:
+    parent, child = entry
+    return str(parent), str(child)
+
+
+def _entries(data: Mapping, field: str, read, form: str) -> list:
+    """``read`` of each entry of ``data[field]``; a field that is missing or
+    not a list, or an entry that ``read`` refuses, is a ``ValueError``
+    naming it and the ``form`` an entry must have."""
+    if field not in data:
+        raise ValueError(f"its {field!r} field is missing")
+    try:
+        entries = list(data[field])
+    except TypeError:
+        raise ValueError(f"its {field!r} field must be a list, got {data[field]!r}") from None
+    read_entries = []
+    for i, entry in enumerate(entries):
+        try:
+            read_entries.append(read(entry))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"its {field!r} entry {i} must be {form}, got {entry!r}") from None
+    return read_entries
+
+
 def graph_from_dict(data: Mapping) -> LatentGraph:
     """Build a graph from its dict form.  With ``implicit_exogenous`` set,
     every latent/observable lacking an exogenous parent gets a synthetic
-    ``eps_<id>`` parent node."""
-    nodes = [(str(n["id"]), NodeKind(str(n["kind"]).lower())) for n in data["nodes"]]
-    edges = [(str(p), str(c)) for p, c in data["edges"]]
-    layout = [str(v) for v in data.get("layout", [])]
+    ``eps_<id>`` parent node.  Data of another form is a ``ValueError``
+    naming the field or entry at fault."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a graph must be an object, got {data!r}")
+    nodes = _entries(data, "nodes", lambda n: (str(n["id"]), NodeKind(str(n["kind"]).lower())),
+                     "an object with an 'id' and a 'kind' (latent, observable, exogenous)")
+    edges = _entries(data, "edges", _edge, "a [parent, child] pair")
+    layout = _entries({"layout": [], **data}, "layout", str, "an id")
     if data.get("implicit_exogenous", False):
         kinds = dict(nodes)
         with_exo = {
@@ -487,8 +515,13 @@ def graph_to_dict(g: LatentGraph) -> dict:
 
 
 def load_graph(path: str | Path) -> LatentGraph:
+    """The graph in a JSON file; a file that does not hold a graph's dict
+    form is a ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+        try:
+            return graph_from_dict(json.load(fh))
+        except (KeyError, ValueError) as exc:  # an edge to an undeclared node is a KeyError
+            raise ValueError(f"{path}: {exc.args[0]}") from None
 
 
 def save_graph(g: LatentGraph, path: str | Path) -> None:

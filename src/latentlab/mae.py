@@ -25,7 +25,7 @@ import numpy as np
 
 from latentlab.graph import Mask, NodeId
 from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size, row_blocks
-from latentlab.scm import Dataset, read_array, read_header
+from latentlab.scm import Dataset, Field, read_array, read_header
 
 
 class TrainingDiverged(RuntimeError):
@@ -53,7 +53,7 @@ class MaskSampler:
                 "but masking needs at least two patches"
             )
 
-    @property
+    @cached_property
     def num_patches(self) -> int:
         return math.ceil(len(self.layout) / self.s)
 
@@ -401,6 +401,16 @@ def grad_check(
 
 # -- checkpoints -------------------------------------------------------------------
 
+# The fields of a ``model.json`` header, as ``save_model`` writes them; a
+# checkpoint written before ``mask`` was recorded has none.
+MODEL_FIELDS = {
+    "layout": Field("a list", entries="a string"), "widths": Field("an object", entries="a positive integer"),
+    "d_c": Field("a positive integer"), "d_sm": Field("a non-negative integer"),
+    "hidden": Field("a list", entries="a positive integer"), "slope": Field("a number"),
+    "param_seed": Field("a non-negative integer"), "n_params": Field("a non-negative integer"),
+    "dtype": Field('"float32"'), "mask": Field("a list", False, "a string"),
+}
+
 
 def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
     """Write ``<base>.json`` (architecture, seeds, ``"dtype": "float32"``
@@ -433,25 +443,13 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
 def load_model(basepath: str | Path) -> MaeModel:
     """Rebuild a checkpoint: the architecture from ``<base>.json`` and the
     float32 parameter vector read straight from ``<base>.bin``.  A header
-    that does not declare ``"dtype": "float32"`` (as one written before
-    checkpoints were float32 does not), that lacks a field this reads or
-    holds one of another JSON type, or that lacks a layout node's entry in
-    ``widths``, a file whose size does not match
-    the header, or one that holds a non-finite value, is a ``ValueError``
-    naming the file."""
+    that ``MODEL_FIELDS`` refuses (as one written before checkpoints were
+    float32, which has no ``dtype``), or that lacks a layout node's entry
+    in ``widths``, a file whose size does not match the header, or one that
+    holds a non-finite value, is a ``ValueError`` naming the file."""
     base = Path(basepath)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
-    header = read_header(
-        json_path,
-        "checkpoint",
-        {"layout": "a list of strings", "widths": "an object of integers", "d_c": "an integer",
-         "d_sm": "an integer", "hidden": "a list of integers", "slope": "a number",
-         "param_seed": "an integer", "n_params": "an integer", "mask": "a list of strings or null"},
-        "train",
-    )
-    if header.get("dtype") != "float32":
-        found = "has no 'dtype' field" if "dtype" not in header else f"has 'dtype' {header['dtype']!r}"
-        raise ValueError(f"{json_path} {found}, but checkpoints hold float32 parameters; run train again")
+    header = read_header(json_path, "checkpoint", MODEL_FIELDS, "train")
     layout = tuple(header["layout"])
     missing = [v for v in layout if v not in header["widths"]]
     if missing:

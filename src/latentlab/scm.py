@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -285,6 +286,79 @@ def extract_blocks(
 # -- on-disk format ------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each JSON type (or, for some fields, value) in a field table accepts,
+# keyed by the name that a refusal gives.
+JSON_KINDS = {
+    "an integer": _is_integer,
+    "a non-negative integer": lambda v: _is_integer(v) and v >= 0,
+    "a positive integer": lambda v: _is_integer(v) and v > 0,
+    "a number": lambda v: _is_integer(v) or isinstance(v, float),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+    "an [offset, length] pair": lambda v: isinstance(v, list) and len(v) == 2
+    and all(_is_integer(x) and x >= 0 for x in v),
+    '"C" or "F"': lambda v: v in ("C", "F"),
+    '"float32"': lambda v: v == "float32",
+    '"float64"': lambda v: v == "float64",
+}
+
+
+# A field table maps each field of a JSON object to its `JSON_KINDS` type,
+# whether the object must hold it (a null counts as absent) and, for a list
+# or an object, the type of each entry.
+Field = namedtuple("Field", "kind required entries", defaults=(True, None))
+
+
+def check_fields(obj: dict, table: Mapping[str, Field]) -> tuple[str, str] | None:
+    """The first field of ``obj`` that ``table`` refuses, as ``(key, problem)``:
+    in table order a required field that is "missing", or a field or entry
+    that "[entry <e>] must be <type>, got <value>"; then the keys the table
+    lacks, listed in ``key``, as "unknown".  None if ``table`` accepts ``obj``."""
+    for key, field in table.items():
+        value = obj.get(key)
+        if value is None:
+            if field.required:
+                return key, "missing"
+        elif not JSON_KINDS[field.kind](value):
+            return key, f"must be {field.kind}, got {json.dumps(value)}"
+        elif field.entries:
+            for entry, item in value.items() if isinstance(value, dict) else enumerate(value):
+                if not JSON_KINDS[field.entries](item):
+                    return key, f"entry {entry!r} must be {field.entries}, got {json.dumps(item)}"
+    unknown = sorted(set(obj) - set(table))
+    return (", ".join(map(repr, unknown)), "unknown") if unknown else None
+
+
+def read_header(path: Path, kind: str, table: Mapping[str, Field], writer: str) -> dict:
+    """The JSON object in ``path``, a ``kind`` header written by the CLI's
+    ``writer`` stage.  Anything else, or an object that ``table`` refuses, is
+    a ``ValueError`` naming the file and the field and saying to run ``writer`` again."""
+    header = json.loads(path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path} is not a {kind} header; run {writer} again")
+    if report := check_fields(header, table):
+        key, problem = report
+        detail = {"missing": f" has no {key!r} field", "unknown": f" has unknown field(s) {key}"}
+        raise ValueError(f"{path}{detail.get(problem, f': its {key!r} field {problem}')}; run {writer} again")
+    return header
+
+
+# The fields of a ``dataset.json`` header, as ``save_dataset`` writes them.
+DATASET_FIELDS = {
+    "n": Field("an integer"), "total_dim": Field("an integer"),
+    "dtype": Field('"float64"'), "order": Field('"C" or "F"'),
+    "column_spans": Field("an object", entries="an [offset, length] pair"),
+    "layout": Field("a list", entries="a string"),
+    "seed": Field("an integer", False), "scm": Field("an object", False),
+}
+
+
 def save_dataset(
     ds: Dataset,
     basepath: str | Path,
@@ -339,77 +413,19 @@ def read_array(path: Path, count: int, dtype=np.float64) -> np.ndarray:
     return np.fromfile(path, dtype=dtype)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# What each JSON type (or, for a dataset's `order`, value) that a header
-# field or a config value is checked against accepts, keyed by the name that
-# a refusal gives.
-JSON_KINDS = {
-    "an integer": _is_integer,
-    "an integer or null": lambda v: v is None or _is_integer(v),
-    "a number": lambda v: _is_integer(v) or isinstance(v, float),
-    "a boolean": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-    "a list of strings or null": lambda v: v is None
-    or isinstance(v, list) and all(isinstance(x, str) for x in v),
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
-    "an object": lambda v: isinstance(v, dict),
-    "an object of integers": lambda v: isinstance(v, dict) and all(map(_is_integer, v.values())),
-    "an object of integers or null": lambda v: v is None
-    or isinstance(v, dict) and all(map(_is_integer, v.values())),
-    '"C" or "F"': lambda v: v in ("C", "F"),
-}
-
-
-def read_header(path: Path, kind: str, fields: Mapping[str, str], writer: str) -> dict:
-    """The JSON object in ``path``, a ``kind`` header written by the CLI's
-    ``writer`` stage, whose ``fields`` each hold the ``JSON_KINDS`` type
-    they map to; a field whose type admits null may be absent, and reads
-    as null.  A file that holds anything else, or an object that lacks one
-    of the other ``fields`` or holds one of another type, is a
-    ``ValueError`` naming the file and the field and saying to run
-    ``writer`` again."""
-    header = json.loads(path.read_text())
-    if not isinstance(header, dict):
-        raise ValueError(f"{path} is not a {kind} header; run {writer} again")
-    for field, expected in fields.items():
-        if field not in header and not JSON_KINDS[expected](None):
-            raise ValueError(f"{path} has no {field!r} field; run {writer} again")
-        if not JSON_KINDS[expected](header.get(field)):
-            raise ValueError(
-                f"{path}: its {field!r} field must be {expected}, got {json.dumps(header[field])}; "
-                f"run {writer} again"
-            )
-    return header
-
-
-def load_dataset(basepath: str | Path) -> Dataset:
-    """Read a dataset written by ``save_dataset``.  A ``.bin`` whose size
-    does not match the header, or that holds a non-finite value, is a
-    ``ValueError`` naming the file (and, for a value, its nodes), as is a
-    header that lacks a field this reads, holds one of another JSON type,
-    has an ``order`` other than ``"C"`` or ``"F"``, or whose
-    ``column_spans`` holds something other than ``[offset, length]``
-    pairs."""
+def load_dataset(basepath: str | Path, header: dict | None = None) -> Dataset:
+    """Read a dataset written by ``save_dataset``; ``header`` is its
+    ``dataset.json`` if the caller has read it with ``DATASET_FIELDS``.  A
+    header that table refuses, or a ``.bin`` whose size does not match the
+    header or that holds a non-finite value, is a ``ValueError`` naming the
+    file (and, for a value, its nodes)."""
     base = Path(basepath)
-    schema = {"n": "an integer", "total_dim": "an integer", "order": '"C" or "F"',
-              "column_spans": "an object", "layout": "a list of strings"}
-    header = read_header(base.with_suffix(".json"), "dataset", schema, "simulate")
+    header = header or read_header(base.with_suffix(".json"), "dataset", DATASET_FIELDS, "simulate")
     n, total = header["n"], header["total_dim"]
     bin_path = base.with_suffix(".bin")
     raw = read_array(bin_path, n * total)
     values = raw.reshape((n, total), order=header["order"]).copy()
-    spans = {}
-    for v, span in header["column_spans"].items():
-        if not (isinstance(span, list) and len(span) == 2):
-            raise ValueError(
-                f"{base.with_suffix('.json')}: its 'column_spans' entry for {v!r} is {json.dumps(span)}, "
-                "not an [offset, length] pair; run simulate again"
-            )
-        spans[v] = (int(span[0]), int(span[1]))
+    spans = {v: tuple(span) for v, span in header["column_spans"].items()}
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         bad = sorted(v for v, (offset, length) in spans.items() if not finite[offset:offset + length].all())

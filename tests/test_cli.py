@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,23 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab.cli import ExperimentConfig, main, sweep_rows, training_cells
+from latentlab import RegressorConfig, TrainConfig, fixture_path, load_graph
+from latentlab.cli import (
+    CONFIG_FIELDS,
+    LISTED_MASK_FIELDS,
+    MAE_FIELDS,
+    SAMPLED_MASK_FIELDS,
+    SCM_FIELDS,
+    ExperimentConfig,
+    main,
+    settings_fields,
+    sweep_rows,
+    training_cells,
+)
+from latentlab.mae import MODEL_FIELDS
+from latentlab.scm import DATASET_FIELDS, JSON_KINDS
+
+NODES = {name: load_graph(fixture_path(name)).node_ids for name in ("fig2", "fig4")}
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -75,6 +94,35 @@ def test_locate_deep_chain_exits_cleanly(tmp_path, capsys):
 
 def test_locate_unknown_graph(capsys):
     assert main(["locate", "no_such_graph.json", "--mask", "x1"]) == 2
+
+
+NODE_FORM = "an object with an 'id' and a 'kind' (latent, observable, exogenous)"
+
+
+@pytest.mark.parametrize("content, expected", [
+    pytest.param([1], "a graph must be an object, got [1]", id="not-an-object"),
+    pytest.param({"nodes": "x", "edges": []}, f"its 'nodes' entry 0 must be {NODE_FORM}, got 'x'", id="nodes-a-string"),
+    pytest.param({"nodes": [{"id": "z1"}], "edges": []}, f"its 'nodes' entry 0 must be {NODE_FORM}, got {{'id': 'z1'}}",
+                 id="node-without-kind"),
+    pytest.param({"nodes": [{"id": "z1", "kind": "latent"}], "edges": [["z1"]]},
+                 "its 'edges' entry 0 must be a [parent, child] pair, got ['z1']", id="edge-not-a-pair"),
+    pytest.param({"nodes": [{"id": "z1", "kind": "latent"}], "edges": [["z1", "x9"]]},
+                 "edge endpoint 'x9' is not a declared node", id="edge-to-an-undeclared-node"),
+])
+def test_malformed_graph_file_exits_two(tmp_path, capsys, content, expected):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(content))
+    assert main(["locate", str(path), "--mask", "x1"]) == 2
+    assert capsys.readouterr().err == f"latentlab: error: {path}: {expected}\n"
+
+
+def test_graph_file_ids_pass_through_str(tmp_path, capsys):
+    graph = {"nodes": [{"id": 1, "kind": "latent"}, {"id": 2, "kind": "observable"}, {"id": 3, "kind": "observable"}],
+             "edges": [[1, 2], [1, 3]], "layout": [2, 3], "implicit_exogenous": True}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert main(["locate", str(path), "--mask", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == ["1"]
 
 
 def test_locate_sampled_mask(capsys):
@@ -232,7 +280,7 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
 def test_config_requires_explicit_seeds(tmp_path, capsys):
     cfg = write_config(tmp_path, scm={"layers": 2, "alpha": 0.5})
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "explicit seed" in capsys.readouterr().err
+    assert "latentlab: error: config is missing the 'scm.seed' entry\n" == capsys.readouterr().err
 
 
 def test_config_sampled_mask(tmp_path, capsys):
@@ -453,14 +501,18 @@ def test_sweep_with_training_loads_config_before_sweeping(tmp_path, capsys):
     (["verify", "fig4", "--trials", "-2", "--seed", "1"], "--trials"),
     (["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "-3",
       "--seed", "1"], "--masks-per-cell"),
+    (["verify", "fig4", "--trials", "2", "--seed", "-1"], "--seed"),
+    (["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "-1"], "--seed"),
+    (["locate", "fig4", "--ratio", "0.5", "--patch", "1", "--seed", "-1"], "--seed"),
 ])
 def test_negative_counts_exit_cleanly(tmp_path, capsys, argv, flag):
     out = tmp_path / "sweep.csv"
+    value = argv[argv.index(flag) + 1]
     if argv[0] == "sweep":
         argv = argv + ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"{flag} must be a non-negative count" in captured.err
+    assert captured.err == f"latentlab: error: {flag} must be a non-negative integer, got {value}\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -485,21 +537,37 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         ({"ident": {"seed": 14, "bandwith": 2.0}}, "config section 'ident' has unknown key(s): 'bandwith'"),
         ({"mae": {"d_c": None, "d_sm": None, "train": {"epochs": 1, "seed": 13, "lr": 0.1}}},
          "config section 'mae.train' has unknown key(s): 'lr'"),
-        ({"ident": [1]}, "config section 'ident' must be a JSON object, got list"),
+        ({"ident": [1]}, "config value 'ident' must be an object, got [1]"),
         ({"ident": {"seed": 14, "max_train_rows": "2000"}},
-         "config section 'ident': max_train_rows must be an integer of at least 50, got '2000'"),
+         "config value 'ident.max_train_rows' must be an integer, got \"2000\""),
         ({"ident": {"seed": 14, "max_train_rows": 0}},
          "config section 'ident': max_train_rows must be an integer of at least 50, got 0"),
         ({"ident": {"seed": 14, "median_rows": 1}},
          "config section 'ident': median_rows must be an integer of at least 2, got 1"),
         ({"ident": {"seed": 14, "family": "kernel_ridge"}}, "config section 'ident' has unknown key(s): 'family'"),
+        ({"scm": {"seed": 11, "layer": 3}}, "config section 'scm' has unknown key(s): 'layer'"),
+        ({"mask": {"observables": ["x1"], "seed": 3}}, "config section 'mask' has unknown key(s): 'seed'"),
+        ({"mae": {"hiden": [8], "train": {"seed": 13}}}, "config section 'mae' has unknown key(s): 'hiden'"),
+        ({"n_samples": 400}, "config has unknown key(s): 'n_samples'"),
+        ({"sample_seed": -1}, "config value 'sample_seed' must be a non-negative integer, got -1"),
+        ({"scm": {"seed": -1}}, "config value 'scm.seed' must be a non-negative integer, got -1"),
+        ({"mask": {"ratio": 0.5, "patch": 1, "seed": -1}},
+         "config value 'mask.seed' must be a non-negative integer, got -1"),
+        ({"mae": {"train": {"seed": -1}}}, "config value 'mae.train.seed' must be a non-negative integer, got -1"),
+        ({"ident": {"seed": -1}}, "config value 'ident.seed' must be a non-negative integer, got -1"),
+        ({"mask": {"seed": 3}}, "config is missing the 'mask.ratio' entry"),
+        ({"mask": {"ratio": 0.5, "seed": 3}}, "config is missing the 'mask.patch' entry"),
+        ({"mae": {"hidden": [0], "train": {"seed": 13}}},
+         "config value 'mae.hidden' entry 0 must be a positive integer, got 0"),
+        ({"scm": {"seed": 11, "exo_dims": {"nope": 2}}},
+         "config value 'scm.exo_dims' entry 'nope' is not an exogenous node of the graph 'fig4'"),
     ],
 )
 def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
     cfg = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert expected in err
+    assert err == f"latentlab: error: {expected}\n"
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
@@ -539,14 +607,15 @@ def test_wrongly_typed_mae_value_exits_two_on_train(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "config value 'mae.hidden' must be a list of integers, got \"ab\"" in err
+    assert "config value 'mae.hidden' must be a list, got \"ab\"" in err
     assert not (tmp_path / "run" / "model.json").exists()
 
 
 @pytest.mark.parametrize(
     "overrides, expected",
     [
-        ({"graph": "fig2"}, "its nodes are not those of the config's graph 'fig2'"),
+        ({"graph": "fig2"}, "{dataset} is stale: its graph is " + json.dumps(sorted(NODES["fig4"]))
+         + ", but the config's 'graph' is " + json.dumps(sorted(NODES["fig2"])) + "; run simulate again"),
         ({"n": 500}, "its n is 400, but the config's 'n' is 500"),
         ({"scm": {"layers": 2, "alpha": 0.9, "seed": 11}},
          "its scm.alpha is 0.5, but the config's 'scm.alpha' is 0.9"),
@@ -564,7 +633,7 @@ def test_stale_dataset_after_config_edit_exits_two(tmp_path, capsys, overrides, 
     for command in ("train", "evaluate"):
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert expected in err and "run simulate again" in err
+        assert expected.format(dataset=tmp_path / "run" / "dataset.json") in err and "run simulate again" in err
     assert (tmp_path / "run" / "model.bin").read_bytes() == model
     assert not (tmp_path / "run" / "ident_report.json").exists()
 
@@ -612,7 +681,8 @@ def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command
                  ": its 'widths' field has no entry for layout node(s) 'x1'; run train again",
                  id="model-widths-without-a-node"),
     pytest.param("dataset.json", lambda h: h["column_spans"].update(x1=[0]), "train",
-                 ": its 'column_spans' entry for 'x1' is [0], not an [offset, length] pair; run simulate again",
+                 ": its 'column_spans' field entry 'x1' must be an [offset, length] pair, got [0]; "
+                 "run simulate again",
                  id="dataset-span-not-a-pair"),
     pytest.param("dataset.json", lambda h: h.update(column_spans=[[0, 2]]), "train",
                  ": its 'column_spans' field must be an object, got [[0, 2]]; run simulate again",
@@ -620,10 +690,10 @@ def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command
     pytest.param("dataset.json", lambda h: h.update(n="400"), "train",
                  ": its 'n' field must be an integer, got \"400\"; run simulate again", id="dataset-n-a-string"),
     pytest.param("model.json", lambda h: h.update(widths=["x1", "x2"]), "evaluate",
-                 ": its 'widths' field must be an object of integers, got [\"x1\", \"x2\"]; run train again",
+                 ": its 'widths' field must be an object, got [\"x1\", \"x2\"]; run train again",
                  id="model-widths-a-list"),
     pytest.param("model.json", lambda h: h.update(mask="x1"), "evaluate",
-                 ": its 'mask' field must be a list of strings or null, got \"x1\"; run train again",
+                 ": its 'mask' field must be a list, got \"x1\"; run train again",
                  id="model-mask-a-string"),
     pytest.param("dataset.json", lambda h: h.update(order="X"), "train",
                  ": its 'order' field must be \"C\" or \"F\", got \"X\"; run simulate again",
@@ -644,6 +714,100 @@ def test_malformed_header_field_exits_two(tmp_path, capsys, name, edit, command,
     assert "Traceback" not in err
 
 
+JSON_SAMPLES = [None, True, 3, 2.5, "s", [], {}]  # one value of each JSON type
+DELETE = object()
+
+
+def refused_values(field, current) -> list:
+    """The values that ``field``'s table entry refuses, built from one value
+    of each JSON type: the field set to each, a list or object whose first
+    entry is set to each (keeping ``current``'s other entries), and the
+    field deleted when it is required.  Null counts as absent."""
+    values = [v for v in JSON_SAMPLES if not JSON_KINDS[field.kind](v) and (v is not None or field.required)]
+    for v in JSON_SAMPLES if field.entries else ():
+        if not JSON_KINDS[field.entries](v):
+            if field.kind == "a list":
+                values.append([v, *(current or [])[1:]])
+            else:
+                first = next(iter(current or {"k": 0}))
+                values.append({**(current or {}), first: v})
+    return values + [DELETE] * field.required
+
+
+def section_at(config: dict, name: str) -> dict:
+    """The config section at the dotted ``name`` ("" is the top level)."""
+    for part in name.split(".") if name else ():
+        config = config[part]
+    return config
+
+
+def run_refused(argv, names, failures) -> None:
+    """Run one command; record a failure unless it exits 2 with one error
+    line that holds every one of ``names`` (an escaping exception is a
+    traceback, and a failure too)."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except Exception as exc:  # any escape from main is a traceback
+        failures.append((argv, names, f"raised {exc!r}"))
+        return
+    err = stderr.getvalue()
+    one_line = err.count("\n") == 1 and err.startswith("latentlab: error: ")
+    if code != 2 or not one_line or not all(name in err for name in names):
+        failures.append((argv, names, code, err))
+
+
+def test_field_tables_refuse_each_mistyped_or_missing_field(tmp_path):
+    """Driven by the field tables: every config key, and every field of
+    ``dataset.json`` and ``model.json``, is set to each JSON type (and, for a
+    list or an object, given an entry of each type) that its table refuses,
+    and deleted when it is required.  The stage that reads it exits 2 with
+    a message naming the config section and key, or the file and field.
+    Deleting an optional header field makes the header stale."""
+    failures = []
+    work = tmp_path / "config"
+    work.mkdir()
+    cfg = write_config(work)
+    base = json.loads(cfg.read_text())
+    sampled = {**base, "mask": {"ratio": 0.5, "patch": 2, "seed": 3}}
+    sections = [("", CONFIG_FIELDS, base), ("mask", LISTED_MASK_FIELDS, base), ("mask", SAMPLED_MASK_FIELDS, sampled),
+                ("scm", SCM_FIELDS, base), ("mae", MAE_FIELDS, base),
+                ("mae.train", settings_fields(TrainConfig), base), ("ident", settings_fields(RegressorConfig), base)]
+    for name, table, config in sections:
+        for key, field in table.items():
+            label = f"{name}.{key}" if name else key
+            for value in refused_values(field, section_at(config, name).get(key)):
+                edited = copy.deepcopy(config)
+                section = section_at(edited, name)
+                if value is DELETE:
+                    del section[key]
+                else:
+                    section[key] = value
+                cfg.write_text(json.dumps(edited))
+                run_refused(["simulate", "--config", str(cfg)], [f"'{label}'"], failures)
+    assert not (work / "run").exists()
+
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    for file, table, stage in (("dataset.json", DATASET_FIELDS, "train"), ("model.json", MODEL_FIELDS, "evaluate")):
+        path = tmp_path / "run" / file
+        original = path.read_text()
+        header = json.loads(original)
+        for key, field in table.items():
+            for value in refused_values(field, header.get(key)) + [DELETE] * (not field.required):
+                edited = {k: v for k, v in header.items() if not (k == key and value is DELETE)}
+                if value is not DELETE:
+                    edited[key] = value
+                path.write_text(json.dumps(edited))
+                names = [str(path), "is stale" if not field.required and value is DELETE else f"'{key}'"]
+                run_refused([stage, "--config", str(cfg)], names, failures)
+        path.write_text(original)
+    assert not (tmp_path / "run" / "ident_report.json").exists()
+    assert not failures, failures
+
+
 def test_evaluate_refuses_a_model_trained_on_another_mask(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run = tmp_path / "run"
@@ -656,14 +820,16 @@ def test_evaluate_refuses_a_model_trained_on_another_mask(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "records mask x1,x2,x3, but the config's mask is x1; run train again" in err
+    assert (f"{run / 'model.json'} is stale: its mask is [\"x1\", \"x2\", \"x3\"], "
+            "but the config's 'mask' is [\"x1\"]; run train again") in err
 
     del header["mask"]  # a checkpoint written before the field existed
     (run / "model.json").write_text(json.dumps(header))
     write_config(tmp_path)
     assert main(["evaluate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "records no mask, but the config's mask is x1,x2,x3; run train again" in err
+    assert (f"{run / 'model.json'} is stale: its mask is null, "
+            "but the config's 'mask' is [\"x1\", \"x2\", \"x3\"]; run train again") in err
     assert not (run / "ident_report.json").exists()
 
 
@@ -700,7 +866,7 @@ def test_evaluate_refuses_a_float64_checkpoint(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "model.json has no 'dtype' field, but checkpoints hold float32 parameters; run train again" in err
+    assert f"{run / 'model.json'} has no 'dtype' field; run train again" in err
     assert "Traceback" not in err
     assert not (run / "ident_report.json").exists()
 
