@@ -22,7 +22,6 @@ from latentlab import fixtures
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
 from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
-    ORACLE_MAX_LATENTS,
     SharedInfo,
     _locate_bits,
     _require_valid,
@@ -187,18 +186,18 @@ class ExperimentConfig:
 # classes (`settings_fields`).
 CONFIG_FIELDS = {
     "graph": Field("a string"), "mask": Field("an object"), "scm": Field("an object"),
-    "n": Field("an integer"), "sample_seed": Field("a non-negative integer"),
+    "n": Field("a non-negative integer"), "sample_seed": Field("a non-negative integer"),
     "mae": Field("an object"), "ident": Field("an object"), "out_dir": Field("a string"),
 }
 SEED = Field("a non-negative integer")
 LISTED_MASK_FIELDS = {"observables": Field("a list", entries="a string")}
 SAMPLED_MASK_FIELDS = {"ratio": Field("a number"), "patch": Field("an integer"), "seed": SEED}
 SCM_FIELDS = {
-    "exo_dims": Field("an object", False, "a positive integer"), "layers": Field("an integer", False),
+    "exo_dims": Field("an object", False, "a positive integer"), "layers": Field("a positive integer", False),
     "alpha": Field("a number", False), "seed": SEED, "bias": Field("a boolean", False),
 }
 MAE_FIELDS = {
-    "d_c": Field("an integer", False), "d_sm": Field("an integer", False),
+    "d_c": Field("a positive integer", False), "d_sm": Field("a non-negative integer", False),
     "hidden": Field("a list", False, "a positive integer"), "slope": Field("a number", False),
     "train": Field("an object"),
 }
@@ -290,10 +289,6 @@ def cmd_verify(args) -> int:
     _require_count(args.trials, "--trials")
     _require_count(args.seed, "--seed")
     g = _resolve_graph(args.graph)
-    if len(g.latents) > args.max_latents:
-        raise ConfigError(
-            f"graph has {len(g.latents)} latents, above the oracle cap {args.max_latents}"
-        )
     dims = derive_dims(g)
     observables = sorted(g.observables)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
@@ -303,16 +298,12 @@ def cmd_verify(args) -> int:
         k = int(rng.integers(1, len(observables)))
         mask = Mask(str(v) for v in rng.choice(observables, size=k, replace=False))
         info = locate_shared_info(g, mask)
-        oracle = brute_force_minimal_c(g, mask, dims, max_latents=args.max_latents)
-        flags = verify_conditions(g, mask, info)
+        oracle = brute_force_minimal_c(g, mask, dims)
         return {
             "mask": sorted(mask.masked),
             "match": info.c == oracle.c and info.s_m == oracle.s_m,
             "ties": len(oracle.ties),
-            "flags_ok": flags.invertible_masked
-            and flags.invertible_visible
-            and flags.recoverable_from_masked
-            and flags.independence_ok,
+            "flags_ok": verify_conditions(g, mask, info).all_ok,
         }
 
     results = [run_trial(trial_seed) for trial_seed in seeds]
@@ -349,8 +340,8 @@ def _require_current(path: Path, writer: str, compared) -> None:
 
 def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     """The dataset under ``cfg.out_dir``, refused when its header shows it
-    was written for another graph (by its nodes), ``n``, ``sample_seed`` or
-    ``scm`` section."""
+    was written for another graph (by its nodes, then its layout), ``n``,
+    ``sample_seed`` or ``scm`` section."""
     base = cfg.out_dir / "dataset"
     header_path = base.with_suffix(".json")
     if not header_path.exists():
@@ -359,6 +350,7 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     recorded_scm = header.get("scm") or {}
     _require_current(header_path, "simulate", [
         ("graph", sorted(header["column_spans"]), sorted(g.node_ids)),
+        ("graph.layout", header["layout"], list(g.layout)),
         ("n", header["n"], cfg.n), ("sample_seed", header.get("seed"), cfg.sample_seed),
         *((f"scm.{key}", recorded_scm.get(key), value) for key, value in cfg.scm_settings().items()),
     ])
@@ -469,11 +461,11 @@ def sweep_rows(
     """One row per sampled mask: level statistics of the located shared set.
 
     The graph is checked once.  Each cell's masks are drawn as patch
-    indices, and each mask goes through ``locate_c``'s bit-mask core on
-    per-patch tables: the patch's node bits, their proper ancestors and its
-    size.  The layout is a permutation of the observables, so the patches
-    left unchosen hold the visible side.  The row is read from the graph's
-    level and dimension tables."""
+    indices, and each mask goes through ``locate_shared_info``'s bit-mask
+    core on per-patch tables: the patch's node bits, their proper ancestors
+    and its size.  The layout is a permutation of the observables, so the
+    patches left unchosen hold the visible side.  The row is read from the
+    graph's level and dimension tables."""
     _require_valid(g)
     bits = g.bit_index()
     level, dim = bits.level, bits.dim
@@ -593,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-latents", type=int, default=ORACLE_MAX_LATENTS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="build the simulator and write a dataset")
@@ -628,7 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError, MemoryError) as exc:
         print(f"latentlab: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, FloatingPointError, np.linalg.LinAlgError) as exc:

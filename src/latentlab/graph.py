@@ -40,12 +40,6 @@ class Mask:
     def __init__(self, masked: Iterable[NodeId]):
         object.__setattr__(self, "masked", frozenset(masked))
 
-    def __iter__(self):
-        return iter(sorted(self.masked))
-
-    def __len__(self):
-        return len(self.masked)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -302,14 +296,14 @@ class BitIndex:
     def dim(self) -> tuple[int, ...]:
         return tuple(self.dims())
 
-    def dims(self, exo_dims: Mapping[NodeId, int] | None = None, default: int = 1) -> list[int]:
+    def dims(self, exo_dims: Mapping[NodeId, int] | None = None) -> list[int]:
         """Dimension of every node by bit, under the additive rule of
         :func:`derive_dims`."""
         exo_dims = exo_dims or {}
         dims: list[int] = []
         for i, v in enumerate(self.ids):
             if self.exogenous >> i & 1:
-                d = int(exo_dims.get(v, default))
+                d = int(exo_dims.get(v, 1))
                 if d <= 0:
                     raise ValueError(f"exogenous dimension for {v} must be positive, got {d}")
             elif not self.parents[i]:
@@ -437,16 +431,12 @@ def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
 # -- dimensions -------------------------------------------------------------
 
 
-def derive_dims(
-    g: LatentGraph,
-    exo_dims: Mapping[NodeId, int] | None = None,
-    default: int = 1,
-) -> dict[NodeId, int]:
+def derive_dims(g: LatentGraph, exo_dims: Mapping[NodeId, int] | None = None) -> dict[NodeId, int]:
     """Dimension of every node under the additive rule: exogenous nodes get
-    their assigned width (``default`` unless overridden), every other node
+    their assigned width (1 unless ``exo_dims`` sets it), every other node
     the sum of its parents' widths."""
     idx = g.bit_index()
-    return dict(zip(idx.ids, idx.dims(exo_dims, default)))
+    return dict(zip(idx.ids, idx.dims(exo_dims)))
 
 
 # -- file format -------------------------------------------------------------

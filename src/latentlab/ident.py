@@ -171,11 +171,6 @@ def r2_per_dimension(regressor, x_test: np.ndarray, y_test: np.ndarray) -> tuple
     return mean, tuple(float(v) for v in per_dim)
 
 
-def r2(regressor, x_test: np.ndarray, y_test: np.ndarray) -> float:
-    value, _ = r2_per_dimension(regressor, x_test, y_test)
-    return value
-
-
 def _fit_and_score(x: np.ndarray, y: np.ndarray, train_idx, test_idx, cfg: RegressorConfig):
     if y.shape[1] == 0:
         return float("nan"), ()

@@ -2,10 +2,11 @@
 
 For a mask over the observables, the shared set ``c`` is the minimal set of
 latent variables carrying all statistical dependence between the masked and
-visible parts.  ``locate_c`` finds it by backtracking from the masked
-observables and pruning; ``locate_smc`` collects the visible-side-specific
-remainder; ``brute_force_minimal_c`` is an independent oracle, an exact
-branch and bound over the latent subsets of the mask's information closure.
+visible parts.  ``locate_shared_info`` finds it by backtracking from the
+masked observables and pruning, together with the visible-side-specific
+remainder that ``locate_smc`` also collects; ``brute_force_minimal_c`` is an
+independent oracle, an exact branch and bound over the latent subsets of the
+mask's information closure.
 """
 
 from __future__ import annotations
@@ -99,27 +100,11 @@ def _require_valid(g: LatentGraph) -> None:
         raise ValueError("invalid graph: " + "; ".join(report.violations))
 
 
-def locate_c(g: LatentGraph, mask: Mask) -> tuple[frozenset[NodeId], frozenset[NodeId]]:
-    """Find the shared latent set ``c`` and masked-side noise ``s_m``.
-
-    Selection walks up from every masked observable: exogenous parents are
-    collected into ``s_m``, latent parents that can reach a visible
-    observable join the candidate set, and everything else is backtracked
-    further.  Pruning then drops any candidate with another pre-pruning
-    candidate on one of its directed paths to the visible side.  Both stages
-    are order-independent.
-    """
-    _require_valid(g)
-    idx, masked, visible = _split_mask(g, mask)
-    c, s_m = _locate_bits(idx, masked, idx.proper_ancestors(visible))
-    return frozenset(idx.decode(c)), frozenset(idx.decode(s_m))
-
-
 def _locate_bits(idx: BitIndex, masked: int, reaches_visible: int) -> tuple[int, int]:
-    """``locate_c`` on bit masks: from the masked observables of a valid
-    graph, with some observable left visible, and ``reaches_visible``, the
-    proper ancestors of the visible observables, to the bits of ``c`` and
-    ``s_m``."""
+    """The ``c`` and ``s_m`` search of ``locate_shared_info`` on bit masks:
+    from the masked observables of a valid graph, with some observable left
+    visible, and ``reaches_visible``, the proper ancestors of the visible
+    observables, to the bits of ``c`` and ``s_m``."""
     parents, exogenous = idx.parents, idx.exogenous
 
     # Walk up level by level; `walked` holds the masked observables and the
@@ -176,7 +161,17 @@ def _smc_bits(idx: BitIndex, visible: int, c: int) -> int:
 
 
 def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
-    """Run both searches and bundle the triple with its mask."""
+    """Find the shared latent set ``c``, the masked-side noise ``s_m`` and
+    the visible-side remainder ``s_mc`` (as ``locate_smc`` collects it), and
+    bundle the triple with its mask.
+
+    Selection walks up from every masked observable: exogenous parents are
+    collected into ``s_m``, latent parents that can reach a visible
+    observable join the candidate set, and everything else is backtracked
+    further.  Pruning then drops any candidate with another pre-pruning
+    candidate on one of its directed paths to the visible side.  Both stages
+    are order-independent.
+    """
     _require_valid(g)
     idx, masked, visible = _split_mask(g, mask)
     c, s_m = _locate_bits(idx, masked, idx.proper_ancestors(visible))
@@ -288,12 +283,7 @@ def verify_conditions(
     )
 
 
-def brute_force_minimal_c(
-    g: LatentGraph,
-    mask: Mask,
-    dims: Mapping[NodeId, int],
-    max_latents: int = ORACLE_MAX_LATENTS,
-) -> OracleResult:
+def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]) -> OracleResult:
     """Exhaustive search for the minimal shared set, independent of the
     backtracking algorithm.
 
@@ -304,7 +294,8 @@ def brute_force_minimal_c(
     ``C' + visible``.  The result's ``c`` is the feasible set of minimum
     total dimension whose sorted members come first lexicographically, and
     ``ties`` lists every other feasible set of that total, in the same
-    order.  Latent dimensions must be non-negative.
+    order.  Latent dimensions must be non-negative, and a graph with more
+    than ``ORACLE_MAX_LATENTS`` latents is refused.
 
     The search is an exact depth-first branch and bound over the latents
     in ``R`` (``C' <= R`` is part of recoverability).  On those, each test
@@ -320,9 +311,9 @@ def brute_force_minimal_c(
     _require_valid(g)
     idx, masked_bits, visible_bits = _split_mask(g, mask)
     latents = sorted(g.latents)
-    if len(latents) > max_latents:
+    if len(latents) > ORACLE_MAX_LATENTS:
         raise ValueError(
-            f"graph has {len(latents)} latents, above the exhaustive-search cap {max_latents}"
+            f"graph has {len(latents)} latents, above the exhaustive-search cap {ORACLE_MAX_LATENTS}"
         )
     if any(dims[v] < 0 for v in latents):
         raise ValueError("latent dimensions must be non-negative")

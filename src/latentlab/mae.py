@@ -98,9 +98,6 @@ class MaeModel:
         """Layout position of the pixel node behind each coordinate column."""
         return np.repeat(np.arange(len(self.layout)), [self.widths[v] for v in self.layout])
 
-    def params(self) -> list[np.ndarray]:
-        return self.encoder.params() + self.decoder.params()
-
 
 def _with_params(model: MaeModel, flat: np.ndarray) -> MaeModel:
     """The same model with its parameters read from ``flat`` (a vector laid
@@ -241,22 +238,6 @@ def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
     return chat[0] if single else chat
 
 
-def decode(model: MaeModel, chat: np.ndarray, s_hat: np.ndarray, mask: Mask) -> np.ndarray:
-    """Full-width reconstruction from a code and a noise draw, at the
-    model's dtype; only the masked coordinates are meaningful to the loss."""
-    chat = np.asarray(chat, dtype=float)
-    single = chat.ndim == 1
-    chat = np.atleast_2d(chat)
-    s_hat = np.asarray(s_hat, dtype=float).reshape(chat.shape[0], model.d_sm)
-    if chat.shape[1] != model.d_c:
-        raise ValueError(f"expected code width {model.d_c}, got {chat.shape[1]}")
-    dec_in = _plan(model, mask, chat.shape[0]).dec_in
-    dec_in[:, : model.d_c] = chat
-    dec_in[:, model.d_c: model.d_c + model.d_sm] = s_hat
-    out, _ = mlp_forward(model.decoder, dec_in)
-    return out[0] if single else out
-
-
 def _loss_and_grads(
     model: MaeModel,
     batch: np.ndarray,
@@ -288,24 +269,6 @@ def _loss_and_grads(
     grad_dec_in = mlp_backward(model.decoder, dec_cache, grad_recon, out=grads[n_enc:])
     mlp_backward(model.encoder, enc_cache, grad_dec_in[:, :d_c], out=grads[:n_enc], input_grad=False)
     return value, grads
-
-
-def loss(
-    model: MaeModel,
-    batch: np.ndarray,
-    mask: Mask,
-    rng: np.random.Generator,
-) -> float:
-    """Mean squared error on the masked coordinates, averaged over the batch
-    and computed at the model's dtype; the decoder noise is drawn per
-    example from ``rng``."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=model.flat.dtype))
-    if batch.shape[1] != model.obs_width:
-        raise ValueError(f"expected rows of width {model.obs_width}, got {batch.shape[1]}")
-    plan = _plan(model, mask, batch.shape[0])
-    s_hat = rng.standard_normal((batch.shape[0], model.d_sm))
-    value, _ = _loss_and_grads(model, batch, plan, s_hat, np.empty_like(model.flat))
-    return value
 
 
 def train(

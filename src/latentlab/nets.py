@@ -74,7 +74,7 @@ def param_views(widths: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndar
 
 @dataclass
 class Mlp:
-    flat: np.ndarray  # every parameter, in ``params()`` order
+    flat: np.ndarray  # every weight, then every bias, layer by layer
     widths: tuple[int, ...]
     slope: float
     weights: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out, fan_in)
@@ -85,16 +85,11 @@ class Mlp:
             raise ValueError(f"leaky slope must lie in [0, 1], got {self.slope}")
         self.weights, self.biases = param_views(self.widths, self.flat)
 
-    def params(self) -> list[np.ndarray]:
-        return list(self.weights) + list(self.biases)
 
-
-def init_mlp(
-    widths: tuple[int, ...], slope: float, rng: np.random.Generator, out: np.ndarray | None = None
-) -> Mlp:
-    """He-scaled normal weights and zero biases, written into ``out`` when
-    given (a vector of ``mlp_size(widths)`` floats) or a new vector."""
-    net = Mlp(np.empty(mlp_size(widths)) if out is None else out, widths, slope)
+def init_mlp(widths: tuple[int, ...], slope: float, rng: np.random.Generator, out: np.ndarray) -> Mlp:
+    """He-scaled normal weights and zero biases, written into ``out``, a
+    vector of ``mlp_size(widths)`` floats."""
+    net = Mlp(out, widths, slope)
     for w in net.weights:
         w[...] = np.sqrt(2.0 / max(1, w.shape[1])) * rng.standard_normal(w.shape)
     for b in net.biases:
@@ -151,9 +146,9 @@ def mlp_backward(
 
 class Adam:
     def __init__(self, params: list[np.ndarray], step_size: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999):
         self.step_size = step_size
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2 = beta1, beta2
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
@@ -172,7 +167,7 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         step_size = self.step_size * math.sqrt(c2) / c1
-        eps = self.eps * math.sqrt(c2)
+        eps = 1e-8 * math.sqrt(c2)
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
             m *= b1
             np.multiply(1 - b1, g, out=a)

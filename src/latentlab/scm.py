@@ -363,12 +363,11 @@ def save_dataset(
     ds: Dataset,
     basepath: str | Path,
     seed: int | None = None,
-    csv_max_rows: int = 1000,
     scm: Mapping | None = None,
 ) -> dict[str, Path]:
     """Write ``<base>.bin`` (float64, column-major) plus a ``<base>.json``
     header, which records the sampling ``seed`` and the simulator settings
-    ``scm`` (null when not given); small datasets also get a
+    ``scm`` (null when not given); datasets of at most 1000 rows also get a
     ``<base>.csv``."""
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -387,7 +386,7 @@ def save_dataset(
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     written = {"bin": bin_path, "json": json_path}
-    if ds.n <= csv_max_rows:
+    if ds.n <= 1000:
         csv_path = base.with_suffix(".csv")
         names = [
             f"{v}[{i}]"
@@ -416,16 +415,22 @@ def read_array(path: Path, count: int, dtype=np.float64) -> np.ndarray:
 def load_dataset(basepath: str | Path, header: dict | None = None) -> Dataset:
     """Read a dataset written by ``save_dataset``; ``header`` is its
     ``dataset.json`` if the caller has read it with ``DATASET_FIELDS``.  A
-    header that table refuses, or a ``.bin`` whose size does not match the
-    header or that holds a non-finite value, is a ``ValueError`` naming the
-    file (and, for a value, its nodes)."""
+    header that table refuses or whose column span for a node runs past
+    ``total_dim``, or a ``.bin`` whose size does not match the header or
+    that holds a non-finite value, is a ``ValueError`` naming the file (and
+    the node, or for a value the nodes)."""
     base = Path(basepath)
-    header = header or read_header(base.with_suffix(".json"), "dataset", DATASET_FIELDS, "simulate")
+    json_path = base.with_suffix(".json")
+    header = header or read_header(json_path, "dataset", DATASET_FIELDS, "simulate")
     n, total = header["n"], header["total_dim"]
+    spans = {v: tuple(span) for v, span in header["column_spans"].items()}
+    for v, (offset, length) in sorted(spans.items()):
+        if offset + length > total:
+            raise ValueError(f"{json_path}: its 'column_spans' field entry {v!r} [{offset}, {length}] "
+                             f"runs past total_dim {total}; run simulate again")
     bin_path = base.with_suffix(".bin")
     raw = read_array(bin_path, n * total)
     values = raw.reshape((n, total), order=header["order"]).copy()
-    spans = {v: tuple(span) for v, span in header["column_spans"].items()}
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         bad = sorted(v for v, (offset, length) in spans.items() if not finite[offset:offset + length].all())

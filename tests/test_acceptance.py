@@ -17,7 +17,6 @@ from latentlab import Mask, derive_dims, fixture_path, load_graph
 from latentlab.cli import main as cli_main
 from latentlab.locate import (
     brute_force_minimal_c,
-    locate_c,
     locate_shared_info,
     verify_conditions,
 )
@@ -61,9 +60,9 @@ def generate_oracle_pairs_csv(path: Path) -> None:
         g = random_hierarchy(rng)
         mask = random_mask(rng, g)
         dims = derive_dims(g)
-        c, s_m = locate_c(g, mask)
-        oracle = brute_force_minimal_c(g, mask, dims)
         info = locate_shared_info(g, mask)
+        c, s_m = info.c, info.s_m
+        oracle = brute_force_minimal_c(g, mask, dims)
         flags = verify_conditions(g, mask, info)
         rows.append([
             trial, len(g.latents), len(g.observables), ";".join(sorted(mask.masked)),
@@ -189,9 +188,9 @@ def read_csv(path: Path) -> list[dict]:
 def test_criterion_1_fixture_masks(fig4):
     start = time.perf_counter()
     results = {
-        "a": locate_c(fig4, Mask({"x1"}))[0],
-        "b": locate_c(fig4, Mask({"x1", "x2", "x3", "x4", "x5"}))[0],
-        "c": locate_c(fig4, Mask({"x1", "x2", "x3"}))[0],
+        "a": locate_shared_info(fig4, Mask({"x1"})).c,
+        "b": locate_shared_info(fig4, Mask({"x1", "x2", "x3", "x4", "x5"})).c,
+        "c": locate_shared_info(fig4, Mask({"x1", "x2", "x3"})).c,
     }
     elapsed = time.perf_counter() - start
     ok = (

@@ -29,6 +29,7 @@ from latentlab.mae import MODEL_FIELDS
 from latentlab.scm import DATASET_FIELDS, JSON_KINDS
 
 NODES = {name: load_graph(fixture_path(name)).node_ids for name in ("fig2", "fig4")}
+FIG4_LAYOUT = list(load_graph(fixture_path("fig4")).layout)
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -561,6 +562,11 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
          "config value 'mae.hidden' entry 0 must be a positive integer, got 0"),
         ({"scm": {"seed": 11, "exo_dims": {"nope": 2}}},
          "config value 'scm.exo_dims' entry 'nope' is not an exogenous node of the graph 'fig4'"),
+        ({"n": -1}, "config value 'n' must be a non-negative integer, got -1"),
+        ({"scm": {"seed": 11, "layers": 0}}, "config value 'scm.layers' must be a positive integer, got 0"),
+        ({"mae": {"d_c": 0, "train": {"seed": 13}}}, "config value 'mae.d_c' must be a positive integer, got 0"),
+        ({"mae": {"d_sm": -1, "train": {"seed": 13}}},
+         "config value 'mae.d_sm' must be a non-negative integer, got -1"),
     ],
 )
 def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
@@ -582,12 +588,16 @@ def test_readme_experiment_config_loads(tmp_path):
     assert cfg.train_config().seed == 13 and cfg.out_dir == tmp_path / "run"
 
 
+# The ids are kept from when these kinds were plain integers, so that each
+# case can be followed across versions.
 @pytest.mark.parametrize(
     "overrides, expected",
     [
-        ({"n": [1]}, "config value 'n' must be an integer, got [1]"),
-        ({"scm": {"layers": [2], "alpha": 0.5, "seed": 11}},
-         "config value 'scm.layers' must be an integer, got [2]"),
+        pytest.param({"n": [1]}, "config value 'n' must be a non-negative integer, got [1]",
+                     id="overrides0-config value 'n' must be an integer, got [1]"),
+        pytest.param({"scm": {"layers": [2], "alpha": 0.5, "seed": 11}},
+                     "config value 'scm.layers' must be a positive integer, got [2]",
+                     id="overrides1-config value 'scm.layers' must be an integer, got [2]"),
     ],
 )
 def test_wrongly_typed_config_value_exits_two(tmp_path, capsys, overrides, expected):
@@ -636,6 +646,41 @@ def test_stale_dataset_after_config_edit_exits_two(tmp_path, capsys, overrides, 
         assert expected.format(dataset=tmp_path / "run" / "dataset.json") in err and "run simulate again" in err
     assert (tmp_path / "run" / "model.bin").read_bytes() == model
     assert not (tmp_path / "run" / "ident_report.json").exists()
+
+
+def test_graph_layout_edit_makes_the_dataset_stale(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(fixture_path("fig4").read_text())
+    cfg = write_config(tmp_path, graph=str(graph))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    data = json.loads(graph.read_text())
+    data["layout"].reverse()
+    graph.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"latentlab: error: {tmp_path / 'run' / 'dataset.json'} is stale: its graph.layout is "
+        f"{json.dumps(FIG4_LAYOUT)}, but the config's 'graph.layout' is {json.dumps(FIG4_LAYOUT[::-1])}; "
+        "run simulate again\n"
+    )
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+# Each size is past the 47-bit address space (over 2**48 bytes), so the
+# allocation is refused and nothing is ever allocated.
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param("simulate", {"n": 10 ** 14}, id="simulate-n"),
+    pytest.param("train", {"mae": {"hidden": [10 ** 13], "train": {"epochs": 1, "seed": 13}}}, id="train-hidden"),
+])
+def test_oversized_config_exits_two(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path)
+    if command == "train":
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    write_config(tmp_path, **overrides)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latentlab: error: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_dataset_header_records_the_resolved_scm_section(tmp_path):
@@ -698,6 +743,16 @@ def test_header_without_a_field_exits_two(tmp_path, capsys, name, field, command
     pytest.param("dataset.json", lambda h: h.update(order="X"), "train",
                  ": its 'order' field must be \"C\" or \"F\", got \"X\"; run simulate again",
                  id="dataset-order-unknown"),
+    pytest.param("dataset.json", lambda h: h["layout"].__setitem__(0, "q9"), "train",
+                 f" is stale: its graph.layout is {json.dumps(['q9'] + FIG4_LAYOUT[1:])}, "
+                 f"but the config's 'graph.layout' is {json.dumps(FIG4_LAYOUT)}; run simulate again",
+                 id="dataset-layout-unknown-node"),
+    pytest.param("dataset.json", lambda h: h["column_spans"].update(z6=[49, 50]), "train",
+                 ": its 'column_spans' field entry 'z6' [49, 50] runs past total_dim 51; run simulate again",
+                 id="dataset-span-past-total-dim"),
+    pytest.param("dataset.json", lambda h: h["column_spans"].update(x1=[500, 1]), "train",
+                 ": its 'column_spans' field entry 'x1' [500, 1] runs past total_dim 51; run simulate again",
+                 id="dataset-span-offset-past-total-dim"),
 ])
 def test_malformed_header_field_exits_two(tmp_path, capsys, name, edit, command, expected):
     cfg = write_config(tmp_path)

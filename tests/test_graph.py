@@ -16,7 +16,7 @@ from latentlab import (
     validate_graph,
 )
 from latentlab.graph import graph_to_dict
-from latentlab.locate import locate_c
+from latentlab.locate import locate_shared_info
 
 from conftest import d_separated, random_hierarchy
 
@@ -116,10 +116,10 @@ def test_large_graphs_validate_and_locate_quickly(deep, expected_c):
     assert len(g.node_ids) >= 5000
     start = time.perf_counter()
     assert validate_graph(g).ok
-    c, s_m = locate_c(g, Mask(f"x{i}" for i in range(1, 626)))
+    info = locate_shared_info(g, Mask(f"x{i}" for i in range(1, 626)))
     assert time.perf_counter() - start < 10.0
-    assert c == expected_c
-    assert {f"eps_x{i}" for i in range(1, 626)} <= s_m
+    assert info.c == expected_c
+    assert {f"eps_x{i}" for i in range(1, 626)} <= info.s_m
 
 
 def test_duplicate_and_empty_ids_rejected():

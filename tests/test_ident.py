@@ -6,7 +6,6 @@ from latentlab.ident import (
     RegressorConfig,
     block_identifiability,
     fit_regressor,
-    r2,
     r2_per_dimension,
 )
 from latentlab.locate import locate_shared_info
@@ -27,7 +26,7 @@ def test_identity_regression_is_near_exact():
     x = np.random.default_rng(0).standard_normal((2000, 1))
     xtr, ytr, xte, yte = split(x, x)
     model = fit_regressor(xtr, ytr, RegressorConfig(seed=1, ridge=1e-8))
-    assert r2(model, xte, yte) == pytest.approx(1.0, abs=1e-8)
+    assert r2_per_dimension(model, xte, yte)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_independent_target_scores_near_zero():
@@ -36,14 +35,14 @@ def test_independent_target_scores_near_zero():
     y = rng.standard_normal((2000, 2))
     xtr, ytr, xte, yte = split(x, y)
     model = fit_regressor(xtr, ytr, CFG)
-    assert r2(model, xte, yte) <= 0.05
+    assert r2_per_dimension(model, xte, yte)[0] <= 0.05
 
 
 def test_elementwise_tanh_is_learned():
     x = np.random.default_rng(0).standard_normal((2000, 3))
     xtr, ytr, xte, yte = split(x, np.tanh(x))
     model = fit_regressor(xtr, ytr, CFG)
-    assert r2(model, xte, yte) >= 0.95
+    assert r2_per_dimension(model, xte, yte)[0] >= 0.95
 
 
 def test_fit_requires_rows_and_variance():
@@ -65,7 +64,7 @@ def test_r2_mean_predictor_is_zero():
             return np.tile(self.mean, (x.shape[0], 1))
 
     y = np.random.default_rng(0).standard_normal((200, 2))
-    assert r2(MeanPredictor(y.mean(axis=0)), np.zeros((200, 3)), y) == pytest.approx(0.0)
+    assert r2_per_dimension(MeanPredictor(y.mean(axis=0)), np.zeros((200, 3)), y)[0] == pytest.approx(0.0)
 
 
 def test_r2_worse_than_mean_is_negative():
@@ -74,7 +73,7 @@ def test_r2_worse_than_mean_is_negative():
             return np.full((x.shape[0], 1), 100.0)
 
     y = np.random.default_rng(0).standard_normal((100, 1))
-    assert r2(BadPredictor(), np.zeros((100, 1)), y) < 0
+    assert r2_per_dimension(BadPredictor(), np.zeros((100, 1)), y)[0] < 0
 
 
 def test_r2_excludes_zero_variance_dimension():

@@ -11,7 +11,6 @@ from latentlab.locate import (
     SharedInfo,
     _closure,
     brute_force_minimal_c,
-    locate_c,
     locate_shared_info,
     locate_smc,
     verify_conditions,
@@ -32,38 +31,37 @@ def single_latent_graph():
     )
 
 
-# -- locate_c -----------------------------------------------------------------
+# -- locating c -----------------------------------------------------------------
 
 
 def test_locate_c_conservative_mask(fig4):
-    c, s_m = locate_c(fig4, Mask({"x1"}))
-    assert c == {"z3"}
-    assert s_m == {"eps_x1"}
+    info = locate_shared_info(fig4, Mask({"x1"}))
+    assert info.c == {"z3"}
+    assert info.s_m == {"eps_x1"}
 
 
 def test_locate_c_aggressive_mask_exercises_pruning(fig4):
-    c, s_m = locate_c(fig4, Mask({"x1", "x2", "x3", "x4", "x5"}))
-    assert c == {"z6"}
+    assert locate_shared_info(fig4, Mask({"x1", "x2", "x3", "x4", "x5"})).c == {"z6"}
 
 
 def test_locate_c_ideal_mask(fig4):
-    c, s_m = locate_c(fig4, FIG4C_MASK)
-    assert c == {"z2"}
-    assert s_m == FIG4C_SM
+    info = locate_shared_info(fig4, FIG4C_MASK)
+    assert info.c == {"z2"}
+    assert info.s_m == FIG4C_SM
 
 
 def test_locate_c_rejects_empty_sides(fig4):
     with pytest.raises(ValueError):
-        locate_c(fig4, Mask(set()))
+        locate_shared_info(fig4, Mask(set()))
     with pytest.raises(ValueError):
-        locate_c(fig4, Mask(set(fig4.observables)))
+        locate_shared_info(fig4, Mask(set(fig4.observables)))
 
 
 def test_locate_c_rejects_invalid_graph(fig4):
     data = graph_to_dict(fig4)
     data["edges"].append(["x1", "x2"])
     with pytest.raises(ValueError, match="invalid graph"):
-        locate_c(graph_from_dict(data), Mask({"x1"}))
+        locate_shared_info(graph_from_dict(data), Mask({"x1"}))
 
 
 def test_locate_c_order_invariant(fig4):
@@ -73,7 +71,7 @@ def test_locate_c_order_invariant(fig4):
         rng.shuffle(data["nodes"])
         rng.shuffle(data["edges"])
         g = graph_from_dict(data)
-        assert locate_c(g, FIG4C_MASK) == locate_c(fig4, FIG4C_MASK)
+        assert locate_shared_info(g, FIG4C_MASK) == locate_shared_info(fig4, FIG4C_MASK)
 
 
 # -- locate_smc ----------------------------------------------------------------
@@ -175,10 +173,9 @@ def test_verify_conditions_located_triple(fig4):
 
 def test_verify_conditions_unpruned_not_minimal(fig4):
     mask = Mask({"x1", "x2", "x3", "x4", "x5"})
-    _, s_m = locate_c(fig4, mask)
     unpruned = SharedInfo(
         c=frozenset({"z2", "z6"}),
-        s_m=s_m,
+        s_m=locate_shared_info(fig4, mask).s_m,
         s_mc=locate_smc(fig4, mask, {"z2", "z6"}),
         mask=mask,
     )
@@ -320,9 +317,9 @@ def test_oracle_matches_algorithm_on_fig2(fig2):
     dims = derive_dims(fig2)
     for _ in range(50):
         mask = random_mask(rng, fig2)
-        c, s_m = locate_c(fig2, mask)
+        info = locate_shared_info(fig2, mask)
         res = brute_force_minimal_c(fig2, mask, dims)
-        assert c == res.c and s_m == res.s_m, sorted(mask)
+        assert info.c == res.c and info.s_m == res.s_m, sorted(mask.masked)
 
 
 @settings(max_examples=80, deadline=None)
@@ -332,11 +329,11 @@ def test_oracle_matches_algorithm_on_random_graphs(seed):
     g = random_hierarchy(rng)
     mask = random_mask(rng, g)
     dims = derive_dims(g)
-    c, s_m = locate_c(g, mask)
+    info = locate_shared_info(g, mask)
     res = brute_force_minimal_c(g, mask, dims)
-    assert c == res.c
-    assert s_m == res.s_m
-    assert sum(dims[v] for v in c) == res.total_dim
+    assert info.c == res.c
+    assert info.s_m == res.s_m
+    assert sum(dims[v] for v in info.c) == res.total_dim
 
 
 def test_oracle_matches_algorithm_up_to_the_cap():
@@ -347,7 +344,8 @@ def test_oracle_matches_algorithm_up_to_the_cap():
         for _ in range(2):
             mask = random_mask(rng, g)
             res = brute_force_minimal_c(g, mask, dims)
-            assert locate_c(g, mask) == (res.c, res.s_m), sorted(mask)
+            info = locate_shared_info(g, mask)
+            assert (info.c, info.s_m) == (res.c, res.s_m), sorted(mask.masked)
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,7 +368,7 @@ def test_pruned_set_has_no_internal_downstream_member(seed):
     rng = np.random.default_rng(seed)
     g = random_hierarchy(rng)
     mask = random_mask(rng, g)
-    c, _ = locate_c(g, mask)
+    c = locate_shared_info(g, mask).c
     visible = set(g.observables) - set(mask.masked)
     for d in c:
         assert not (g.directed_path_nodes(d, visible) & (c - {d}))
@@ -387,7 +385,7 @@ def test_level_peak_at_intermediate_mask(fig4):
     def best_level(width):
         levels = []
         for start in range(len(layout) - width + 1):
-            c, _ = locate_c(fig4, Mask(layout[start:start + width]))
+            c = locate_shared_info(fig4, Mask(layout[start:start + width])).c
             levels.append(max(fig4.topo_depth(v) for v in c))
         return max(levels)
 

@@ -222,6 +222,6 @@ def test_dataset_round_trip(tmp_path, fig4):
 
 def test_dataset_csv_skipped_for_large_n(tmp_path, fig4):
     spec = build_scm(fig4, seed=9)
-    ds = sample(spec, 20, seed=9)
-    paths = save_dataset(ds, tmp_path / "data", csv_max_rows=10)
+    ds = sample(spec, 1001, seed=9)
+    paths = save_dataset(ds, tmp_path / "data")
     assert "csv" not in paths

@@ -20,14 +20,14 @@ def load_spans():
 
 def test_span_tracer_installs_and_restores(fig4):
     spans = load_spans()
-    targets = [(locate, "locate_c")] + [
+    targets = [(locate, "locate_shared_info")] + [
         (getattr(importlib.import_module(f"latentlab.{layer}"), cls), method)
         for layer, cls, method, _ in spans.METHODS
     ]
     originals = [getattr(owner, name) for owner, name in targets]
     with spans.Tracer() as tracer:
-        c, _ = locate.locate_c(fig4, Mask({"x1"}))
+        info = locate.locate_shared_info(fig4, Mask({"x1"}))
         fig4.topo_depth("z3")
-    assert c == {"z3"}
-    assert {"locate.locate_c", "graph.topo_depth"} <= {span[1] for span in tracer.spans}
+    assert info.c == {"z3"}
+    assert {"locate.locate_shared_info", "graph.topo_depth"} <= {span[1] for span in tracer.spans}
     assert [getattr(owner, name) for owner, name in targets] == originals
