@@ -205,8 +205,9 @@ MAE_FIELDS = {
 
 def settings_fields(kind) -> dict[str, Field]:
     """The field table of the config section behind the settings dataclass
-    ``kind``: its fields, of their annotated types; only the seed is required."""
-    kinds = {"int": "an integer", "float": "a number"}
+    ``kind``: its fields, of their annotated types (a float must be finite);
+    only the seed is required."""
+    kinds = {"int": "an integer", "float": "a finite number"}
     return {f.name: SEED if f.name == "seed" else Field(kinds[f.type], False) for f in fields(kind)}
 
 

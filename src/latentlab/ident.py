@@ -2,12 +2,14 @@
 
 Whether a learned code stands in one-to-one correspondence with a ground
 truth block is measured as bidirectional nonlinear predictability: fit a
-regressor each way and score held-out R^2.  A third regression probes
-leakage of the masked-side noise into the code.
+regressor each way and score held-out R^2.  A third probe scores leakage of
+the masked-side noise into the code; it shares the code's fit, whose
+targets are the block and the noise side by side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,8 +36,8 @@ class RegressorConfig:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not 0.0 < self.split < 1.0:
             raise ValueError(f"split fraction must be in (0, 1), got {self.split}")
-        if self.ridge <= 0:
-            raise ValueError(f"ridge penalty must be positive, got {self.ridge}")
+        if not 0 < self.ridge < math.inf:
+            raise ValueError(f"ridge penalty must be positive and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,10 @@ def fit_regressor(x: np.ndarray, y: np.ndarray, cfg: RegressorConfig) -> KernelR
     return KernelRidge(cfg.ridge).fit(x, y, cfg.median_rows, rng)
 
 
-def r2_per_dimension(regressor, x_test: np.ndarray, y_test: np.ndarray) -> tuple[float, tuple[float, ...]]:
-    """Held-out R^2 per target dimension and their average; zero-variance
-    dimensions score nan and are excluded from the average."""
-    pred = regressor.predict(np.atleast_2d(np.asarray(x_test, dtype=float)))
+def r2_per_dimension(pred: np.ndarray, y_test: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """Held-out R^2 of the predictions ``pred`` per target dimension and their
+    average; zero-variance dimensions score nan and are excluded from the
+    average, and no dimension at all scores nan and ``()``."""
     y_test = np.atleast_2d(np.asarray(y_test, dtype=float))
     sse = np.sum((pred - y_test) ** 2, axis=0)
     sst = np.sum((y_test - y_test.mean(axis=0)) ** 2, axis=0)
@@ -171,18 +173,13 @@ def r2_per_dimension(regressor, x_test: np.ndarray, y_test: np.ndarray) -> tuple
     return mean, tuple(float(v) for v in per_dim)
 
 
-def _fit_and_score(x: np.ndarray, y: np.ndarray, train_idx, test_idx, cfg: RegressorConfig):
-    if y.shape[1] == 0:
-        return float("nan"), ()
-    model = fit_regressor(x[train_idx], y[train_idx], cfg)
-    return r2_per_dimension(model, x[test_idx], y[test_idx])
-
-
 def block_identifiability(
     chat: np.ndarray, c: np.ndarray, s_m: np.ndarray, cfg: RegressorConfig = RegressorConfig()
 ) -> IdentReport:
     """Score the code against ground truth: predictability in both directions
-    plus the noise-leakage probe, everything on held-out rows."""
+    plus the noise-leakage probe, everything on held-out rows.  Each input is
+    fitted once: ``chat`` against ``c`` and ``s_m`` side by side, scored on
+    column slices of one prediction, and ``c`` against ``chat``."""
     chat = np.atleast_2d(np.asarray(chat, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     s_m = np.atleast_2d(np.asarray(s_m, dtype=float))
@@ -196,9 +193,13 @@ def block_identifiability(
     if len(test_idx) == 0:
         raise ValueError("split leaves no held-out rows")
 
-    r2_c, per_c = _fit_and_score(chat, c, train_idx, test_idx, cfg)
-    r2_chat, per_chat = _fit_and_score(c, chat, train_idx, test_idx, cfg)
-    r2_sm, per_sm = _fit_and_score(chat, s_m, train_idx, test_idx, cfg)
+    targets = np.hstack([c, s_m])
+    pred = fit_regressor(chat[train_idx], targets[train_idx], cfg).predict(chat[test_idx])
+    d_c = c.shape[1]
+    r2_c, per_c = r2_per_dimension(pred[:, :d_c], c[test_idx])
+    r2_sm, per_sm = r2_per_dimension(pred[:, d_c:], s_m[test_idx])
+    pred = fit_regressor(c[train_idx], chat[train_idx], cfg).predict(c[test_idx])
+    r2_chat, per_chat = r2_per_dimension(pred, chat[test_idx])
     return IdentReport(
         r2_c_from_chat=r2_c,
         r2_chat_from_c=r2_chat,

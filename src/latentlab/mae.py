@@ -166,8 +166,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.step_size <= 0:
-            raise ValueError("epochs, batch size, and step size must be positive")
+        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.step_size < math.inf:
+            raise ValueError("epochs, batch size, and step size must be positive, and the step size finite")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("moment decay rates must lie in (0, 1)")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,6 +298,7 @@ JSON_KINDS = {
     "a non-negative integer": lambda v: _is_integer(v) and v >= 0,
     "a positive integer": lambda v: _is_integer(v) and v > 0,
     "a number": lambda v: _is_integer(v) or isinstance(v, float),
+    "a finite number": lambda v: _is_integer(v) or isinstance(v, float) and math.isfinite(v),
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),

@@ -78,7 +78,7 @@ def unblocked_encode(model, x_visible, mask):
 TRAIN_ROWS = (50, 333, 1200, 2000)  # 1200 and 2000 take the median over a subsample
 PREDICT_TRAIN_ROWS = (333, 2000)
 WIDTHS = (1, 3, 9)
-TARGETS = (1, 3)
+TARGETS = (1, 3, 7)  # 7: evaluate's code fit, a one-column c beside a six-column s_m
 CODE_WIDTHS = (1, 3)
 LAYOUT = tuple(f"x{i}" for i in range(1, 7))
 PIXEL_WIDTHS = dict(zip(LAYOUT, (3, 6, 6, 5, 5, 3)))

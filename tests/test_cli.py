@@ -578,6 +578,24 @@ def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("stage, section, key", [("evaluate", "ident", "ridge"), ("train", "mae.train", "step_size")])
+def test_non_finite_setting_exits_two(tmp_path, capsys, stage, section, key, value):
+    """Python's json reads NaN and Infinity; a float setting refuses both at
+    load, before the stage runs on the artifacts that the earlier stages left."""
+    cfg = write_config(tmp_path)
+    stages = ["simulate", "train", "evaluate"]
+    for earlier in stages[: stages.index(stage)]:
+        assert main([earlier, "--config", str(cfg)]) == 0
+    config = json.loads(cfg.read_text())
+    section_at(config, section)[key] = float(value)
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"latentlab: error: config value '{section}.{key}' must be a finite number, got {value}\n"
+
+
 def test_readme_experiment_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Experiment config\n", 1)[1]
