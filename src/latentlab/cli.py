@@ -191,22 +191,21 @@ CONFIG_FIELDS = {
 }
 SEED = Field("a non-negative integer")
 LISTED_MASK_FIELDS = {"observables": Field("a list", entries="a string")}
-SAMPLED_MASK_FIELDS = {"ratio": Field("a number"), "patch": Field("an integer"), "seed": SEED}
+SAMPLED_MASK_FIELDS = {"ratio": Field("a finite number"), "patch": Field("an integer"), "seed": SEED}
 SCM_FIELDS = {
     "exo_dims": Field("an object", False, "a positive integer"), "layers": Field("a positive integer", False),
-    "alpha": Field("a number", False), "seed": SEED, "bias": Field("a boolean", False),
+    "alpha": Field("a finite number", False), "seed": SEED, "bias": Field("a boolean", False),
 }
 MAE_FIELDS = {
     "d_c": Field("a positive integer", False), "d_sm": Field("a non-negative integer", False),
-    "hidden": Field("a list", False, "a positive integer"), "slope": Field("a number", False),
+    "hidden": Field("a list", False, "a positive integer"), "slope": Field("a finite number", False),
     "train": Field("an object"),
 }
 
 
 def settings_fields(kind) -> dict[str, Field]:
     """The field table of the config section behind the settings dataclass
-    ``kind``: its fields, of their annotated types (a float must be finite);
-    only the seed is required."""
+    ``kind``: its fields, of their annotated types; only the seed is required."""
     kinds = {"int": "an integer", "float": "a finite number"}
     return {f.name: SEED if f.name == "seed" else Field(kinds[f.type], False) for f in fields(kind)}
 

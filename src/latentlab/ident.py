@@ -9,7 +9,7 @@ targets are the block and the noise side by side.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ class RegressorConfig:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not 0.0 < self.split < 1.0:
             raise ValueError(f"split fraction must be in (0, 1), got {self.split}")
-        if not 0 < self.ridge < math.inf:
+        if not 0 < self.ridge <= sys.float_info.max:
             raise ValueError(f"ridge penalty must be positive and finite, got {self.ridge}")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -166,7 +167,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.step_size < math.inf:
+        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.step_size <= sys.float_info.max:
             raise ValueError("epochs, batch size, and step size must be positive, and the step size finite")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("moment decay rates must lie in (0, 1)")
@@ -369,7 +370,7 @@ def grad_check(
 MODEL_FIELDS = {
     "layout": Field("a list", entries="a string"), "widths": Field("an object", entries="a positive integer"),
     "d_c": Field("a positive integer"), "d_sm": Field("a non-negative integer"),
-    "hidden": Field("a list", entries="a positive integer"), "slope": Field("a number"),
+    "hidden": Field("a list", entries="a positive integer"), "slope": Field("a finite number"),
     "param_seed": Field("a non-negative integer"), "n_params": Field("a non-negative integer"),
     "dtype": Field('"float32"'), "mask": Field("a list", False, "a string"),
 }

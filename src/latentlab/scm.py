@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,8 +297,7 @@ JSON_KINDS = {
     "an integer": _is_integer,
     "a non-negative integer": lambda v: _is_integer(v) and v >= 0,
     "a positive integer": lambda v: _is_integer(v) and v > 0,
-    "a number": lambda v: _is_integer(v) or isinstance(v, float),
-    "a finite number": lambda v: _is_integer(v) or isinstance(v, float) and math.isfinite(v),
+    "a finite number": lambda v: (_is_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),

@@ -210,7 +210,7 @@ def test_each_input_is_fitted_once(monkeypatch):
     assert inputs == [(2, 7), (1, 2)]
 
 
-@pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "1e400"])
 def test_regressor_config_refuses_non_finite_ridge(ridge):
     with pytest.raises(ValueError, match="ridge penalty must be positive and finite"):
         RegressorConfig(ridge=ridge)

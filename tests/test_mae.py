@@ -166,7 +166,7 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
-    for step_size in (float("nan"), float("inf")):
+    for step_size in (float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="step size finite"):
             TrainConfig(step_size=step_size)
 
