@@ -191,14 +191,14 @@ CONFIG_FIELDS = {
 }
 SEED = Field("a non-negative integer")
 LISTED_MASK_FIELDS = {"observables": Field("a list", entries="a string")}
-SAMPLED_MASK_FIELDS = {"ratio": Field("a finite number"), "patch": Field("an integer"), "seed": SEED}
+SAMPLED_MASK_FIELDS = {"ratio": Field("a number in (0, 1)"), "patch": Field("an integer"), "seed": SEED}
 SCM_FIELDS = {
     "exo_dims": Field("an object", False, "a positive integer"), "layers": Field("a positive integer", False),
-    "alpha": Field("a finite number", False), "seed": SEED, "bias": Field("a boolean", False),
+    "alpha": Field("a number in (0, 1]", False), "seed": SEED, "bias": Field("a boolean", False),
 }
 MAE_FIELDS = {
     "d_c": Field("a positive integer", False), "d_sm": Field("a non-negative integer", False),
-    "hidden": Field("a list", False, "a positive integer"), "slope": Field("a finite number", False),
+    "hidden": Field("a list", False, "a positive integer"), "slope": Field("a number in [0, 1]", False),
     "train": Field("an object"),
 }
 

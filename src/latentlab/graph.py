@@ -88,7 +88,6 @@ class LatentGraph:
         self._children = {v: frozenset(cs) for v, cs in child_map.items()}
         self.edges = frozenset(edge_set)
         self.layout = tuple(layout)
-        self._topo: tuple[NodeId, ...] | None = None
         self._bits: BitIndex | None = None
         self._validation: ValidationReport | None = None
 
@@ -198,16 +197,15 @@ class LatentGraph:
 
         Raises ValueError when the edge relation has a cycle.
         """
-        if self._topo is None:
-            order = self._kahn()
-            if len(order) != len(self._kinds):
-                raise ValueError("graph has a cycle; no topological order exists")
-            self._topo = tuple(order)
-        return self._topo
+        if len(self._kahn) != len(self._kinds):
+            raise ValueError("graph has a cycle; no topological order exists")
+        return self._kahn
 
-    def _kahn(self) -> list[NodeId]:
-        """Kahn's algorithm, smallest ready id first.  On a cyclic graph the
-        order stops short: the nodes left out are exactly those on a cycle or
+    @cached_property
+    def _kahn(self) -> tuple[NodeId, ...]:
+        """Kahn's algorithm, smallest ready id first, run once per graph for
+        both ``topo_order`` and validation.  On a cyclic graph the order
+        stops short: the nodes left out are exactly those on a cycle or
         downstream of one."""
         in_deg = {v: len(self._parents[v]) for v in self._kinds}
         ready = [v for v, d in in_deg.items() if d == 0]
@@ -220,7 +218,7 @@ class LatentGraph:
                 in_deg[c] -= 1
                 if in_deg[c] == 0:
                     heapq.heappush(ready, c)
-        return order
+        return tuple(order)
 
     def topo_depth(self, v: NodeId) -> int:
         """Level of a latent: length of its longest directed path down to an
@@ -414,7 +412,7 @@ def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
     """One cycle as a closed path ``a -> ... -> a``, or None.  Every node
     Kahn's algorithm leaves over has a parent that is left over too, so
     walking up from one of them must come back to a node already seen."""
-    left = set(g.node_ids).difference(g._kahn())
+    left = set(g.node_ids).difference(g._kahn)
     if not left:
         return None
     walk = [min(left)]

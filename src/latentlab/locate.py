@@ -5,13 +5,13 @@ latent variables carrying all statistical dependence between the masked and
 visible parts.  ``locate_shared_info`` finds it by backtracking from the
 masked observables and pruning, together with the visible-side-specific
 remainder that ``locate_smc`` also collects; ``brute_force_minimal_c`` is an
-independent oracle, an exact branch and bound over the latent subsets of the
-mask's information closure.
+independent oracle, an exact branch and bound over the latents among the
+mask's ancestors for the cheapest set whose ancestors hold every exogenous
+node above both sides of the mask.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,7 +26,7 @@ from latentlab.graph import (
 
 # Largest latent count the exhaustive oracle accepts.  Its branch and bound
 # is still exponential in the worst case: at 24 latents, the slowest of 400
-# seeded masks on random hierarchies took 39 ms.
+# seeded masks on random hierarchies took 10 ms.
 ORACLE_MAX_LATENTS = 24
 
 
@@ -290,23 +290,27 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
     A latent set ``C'`` is feasible when, with the masked-side noise forced
     to ``S' = E - closure(C')`` (``E``: the exogenous ancestors of the mask),
     the mask is determined by ``C' + S'``, the pair is recoverable from the
-    mask (lies in ``R = closure(mask)``), and ``S'`` is d-separated from
+    mask (lies in ``closure(mask)``), and ``S'`` is d-separated from
     ``C' + visible``.  The result's ``c`` is the feasible set of minimum
     total dimension whose sorted members come first lexicographically, and
     ``ties`` lists every other feasible set of that total, in the same
     order.  Latent dimensions must be non-negative, and a graph with more
     than ``ORACLE_MAX_LATENTS`` latents is refused.
 
-    The search is an exact depth-first branch and bound over the latents
-    in ``R`` (``C' <= R`` is part of recoverability).  On those, each test
-    only gets easier as ``C'`` grows: ``closure(C' + S') = closure(C' + E)``;
-    ``S' <= R`` means ``E - R <= anc(C')``; and, as ``S'`` are roots, the
-    d-separation means ``E & anc(visible) <= anc(C')``.  So a branch is
-    dropped once adding every latent still undecided would not be feasible,
-    or once its total plus a lower bound on what it still needs passes the
-    best found.  The bound: each needed exogenous node outside ``anc(C')``
-    costs at least the least dimension among the undecided latents above
-    it, and the largest of these costs is still to be paid.
+    In a valid graph the roots are exactly the exogenous nodes, and each
+    has one child.  So ``closure(mask)`` is ``anc(mask)``, the mask's
+    ancestor-or-self set: a node outside it has its exogenous parent outside
+    it too.  ``C' + E`` always determines the mask, as ``E`` holds every
+    root above it, and only the upward rule reveals a root, so
+    ``S' = E - anc(C')``.  The tests thus reduce to ``C' <= anc(mask)`` and,
+    as ``S'`` are roots, ``E & anc(visible) <= anc(C')``: the search is a
+    weighted cover of those needed nodes by latents in ``anc(mask)``.  It is
+    an exact depth-first branch and bound: a branch is dropped once adding
+    every latent still undecided would not cover them, or once its total
+    plus a lower bound on what it still needs passes the best found.  The
+    bound: each needed node outside ``anc(C')`` costs at least the least
+    dimension among the undecided latents above it, and the largest of
+    these costs is still to be paid.
     """
     _require_valid(g)
     idx, masked_bits, visible_bits = _split_mask(g, mask)
@@ -320,48 +324,38 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
 
     mask_anc = idx.ancestors_or_self(masked_bits)
     exo = mask_anc & idx.exogenous
-    recoverable = _closure(idx, masked_bits)
-    # Exogenous ancestors of the mask that anc(C') must hold.
-    needed = exo & (~recoverable | idx.ancestors_or_self(visible_bits))
-    # Only the mask's ancestors can reveal a masked node in a forward pass.
-    steps = [(bit, ps) for bit, ps in idx.forward if bit & mask_anc]
-
-    def feasible(anc: int) -> bool:
-        """Whether a latent set inside R with ancestor-or-self mask ``anc``
-        is feasible."""
-        if needed & ~anc:
-            return False
-        closed = anc | exo
-        for bit, ps in steps:
-            if ps & closed == ps:
-                closed |= bit
-        return not masked_bits & ~closed
-
-    pool = [v for v in latents if recoverable >> idx.bit[v] & 1]
+    # The exogenous nodes above both sides, which anc(C') must hold.
+    needed = exo & idx.ancestors_or_self(visible_bits)
+    pool = [v for v in latents if mask_anc >> idx.bit[v] & 1]
     weight = [dims[v] for v in pool]
     up = [idx.ancestors_or_self(1 << idx.bit[v]) for v in pool]
-    # rest[i]: ancestor-or-self mask of pool[i:].
+    # rest[i]: ancestor-or-self mask of pool[i:].  bound[i]: the needed
+    # nodes that pool[i:] covers, grouped by the least weight above them in
+    # pool[i:] as (weight, nodes), largest weight first.
     rest = [0] * (len(pool) + 1)
+    bound: list[list[tuple[int, int]]] = [[]] * (len(pool) + 1)
+    cheapest: dict[int, int] = {}
     for i in reversed(range(len(pool))):
         rest[i] = rest[i + 1] | up[i]
-    # cheapest[i][k]: least weight among pool[i:] with needed node need[k]
-    # in its ancestor-or-self mask.
-    need = [1 << j for j in idx.positions(needed)]
-    cheapest = [(math.inf,) * len(need)] * (len(pool) + 1)
-    for i in reversed(range(len(pool))):
-        cheapest[i] = tuple(
-            min(w, weight[i]) if up[i] & e else w for w, e in zip(cheapest[i + 1], need)
-        )
+        for e in idx.positions(needed & up[i]):
+            cheapest[e] = min(cheapest.get(e, weight[i]), weight[i])
+        groups: dict[int, int] = {}
+        for e, w in cheapest.items():
+            groups[w] = groups.get(w, 0) | 1 << e
+        bound[i] = sorted(groups.items(), reverse=True)
 
     best: int | None = None
     found: list[tuple[int, ...]] = []
 
     def search(i: int, members: tuple[int, ...], total: int, anc: int) -> None:
-        # members from pool[:i] plus all of pool[i:] is known to be feasible,
-        # so every needed node outside anc has a latent in pool[i:] above it.
+        # pool[i:] covers every needed node outside anc.
         nonlocal best, found
         if best is not None:
-            still = max((w for w, e in zip(cheapest[i], need) if not e & anc), default=0)
+            still = 0
+            for w, nodes in bound[i]:
+                if nodes & ~anc:
+                    still = w
+                    break
             if total + still > best:
                 return
         if i == len(pool):
@@ -369,16 +363,14 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
                 best, found = total, []
             found.append(members)
             return
-        if feasible(anc | rest[i + 1]):
+        if not needed & ~(anc | rest[i + 1]):
             search(i + 1, members, total, anc)
         search(i + 1, members + (i,), total + weight[i], anc | up[i])
 
-    if not feasible(rest[0]):
+    if needed & ~rest[0]:
         raise RuntimeError("exhaustive search found no satisfying subset; graph invariants violated")
     search(0, (), 0, 0)
     found.sort()
     c, *ties = (frozenset(pool[i] for i in members) for members in found)
-    # Exogenous nodes are roots, so closure(c) holds those of anc(c) alone.
     s_m = exo & ~idx.ancestors_or_self(idx.encode(c))
     return OracleResult(c=c, s_m=frozenset(idx.decode(s_m)), total_dim=best, ties=tuple(ties))
-

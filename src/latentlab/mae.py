@@ -370,7 +370,7 @@ def grad_check(
 MODEL_FIELDS = {
     "layout": Field("a list", entries="a string"), "widths": Field("an object", entries="a positive integer"),
     "d_c": Field("a positive integer"), "d_sm": Field("a non-negative integer"),
-    "hidden": Field("a list", entries="a positive integer"), "slope": Field("a finite number"),
+    "hidden": Field("a list", entries="a positive integer"), "slope": Field("a number in [0, 1]"),
     "param_seed": Field("a non-negative integer"), "n_params": Field("a non-negative integer"),
     "dtype": Field('"float32"'), "mask": Field("a list", False, "a string"),
 }

@@ -291,13 +291,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
 # What each JSON type (or, for some fields, value) in a field table accepts,
 # keyed by the name that a refusal gives.
 JSON_KINDS = {
     "an integer": _is_integer,
     "a non-negative integer": lambda v: _is_integer(v) and v >= 0,
     "a positive integer": lambda v: _is_integer(v) and v > 0,
-    "a finite number": lambda v: (_is_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+    "a finite number": lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
+    # NaN fails every comparison, so these refuse it with the infinities.
+    "a number in (0, 1)": lambda v: _is_number(v) and 0 < v < 1,
+    "a number in (0, 1]": lambda v: _is_number(v) and 0 < v <= 1,
+    "a number in [0, 1]": lambda v: _is_number(v) and 0 <= v <= 1,
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),

@@ -576,6 +576,15 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
          "config value 'mae.train.step_size' must be a finite number, got NaN"),
         ({"mae": {"train": {"seed": 13, "step_size": float("inf")}}},
          "config value 'mae.train.step_size' must be a finite number, got Infinity"),
+        ({"scm": {"seed": 11, "alpha": 2.0}}, "config value 'scm.alpha' must be a number in (0, 1], got 2.0"),
+        ({"scm": {"seed": 11, "alpha": 0}}, "config value 'scm.alpha' must be a number in (0, 1], got 0"),
+        ({"mae": {"slope": 2.0, "train": {"seed": 13}}}, "config value 'mae.slope' must be a number in [0, 1], got 2.0"),
+        ({"mae": {"slope": -0.1, "train": {"seed": 13}}},
+         "config value 'mae.slope' must be a number in [0, 1], got -0.1"),
+        ({"mask": {"ratio": 5.0, "patch": 1, "seed": 3}}, "config value 'mask.ratio' must be a number in (0, 1), got 5.0"),
+        ({"mask": {"ratio": 1, "patch": 1, "seed": 3}}, "config value 'mask.ratio' must be a number in (0, 1), got 1"),
+        ({"mask": {"ratio": 0.0, "patch": 1, "seed": 3}},
+         "config value 'mask.ratio' must be a number in (0, 1), got 0.0"),
     ],
 )
 def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
@@ -954,9 +963,12 @@ def test_patch_size_too_large_for_the_layout_names_it(tmp_path, capsys, argv, fl
 
 
 def test_sampled_config_mask_names_its_settings(tmp_path, capsys):
-    cfg = write_config(tmp_path, mask={"ratio": 1.5, "patch": 1, "seed": 3})
+    # The patch size is checked against the graph's layout, so only a stage
+    # that samples the mask refuses it; a ratio outside (0, 1) is refused at load.
+    cfg = write_config(tmp_path, mask={"ratio": 0.5, "patch": 6, "seed": 3})
     assert main(["simulate", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "masking ratio must be in (0, 1), got 1.5 (mask.ratio 1.5, mask.patch 1)" in err
+    assert ("patch size 6 leaves the 6-node layout in one patch, but masking needs at least two patches "
+            "(mask.ratio 0.5, mask.patch 6)") in err

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -173,6 +174,25 @@ def test_topo_order_parents_first(fig2):
     pos = {v: i for i, v in enumerate(order)}
     for p, c in fig2.edges:
         assert pos[p] < pos[c]
+
+
+def test_kahn_runs_once_per_graph(monkeypatch, fig4):
+    """Validation and the topological order read one pass of Kahn's
+    algorithm; a cyclic graph's cycle and refused order come from one too."""
+    expected = fig4.topo_order()
+    runs, kahn = [], LatentGraph._kahn.func
+    counted = functools.cached_property(lambda g: runs.append(g) or kahn(g))
+    counted.__set_name__(LatentGraph, "_kahn")
+    monkeypatch.setattr(LatentGraph, "_kahn", counted)
+    g = graph_from_dict(graph_to_dict(fig4))
+    assert validate_graph(g).ok
+    assert g.topo_order() == expected
+    g.bit_index()
+    cyclic = LatentGraph([(v, "latent") for v in "abc"], [("a", "b"), ("b", "c"), ("c", "a")], [])
+    assert "cycle: a -> b -> c -> a" in validate_graph(cyclic).violations
+    with pytest.raises(ValueError, match="cycle"):
+        cyclic.topo_order()
+    assert runs == [g, cyclic]
 
 
 # -- d-separation -------------------------------------------------------------

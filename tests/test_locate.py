@@ -159,6 +159,32 @@ def test_closure_matches_naive_fixpoint(seed):
     assert closure(g, known) == _naive_closure(g, known)
 
 
+def _check_oracle_graph_facts(g: LatentGraph, rng, n_masks: int) -> None:
+    """The two facts about a valid graph that the oracle's search rests on:
+    a mask's closure is its ancestor-or-self set, and the mask's exogenous
+    ancestors ``E`` determine it together with any latent set ``C'``."""
+    idx = g.bit_index()
+    latents = sorted(g.latents)
+    for _ in range(n_masks):
+        mask = idx.encode(random_mask(rng, g).masked)
+        anc = idx.ancestors_or_self(mask)
+        assert _closure(idx, mask) == anc
+        chosen = idx.encode(v for v in latents if rng.random() < 0.5)
+        assert not mask & ~_closure(idx, idx.ancestors_or_self(chosen) | anc & idx.exogenous)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_oracle_graph_facts_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    _check_oracle_graph_facts(random_hierarchy(rng, max_latents=24, max_observables=12), rng, 5)
+
+
+@pytest.mark.parametrize("graph_name", ["fig2", "fig4", "bench3"])
+def test_oracle_graph_facts_on_fixtures(request, graph_name):
+    _check_oracle_graph_facts(request.getfixturevalue(graph_name), np.random.default_rng(3), 50)
+
+
 # -- verify_conditions -------------------------------------------------------------
 
 
