@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,8 +30,8 @@ from latentlab.locate import (
     verify_conditions,
 )
 from latentlab.mae import (
+    MaeSettings,
     MaskSampler,
-    TrainConfig,
     TrainingDiverged,
     encode,
     load_model,
@@ -41,7 +41,8 @@ from latentlab.mae import (
     train,
 )
 from latentlab.scm import (
-    DATASET_FIELDS, Field, build_scm, check_fields, extract_blocks, load_dataset, read_header, sample, save_dataset
+    DATASET_FIELDS, Field, ScmSettings, build_scm, check_fields, extract_blocks, load_dataset, read_header, sample,
+    save_dataset,
 )
 
 EXIT_OK = 0
@@ -111,15 +112,16 @@ def _csv_cell(x) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A config file that its field tables accept: one attribute per
-    top-level key, with ``out_dir`` resolved against the file's directory."""
+    top-level key, each settings section as its dataclass, and ``out_dir``
+    resolved against the file's directory."""
 
     graph: str
     mask: dict
-    scm: dict
+    scm: ScmSettings
     n: int
     sample_seed: int
-    mae: dict
-    ident: dict
+    mae: MaeSettings
+    ident: RegressorConfig
     out_dir: Path
 
     @classmethod
@@ -136,21 +138,24 @@ class ExperimentConfig:
         _check_section(raw, CONFIG_FIELDS, "")
         mask = raw["mask"]
         _check_section(mask, LISTED_MASK_FIELDS if "observables" in mask or not mask else SAMPLED_MASK_FIELDS, "mask")
-        _check_section(raw["scm"], SCM_FIELDS, "scm")
-        _check_section(raw["mae"], MAE_FIELDS, "mae")
-        cfg = cls(**{**raw, "out_dir": path.parent / raw["out_dir"]})  # an absolute out_dir stays as it is
-        cfg.train_config()  # every stage rejects bad settings before it runs
-        cfg.regressor_config()
-        return cfg
+        return cls(**{  # every stage rejects bad settings before it runs
+            **raw,
+            "scm": _build_section(ScmSettings, raw["scm"], "scm"),
+            "mae": _build_section(MaeSettings, raw["mae"], "mae"),
+            "ident": _build_section(RegressorConfig, raw["ident"], "ident"),
+            "out_dir": path.parent / raw["out_dir"],  # an absolute out_dir stays as it is
+        })
 
     def load_graph(self) -> LatentGraph:
         """The config's graph, refused when ``scm.exo_dims`` sizes a node that
-        is not one of its exogenous nodes."""
+        is not one of its exogenous nodes or when it refuses the config's mask
+        (an unknown observable, or a patch size its layout cannot hold)."""
         g = _resolve_graph(self.graph)
-        unknown = sorted(set(self.scm.get("exo_dims") or ()) - set(g.exogenous))
+        unknown = sorted(set(self.scm.exo_dims or ()) - set(g.exogenous))
         if unknown:
             raise ConfigError(f"config value 'scm.exo_dims' entry {unknown[0]!r} is not an exogenous node "
                               f"of the graph {self.graph!r}")
+        self.resolve_mask(g)  # a mask the graph refuses stops every stage
         return g
 
     def resolve_mask(self, g: LatentGraph) -> Mask:
@@ -159,30 +164,9 @@ class ExperimentConfig:
         sampler = _sampler(float(self.mask["ratio"]), self.mask["patch"], g, "mask.ratio", "mask.patch")
         return sample_mask(sampler, np.random.default_rng(self.mask["seed"]))
 
-    def scm_settings(self) -> dict:
-        """The ``scm`` section with its defaults filled in: ``build_scm``'s
-        arguments besides the graph, as ``dataset.json`` records them."""
-        params = self.scm
-        return {
-            "exo_dims": params.get("exo_dims") or None,
-            "layers": params.get("layers", 2),
-            "alpha": float(params.get("alpha", 0.2)),
-            "seed": params["seed"],
-            "bias": params.get("bias", False),
-        }
-
-    def build(self, g: LatentGraph):
-        return build_scm(g, **self.scm_settings())
-
-    def train_config(self) -> TrainConfig:
-        return _build_section(TrainConfig, self.mae["train"], "mae.train")
-
-    def regressor_config(self) -> RegressorConfig:
-        return _build_section(RegressorConfig, self.ident, "ident")
-
 
 # One field table per config section.  A mask is a list of observables or
-# a sampler entry; `mae.train` and `ident` take theirs from their settings
+# a sampler entry; the other sections take theirs from their settings
 # classes (`settings_fields`).
 CONFIG_FIELDS = {
     "graph": Field("a string"), "mask": Field("an object"), "scm": Field("an object"),
@@ -192,22 +176,22 @@ CONFIG_FIELDS = {
 SEED = Field("a non-negative integer")
 LISTED_MASK_FIELDS = {"observables": Field("a list", entries="a string")}
 SAMPLED_MASK_FIELDS = {"ratio": Field("a number in (0, 1)"), "patch": Field("an integer"), "seed": SEED}
-SCM_FIELDS = {
-    "exo_dims": Field("an object", False, "a positive integer"), "layers": Field("a positive integer", False),
-    "alpha": Field("a number in (0, 1]", False), "seed": SEED, "bias": Field("a boolean", False),
-}
-MAE_FIELDS = {
-    "d_c": Field("a positive integer", False), "d_sm": Field("a non-negative integer", False),
-    "hidden": Field("a list", False, "a positive integer"), "slope": Field("a number in [0, 1]", False),
-    "train": Field("an object"),
-}
+ANNOTATED_KINDS = {"int": "an integer", "float": "a finite number", "bool": "a boolean"}
 
 
 def settings_fields(kind) -> dict[str, Field]:
     """The field table of the config section behind the settings dataclass
-    ``kind``: its fields, of their annotated types; only the seed is required."""
-    kinds = {"int": "an integer", "float": "a finite number"}
-    return {f.name: SEED if f.name == "seed" else Field(kinds[f.type], False) for f in fields(kind)}
+    ``kind``: each field of the ``JSON_KINDS`` kind that its metadata names
+    as ``kind`` (and ``entries``, for a list or an object) where the config's
+    range is narrower than its annotated type, or else of that type.  Only
+    the seed and a nested settings field, an object, are required."""
+    def entry(f) -> Field:
+        if f.name == "seed":
+            return SEED
+        if is_dataclass(f.default):
+            return Field("an object")
+        return Field(f.metadata.get("kind") or ANNOTATED_KINDS[f.type], False, f.metadata.get("entries"))
+    return {f.name: entry(f) for f in fields(kind)}
 
 
 def _check_section(section: dict, table: dict[str, Field], name: str) -> None:
@@ -224,11 +208,17 @@ def _check_section(section: dict, table: dict[str, Field], name: str) -> None:
 
 def _build_section(kind, params: dict, name: str):
     """The settings dataclass ``kind`` from its config section, checked
-    against ``settings_fields(kind)``; a value that the table or the class
-    refuses is a ``ConfigError`` naming the key or the section."""
+    against ``settings_fields(kind)`` and then each nested section in field
+    order; a null value takes the field's default.  A value that a table or
+    a class refuses is a ``ConfigError`` naming the key or the section."""
     _check_section(params, settings_fields(kind), name)
+    values = {
+        f.name: _build_section(type(f.default), params[f.name], f"{name}.{f.name}")
+        if is_dataclass(f.default) else params[f.name]
+        for f in fields(kind) if params.get(f.name) is not None
+    }
     try:
-        return kind(**params)
+        return kind(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from exc
 
@@ -266,15 +256,7 @@ def cmd_locate(args) -> int:
         "c": sorted(info.c),
         "s_m": sorted(info.s_m),
         "s_mc": sorted(info.s_mc),
-        "report": {
-            "invertible_masked": report.invertible_masked,
-            "invertible_visible": report.invertible_visible,
-            "recoverable_from_masked": report.recoverable_from_masked,
-            "independence_ok": report.independence_ok,
-            "minimal_ok": report.minimal_ok,
-            "total_dim_c": report.total_dim_c,
-            "witnesses": list(report.witnesses),
-        },
+        "report": asdict(report),
     }
     print(_dump_json(payload, Path(args.out) if args.out else None), end="")
     return EXIT_OK if report.all_ok else EXIT_DATA
@@ -320,9 +302,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     g = cfg.load_graph()
-    spec = cfg.build(g)
-    ds = sample(spec, cfg.n, seed=cfg.sample_seed)
-    written = save_dataset(ds, cfg.out_dir / "dataset", seed=cfg.sample_seed, scm=cfg.scm_settings())
+    ds = sample(build_scm(g, cfg.scm), cfg.n, seed=cfg.sample_seed)
+    written = save_dataset(ds, cfg.out_dir / "dataset", seed=cfg.sample_seed, scm=cfg.scm)
     for kind, path in sorted(written.items()):
         print(f"{kind}: {path}")
     return EXIT_OK
@@ -352,7 +333,7 @@ def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
         ("graph", sorted(header["column_spans"]), sorted(g.node_ids)),
         ("graph.layout", header["layout"], list(g.layout)),
         ("n", header["n"], cfg.n), ("sample_seed", header.get("seed"), cfg.sample_seed),
-        *((f"scm.{key}", recorded_scm.get(key), value) for key, value in cfg.scm_settings().items()),
+        *((f"scm.{key}", recorded_scm.get(key), value) for key, value in asdict(cfg.scm).items()),
     ])
     return load_dataset(base, header)
 
@@ -376,16 +357,10 @@ def _train_cell(cfg: ExperimentConfig, ds, mask: Mask, info: SharedInfo):
     and noise widths are ``mae.d_c``/``mae.d_sm``, or the located
     ``c``/``s_m``'s total width read from the dataset's columns."""
     widths = {v: length for v, (_, length) in ds.column_spans.items()}
-    d_c, d_sm = cfg.mae.get("d_c"), cfg.mae.get("d_sm")
-    return train(
-        ds,
-        mask,
-        d_c=sum(widths[v] for v in info.c) if d_c is None else d_c,
-        d_sm=sum(widths[v] for v in info.s_m) if d_sm is None else d_sm,
-        cfg=cfg.train_config(),
-        hidden=tuple(cfg.mae.get("hidden", (64, 64))),
-        slope=float(cfg.mae.get("slope", 0.2)),
-    )
+    mae = cfg.mae
+    d_c = sum(widths[v] for v in info.c) if mae.d_c is None else mae.d_c
+    d_sm = sum(widths[v] for v in info.s_m) if mae.d_sm is None else mae.d_sm
+    return train(ds, mask, d_c, d_sm, mae.train, hidden=mae.hidden, slope=mae.slope)
 
 
 def _score_cell(cfg: ExperimentConfig, ds, model, mask: Mask, info: SharedInfo) -> IdentReport:
@@ -394,7 +369,7 @@ def _score_cell(cfg: ExperimentConfig, ds, model, mask: Mask, info: SharedInfo) 
     visible_nodes = [v for v in ds.layout if v not in mask.masked]
     chat = encode(model, ds.stack(visible_nodes), mask)
     c_block, s_m_block, *_ = extract_blocks(ds, info)
-    return block_identifiability(chat, c_block, s_m_block, cfg.regressor_config())
+    return block_identifiability(chat, c_block, s_m_block, cfg.ident)
 
 
 def cmd_train(args) -> int:
@@ -527,12 +502,19 @@ def training_sweep_rows(
     return rows
 
 
+def _parse_values(raw: str, kind, flag: str, what: str) -> list:
+    try:
+        return [kind(x) for x in raw.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of {what}, got {raw}") from None
+
+
 def cmd_sweep(args) -> int:
     _require_count(args.masks_per_cell, "--masks-per-cell")
     _require_count(args.seed, "--seed")
     g = _resolve_graph(args.graph)
-    ratios = [float(x) for x in args.ratios.split(",") if x.strip()]
-    patches = [int(x) for x in args.patches.split(",") if x.strip()]
+    ratios = _parse_values(args.ratios, float, "--ratios", "numbers")
+    patches = _parse_values(args.patches, int, "--patches", "integers")
     if not ratios or not patches:
         raise ConfigError("sweep needs at least one ratio and one patch size")
     for r in ratios:

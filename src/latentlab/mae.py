@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -84,8 +84,6 @@ class MaeModel:
     widths: dict[NodeId, int]  # coordinate width per pixel node
     d_c: int
     d_sm: int
-    hidden: tuple[int, ...]
-    slope: float
     param_seed: int
     flat: np.ndarray  # encoder.flat then decoder.flat, as one contiguous vector
     mask: tuple[NodeId, ...] | None = None  # sorted masked nodes it was trained on; None if unknown
@@ -106,8 +104,8 @@ def _with_params(model: MaeModel, flat: np.ndarray) -> MaeModel:
     n_enc = model.encoder.flat.size
     return replace(
         model,
-        encoder=Mlp(flat[:n_enc], model.encoder.widths, model.slope),
-        decoder=Mlp(flat[n_enc:], model.decoder.widths, model.slope),
+        encoder=Mlp(flat[:n_enc], model.encoder.widths, model.encoder.slope),
+        decoder=Mlp(flat[n_enc:], model.decoder.widths, model.decoder.slope),
         flat=flat,
     )
 
@@ -124,13 +122,8 @@ def _net_widths(
 
 
 def init_mae_model(
-    layout: Sequence[NodeId],
-    widths: Mapping[NodeId, int],
-    d_c: int,
-    d_sm: int,
-    hidden: tuple[int, ...] = (64, 64),
-    slope: float = 0.2,
-    seed: int = 0,
+    layout: Sequence[NodeId], widths: Mapping[NodeId, int], d_c: int, d_sm: int,
+    *, hidden: tuple[int, ...], slope: float, seed: int = 0,
 ) -> MaeModel:
     if d_c < 1:
         raise ValueError("code width d_c must be at least 1")
@@ -150,8 +143,6 @@ def init_mae_model(
         widths=widths,
         d_c=d_c,
         d_sm=d_sm,
-        hidden=tuple(hidden),
-        slope=slope,
         param_seed=seed,
         flat=flat,
     )
@@ -171,6 +162,23 @@ class TrainConfig:
             raise ValueError("epochs, batch size, and step size must be positive, and the step size finite")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("moment decay rates must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class MaeSettings:
+    """The autoencoder's settings, the config's ``mae`` section.  A ``d_c``
+    or ``d_sm`` of None is the total width of the located ``c`` or ``s_m``.
+    ``hidden`` is kept as a tuple, and an integer ``slope`` as a float."""
+
+    d_c: int | None = field(default=None, metadata={"kind": "a positive integer"})
+    d_sm: int | None = field(default=None, metadata={"kind": "a non-negative integer"})
+    hidden: tuple[int, ...] = field(default=(64, 64), metadata={"kind": "a list", "entries": "a positive integer"})
+    slope: float = field(default=0.2, metadata={"kind": "a number in [0, 1]"})
+    train: TrainConfig = TrainConfig()
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        object.__setattr__(self, "slope", float(self.slope))
 
 
 # -- coordinate bookkeeping -----------------------------------------------------
@@ -273,13 +281,8 @@ def _loss_and_grads(
 
 
 def train(
-    dataset: Dataset,
-    mask: Mask,
-    d_c: int,
-    d_sm: int,
-    cfg: TrainConfig = TrainConfig(),
-    hidden: tuple[int, ...] = (64, 64),
-    slope: float = 0.2,
+    dataset: Dataset, mask: Mask, d_c: int, d_sm: int, cfg: TrainConfig = TrainConfig(),
+    *, hidden: tuple[int, ...], slope: float,
 ) -> tuple[MaeModel, list[float]]:
     """Minibatch adaptive-moment training of the masked-reconstruction
     objective in float32; returns the model, whose parameters are float32,
@@ -390,8 +393,8 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
         "widths": {v: model.widths[v] for v in model.layout},
         "d_c": model.d_c,
         "d_sm": model.d_sm,
-        "hidden": list(model.hidden),
-        "slope": model.slope,
+        "hidden": list(model.encoder.widths[1:-1]),
+        "slope": model.encoder.slope,
         "param_seed": model.param_seed,
         "n_params": int(model.flat.size),
         "dtype": "float32",
@@ -440,8 +443,6 @@ def load_model(basepath: str | Path) -> MaeModel:
         widths=widths,
         d_c=d_c,
         d_sm=d_sm,
-        hidden=hidden,
-        slope=header["slope"],
         param_seed=header["param_seed"],
         flat=flat,
         mask=None if header.get("mask") is None else tuple(header["mask"]),

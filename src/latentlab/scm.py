@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -111,6 +111,24 @@ class MixingFunction:
 
 
 @dataclass(frozen=True)
+class ScmSettings:
+    """The simulator's settings, the config's ``scm`` section: ``build_scm``'s
+    arguments besides the graph, as ``dataset.json`` records them.  An
+    integer ``alpha`` is kept as a float, and an empty ``exo_dims`` as None."""
+
+    exo_dims: dict[NodeId, int] | None = field(
+        default=None, metadata={"kind": "an object", "entries": "a positive integer"})
+    layers: int = field(default=2, metadata={"kind": "a positive integer"})
+    alpha: float = field(default=0.2, metadata={"kind": "a number in (0, 1]"})
+    seed: int = 0
+    bias: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "exo_dims", self.exo_dims or None)
+        object.__setattr__(self, "alpha", float(self.alpha))
+
+
+@dataclass(frozen=True)
 class ScmSpec:
     """A graph with node dimensions and one mixing function per non-exogenous
     node; immutable and fully determined by its build arguments."""
@@ -118,9 +136,7 @@ class ScmSpec:
     graph: LatentGraph
     dims: dict[NodeId, int]
     mixers: dict[NodeId, MixingFunction]
-    seed: int
-    layers: int
-    alpha: float
+    settings: ScmSettings
 
 
 @dataclass(frozen=True)
@@ -156,23 +172,16 @@ def _canonical_parent_order(g: LatentGraph, v: NodeId) -> list[NodeId]:
     return rest + exo
 
 
-def build_scm(
-    g: LatentGraph,
-    exo_dims: Mapping[NodeId, int] | None = None,
-    layers: int = 2,
-    alpha: float = 0.2,
-    seed: int = 0,
-    bias: bool = False,
-) -> ScmSpec:
+def build_scm(g: LatentGraph, settings: ScmSettings) -> ScmSpec:
     """Derive dimensions and construct every mixing function.
 
-    Deterministic given all arguments and invariant to the input order of the
-    graph's node and edge lists.
+    Deterministic given the graph and ``settings``, and invariant to the
+    input order of the graph's node and edge lists.
     """
     _require_valid(g)
-    if layers < 1:
+    if settings.layers < 1:
         raise ValueError("at least one layer is required")
-    dims = derive_dims(g, exo_dims)
+    dims = derive_dims(g, settings.exo_dims)
     mixers: dict[NodeId, MixingFunction] = {}
     for v in g.topo_order():
         if g.kind(v) is NodeKind.EXOGENOUS:
@@ -180,19 +189,19 @@ def build_scm(
         order = _canonical_parent_order(g, v)
         sizes = tuple(dims[p] for p in order)
         dim = dims[v]
-        rng = _node_stream(seed, v, purpose=0)
-        weights = tuple(_random_orthogonal(dim, rng) for _ in range(layers))
+        rng = _node_stream(settings.seed, v, purpose=0)
+        weights = tuple(_random_orthogonal(dim, rng) for _ in range(settings.layers))
         biases = tuple(
-            0.1 * rng.standard_normal(dim) if bias else np.zeros(dim) for _ in range(layers)
+            0.1 * rng.standard_normal(dim) if settings.bias else np.zeros(dim) for _ in range(settings.layers)
         )
         mixers[v] = MixingFunction(
             input_order=tuple(order),
             block_sizes=sizes,
             weights=weights,
             biases=biases,
-            slope=alpha,
+            slope=settings.alpha,
         )
-    return ScmSpec(graph=g, dims=dims, mixers=mixers, seed=seed, layers=layers, alpha=alpha)
+    return ScmSpec(graph=g, dims=dims, mixers=mixers, settings=settings)
 
 
 def sample(scm: ScmSpec, n: int, seed: int = 0) -> Dataset:
@@ -372,7 +381,7 @@ def save_dataset(
     ds: Dataset,
     basepath: str | Path,
     seed: int | None = None,
-    scm: Mapping | None = None,
+    scm: ScmSettings | None = None,
 ) -> dict[str, Path]:
     """Write ``<base>.bin`` (float64, column-major) plus a ``<base>.json``
     header, which records the sampling ``seed`` and the simulator settings
@@ -390,7 +399,7 @@ def save_dataset(
         "column_spans": {v: list(span) for v, span in sorted(ds.column_spans.items())},
         "layout": list(ds.layout),
         "seed": seed,
-        "scm": None if scm is None else dict(scm),
+        "scm": None if scm is None else asdict(scm),
     }
     json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")

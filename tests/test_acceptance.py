@@ -21,7 +21,7 @@ from latentlab.locate import (
     verify_conditions,
 )
 from latentlab.mae import grad_check, init_mae_model
-from latentlab.scm import build_scm, invert_observables, jacobian_min_singular_value, sample
+from latentlab.scm import ScmSettings, build_scm, invert_observables, jacobian_min_singular_value, sample
 from latentlab.cli import sweep_rows, SWEEP_HEADER, _write_csv
 
 from conftest import random_hierarchy, random_mask
@@ -79,7 +79,7 @@ def generate_roundtrip_csv(path: Path) -> None:
     rows = []
     for name in FIXTURES:
         g = load_graph(fixture_path(name))
-        spec = build_scm(g, seed=21, alpha=SCM_ALPHA)
+        spec = build_scm(g, ScmSettings(seed=21, alpha=SCM_ALPHA))
         ds = sample(spec, 100, seed=22)
         recovered = invert_observables(spec, {v: ds.columns(v) for v in g.observables})
         worst = 0.0
@@ -93,7 +93,7 @@ def generate_roundtrip_csv(path: Path) -> None:
             jacobian_min_singular_value(spec, node, rng.standard_normal(spec.dims[node]))
             for _ in range(100)
         )
-        rows.append([name, repr(worst), repr(sigma_min), repr(spec.alpha ** spec.layers)])
+        rows.append([name, repr(worst), repr(sigma_min), repr(spec.settings.alpha ** spec.settings.layers)])
     _write_csv(path, ["fixture", "max_rel_inversion_error", "min_sigma", "bound"], rows)
 
 
@@ -106,7 +106,7 @@ def generate_grad_check_csv(path: Path) -> None:
         model = init_mae_model(
             layout, {v: 1 for v in layout},
             d_c=int(rng.integers(1, 3)), d_sm=int(rng.integers(0, 3)),
-            hidden=(int(rng.integers(4, 9)),), seed=trial,
+            hidden=(int(rng.integers(4, 9)),), slope=0.2, seed=trial,
         )
         batch = rng.standard_normal((int(rng.integers(2, 6)), n_pixels))
         mask = Mask(set(layout[: int(rng.integers(1, n_pixels))]))

@@ -116,7 +116,7 @@ CASES = (
     + [predict_case(n, d, k, m) for n in PREDICT_TRAIN_ROWS for d in WIDTHS for k in TARGETS
        for m in predict_rows(n)]
     + [encode_case(d_c, m) for d_c in CODE_WIDTHS
-       for m in encode_rows(init_mae_model(LAYOUT, PIXEL_WIDTHS, d_c, 2, seed=0)) + ("1d",)]
+       for m in encode_rows(init_mae_model(LAYOUT, PIXEL_WIDTHS, d_c, 2, hidden=(64, 64), slope=0.2, seed=0)) + ("1d",)]
 )
 
 
@@ -140,7 +140,7 @@ def compare_all() -> dict[str, bool]:
                     x_test = 1.5 * rng.standard_normal((m, d))
                     same[predict_case(n, d, k, m)] = np.array_equal(old.predict(x_test), new.predict(x_test))
     for d_c in CODE_WIDTHS:
-        model = init_mae_model(LAYOUT, PIXEL_WIDTHS, d_c, 2, seed=d_c)
+        model = init_mae_model(LAYOUT, PIXEL_WIDTHS, d_c, 2, hidden=(64, 64), slope=0.2, seed=d_c)
         visible = sum(PIXEL_WIDTHS[v] for v in LAYOUT if v not in MASK.masked)
         for m in encode_rows(model):
             x = rng.standard_normal((m, visible))

@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab import RegressorConfig, TrainConfig, fixture_path, load_graph
+from latentlab import MaeSettings, RegressorConfig, ScmSettings, TrainConfig, fixture_path, load_graph
 from latentlab.cli import (
     CONFIG_FIELDS,
     LISTED_MASK_FIELDS,
-    MAE_FIELDS,
     SAMPLED_MASK_FIELDS,
-    SCM_FIELDS,
     ExperimentConfig,
     main,
     settings_fields,
@@ -498,6 +496,9 @@ def test_sweep_with_training_loads_config_before_sweeping(tmp_path, capsys):
     assert not out.exists()
 
 
+LIST_FLAG_KINDS = {"--ratios": "a comma-separated list of numbers", "--patches": "a comma-separated list of integers"}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "fig4", "--trials", "-2", "--seed", "1"], "--trials"),
     (["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "-3",
@@ -505,15 +506,20 @@ def test_sweep_with_training_loads_config_before_sweeping(tmp_path, capsys):
     (["verify", "fig4", "--trials", "2", "--seed", "-1"], "--seed"),
     (["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "-1"], "--seed"),
     (["locate", "fig4", "--ratio", "0.5", "--patch", "1", "--seed", "-1"], "--seed"),
+    (["sweep", "fig4", "--ratios", "abc", "--patches", "1", "--seed", "1"], "--ratios"),
+    (["sweep", "fig4", "--ratios", "0.5", "--patches", "1.5", "--seed", "1"], "--patches"),
 ])
 def test_negative_counts_exit_cleanly(tmp_path, capsys, argv, flag):
+    """A negative count, or a sweep list entry that does not parse, exits 2
+    naming its flag."""
     out = tmp_path / "sweep.csv"
     value = argv[argv.index(flag) + 1]
+    kind = LIST_FLAG_KINDS.get(flag, "a non-negative integer")
     if argv[0] == "sweep":
         argv = argv + ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"latentlab: error: {flag} must be a non-negative integer, got {value}\n"
+    assert captured.err == f"latentlab: error: {flag} must be {kind}, got {value}\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -585,6 +591,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         ({"mask": {"ratio": 1, "patch": 1, "seed": 3}}, "config value 'mask.ratio' must be a number in (0, 1), got 1"),
         ({"mask": {"ratio": 0.0, "patch": 1, "seed": 3}},
          "config value 'mask.ratio' must be a number in (0, 1), got 0.0"),
+        ({"mask": {"observables": ["x1", "q9"]}}, "mask names are not observables: ['q9']"),
     ],
 )
 def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
@@ -603,7 +610,7 @@ def test_readme_experiment_config_loads(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(block)
     cfg = ExperimentConfig.load(path)
-    assert cfg.train_config().seed == 13 and cfg.out_dir == tmp_path / "run"
+    assert cfg.mae.train.seed == 13 and cfg.out_dir == tmp_path / "run"
 
 
 # The ids are kept from when these kinds were plain integers, so that each
@@ -709,6 +716,38 @@ def test_dataset_header_records_the_resolved_scm_section(tmp_path):
     del header["scm"]  # a dataset written before the field existed
     (tmp_path / "run" / "dataset.json").write_text(json.dumps(header))
     assert main(["train", "--config", str(cfg)]) == 2
+
+
+def test_cli_and_settings_classes_agree_on_defaults(tmp_path):
+    """A config that leaves out every optional ``scm`` and ``mae`` key, one
+    that sets each to null and one that spells out ``ScmSettings()``'s and
+    ``MaeSettings()``'s defaults write the same headers and model; an
+    integer ``alpha`` or ``slope`` is recorded as a float, and an empty
+    ``exo_dims`` as null."""
+    train_section = {"epochs": 1, "batch_size": 128, "seed": 13}
+    spelled = {"scm": {"exo_dims": None, "layers": 2, "alpha": 0.2, "seed": 11, "bias": False},
+               "mae": {"d_c": None, "d_sm": None, "hidden": [64, 64], "slope": 0.2, "train": train_section}}
+    assert ScmSettings(**spelled["scm"]) == ScmSettings(seed=11)
+    assert MaeSettings(**{**spelled["mae"], "train": TrainConfig()}) == MaeSettings()
+    omitted = {"scm": {"seed": 11}, "mae": {"train": train_section}}
+    nulls = {section: {key: None if key not in ("seed", "train") else value for key, value in entries.items()}
+             for section, entries in spelled.items()}
+    outputs = []
+    for name, sections in (("omitted", omitted), ("nulls", nulls), ("spelled", spelled)):
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, **sections)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        outputs.append([(tmp_path / name / "run" / file).read_bytes()
+                        for file in ("dataset.json", "model.json", "model.bin")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    cfg = write_config(tmp_path, scm={"seed": 11, "alpha": 1, "exo_dims": {}}, mae={"slope": 1, "train": train_section})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    dataset = (tmp_path / "run" / "dataset.json").read_text()
+    assert '"alpha": 1.0,' in dataset and '"exo_dims": null,' in dataset
+    assert '"slope": 1.0,' in (tmp_path / "run" / "model.json").read_text()
 
 
 def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):
@@ -846,7 +885,7 @@ def test_field_tables_refuse_each_mistyped_or_missing_field(tmp_path):
     base = json.loads(cfg.read_text())
     sampled = {**base, "mask": {"ratio": 0.5, "patch": 2, "seed": 3}}
     sections = [("", CONFIG_FIELDS, base), ("mask", LISTED_MASK_FIELDS, base), ("mask", SAMPLED_MASK_FIELDS, sampled),
-                ("scm", SCM_FIELDS, base), ("mae", MAE_FIELDS, base),
+                ("scm", settings_fields(ScmSettings), base), ("mae", settings_fields(MaeSettings), base),
                 ("mae.train", settings_fields(TrainConfig), base), ("ident", settings_fields(RegressorConfig), base)]
     for name, table, config in sections:
         for key, field in table.items():
@@ -963,12 +1002,11 @@ def test_patch_size_too_large_for_the_layout_names_it(tmp_path, capsys, argv, fl
 
 
 def test_sampled_config_mask_names_its_settings(tmp_path, capsys):
-    # The patch size is checked against the graph's layout, so only a stage
-    # that samples the mask refuses it; a ratio outside (0, 1) is refused at load.
+    # The patch size is checked against the graph's layout when the graph is
+    # loaded, so even simulate, which does not sample the mask, refuses it.
     cfg = write_config(tmp_path, mask={"ratio": 0.5, "patch": 6, "seed": 3})
-    assert main(["simulate", "--config", str(cfg)]) == 0
-    capsys.readouterr()
-    assert main(["train", "--config", str(cfg)]) == 2
+    assert main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert ("patch size 6 leaves the 6-node layout in one patch, but masking needs at least two patches "
             "(mask.ratio 0.5, mask.patch 6)") in err
+    assert not (tmp_path / "run").exists()

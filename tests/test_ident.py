@@ -10,7 +10,7 @@ from latentlab.ident import (
     r2_per_dimension,
 )
 from latentlab.locate import locate_shared_info
-from latentlab.scm import build_scm, extract_blocks, sample
+from latentlab.scm import ScmSettings, build_scm, extract_blocks, sample
 
 CFG = RegressorConfig(seed=1)
 
@@ -112,7 +112,7 @@ def test_monotone_reparameterization_changes_little():
 
 
 def test_leakage_bound_on_simulated_ground_truth(fig4):
-    spec = build_scm(fig4, seed=3, alpha=0.5)
+    spec = build_scm(fig4, ScmSettings(seed=3, alpha=0.5))
     ds = sample(spec, 2000, seed=4)
     info = locate_shared_info(fig4, Mask({"x1", "x2", "x3"}))
     c, s_m, *_ = extract_blocks(ds, info)

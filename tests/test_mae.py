@@ -19,7 +19,7 @@ from latentlab.mae import (
     train,
 )
 from latentlab.mae import _with_params
-from latentlab.scm import Dataset, build_scm, sample
+from latentlab.scm import Dataset, ScmSettings, build_scm, sample
 
 
 def unit_layout(n):
@@ -28,7 +28,7 @@ def unit_layout(n):
 
 def unit_model(n=6, d_c=2, d_sm=1, hidden=(8,), seed=0):
     layout = unit_layout(n)
-    return init_mae_model(layout, {v: 1 for v in layout}, d_c, d_sm, hidden=hidden, seed=seed)
+    return init_mae_model(layout, {v: 1 for v in layout}, d_c, d_sm, hidden=hidden, slope=0.2, seed=seed)
 
 
 def float32_model(model: MaeModel) -> MaeModel:
@@ -128,15 +128,15 @@ def test_encode_width_mismatch():
 
 def test_train_learns_constant_target():
     cfg = TrainConfig(epochs=200, batch_size=16, seed=5)
-    _, curve = train(constant_dataset(), Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,))
+    _, curve = train(constant_dataset(), Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,), slope=0.2)
     assert curve[-1] <= 1e-6
 
 
 def test_train_deterministic():
     cfg = TrainConfig(epochs=30, batch_size=16, seed=5)
     ds = constant_dataset()
-    _, a = train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=2, cfg=cfg, hidden=(8,))
-    _, b = train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=2, cfg=cfg, hidden=(8,))
+    _, a = train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=2, cfg=cfg, hidden=(8,), slope=0.2)
+    _, b = train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=2, cfg=cfg, hidden=(8,), slope=0.2)
     assert a == b
 
 
@@ -144,21 +144,21 @@ def test_train_deterministic():
 def test_train_divergence_detected():
     cfg = TrainConfig(epochs=5, batch_size=16, step_size=1e200, seed=0)
     with pytest.raises(TrainingDiverged, match=r"at epoch 0, step 1; last finite loss \d"):
-        train(constant_dataset(), Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,))
+        train(constant_dataset(), Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,), slope=0.2)
 
 
 def test_train_divergence_on_first_step_says_no_finite_loss():
     ds = constant_dataset(row=(1e300, -1e300, 1e300, 1e300))
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="step 0; no finite loss before it"):
-        train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,))
+        train(ds, Mask({"o0", "o1"}), d_c=1, d_sm=0, cfg=cfg, hidden=(8,), slope=0.2)
 
 
 @pytest.mark.parametrize("slope", [-0.1, 1.5])
 def test_model_rejects_slope_outside_unit_interval(slope):
     layout = unit_layout(4)
     with pytest.raises(ValueError, match="leaky slope must lie in"):
-        init_mae_model(layout, {v: 1 for v in layout}, 1, 0, slope=slope)
+        init_mae_model(layout, {v: 1 for v in layout}, 1, 0, hidden=(64, 64), slope=slope)
 
 
 def test_train_config_validation():
@@ -294,9 +294,9 @@ def test_load_model_refuses_a_header_that_is_not_an_object(tmp_path):
 
 
 def small_trained_model(fig4):
-    ds = sample(build_scm(fig4, alpha=0.5, seed=4), 200, seed=5)
+    ds = sample(build_scm(fig4, ScmSettings(alpha=0.5, seed=4)), 200, seed=5)
     cfg = TrainConfig(epochs=3, batch_size=32, seed=6)
-    model, _ = train(ds, Mask({"x1", "x2", "x3"}), d_c=2, d_sm=2, cfg=cfg, hidden=(8, 8))
+    model, _ = train(ds, Mask({"x1", "x2", "x3"}), d_c=2, d_sm=2, cfg=cfg, hidden=(8, 8), slope=0.2)
     return model, ds
 
 
@@ -442,10 +442,10 @@ BENCHMARK = (1, (64, 64), 128)  # those of perfbench's experiment_fig4, where th
 )
 def test_train_matches_list_based_trainer(fig4, masked, d_sm, shape):
     d_c, hidden, batch_size = shape
-    ds = sample(build_scm(fig4, alpha=0.5, seed=4), 300, seed=5)  # 300 = 4 * 64 + 44 = 2 * 128 + 44: a partial last batch
+    ds = sample(build_scm(fig4, ScmSettings(alpha=0.5, seed=4)), 300, seed=5)  # 300 = 4 * 64 + 44 = 2 * 128 + 44: a partial last batch
     mask = Mask(masked)
     cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=6)
-    model, curve = train(ds, mask, d_c=d_c, d_sm=d_sm, cfg=cfg, hidden=hidden)
+    model, curve = train(ds, mask, d_c=d_c, d_sm=d_sm, cfg=cfg, hidden=hidden, slope=0.2)
     ref_flat, ref_curve = _ref_train(ds, mask, d_c, d_sm, cfg, hidden)
     assert model.mask == masked
     assert ref_flat.dtype == np.float32
