@@ -24,7 +24,6 @@ from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
     SharedInfo,
     _locate_bits,
-    _require_valid,
     brute_force_minimal_c,
     locate_shared_info,
     verify_conditions,
@@ -70,7 +69,7 @@ def _resolve_graph(path: str) -> LatentGraph:
         except FileNotFoundError:
             raise ConfigError(f"graph file not found: {path}")
     g = load_graph(candidate)
-    _require_valid(g)
+    g.bit_index()  # an invalid graph stops every command here
     return g
 
 
@@ -82,6 +81,8 @@ def _parse_mask_list(g: LatentGraph, raw: str) -> Mask:
     unknown = [v for v in ids if v not in observables]
     if unknown:
         raise ConfigError(f"mask names are not observables: {unknown}")
+    if set(ids) == observables:
+        raise ConfigError("mask names every observable; at least one must stay visible")
     return Mask(ids)
 
 
@@ -209,14 +210,16 @@ def _check_section(section: dict, table: dict[str, Field], name: str) -> None:
 def _build_section(kind, params: dict, name: str):
     """The settings dataclass ``kind`` from its config section, checked
     against ``settings_fields(kind)`` and then each nested section in field
-    order; a null value takes the field's default.  A value that a table or
-    a class refuses is a ``ConfigError`` naming the key or the section."""
+    order; a null value takes the field's default, and a value of a field
+    annotated ``float`` is kept as a float.  A value that a table or a class
+    refuses is a ``ConfigError`` naming the key or the section."""
     _check_section(params, settings_fields(kind), name)
-    values = {
-        f.name: _build_section(type(f.default), params[f.name], f"{name}.{f.name}")
-        if is_dataclass(f.default) else params[f.name]
-        for f in fields(kind) if params.get(f.name) is not None
-    }
+
+    def value(f):
+        if is_dataclass(f.default):
+            return _build_section(type(f.default), params[f.name], f"{name}.{f.name}")
+        return float(params[f.name]) if f.type == "float" else params[f.name]
+    values = {f.name: value(f) for f in fields(kind) if params.get(f.name) is not None}
     try:
         return kind(**values)
     except (TypeError, ValueError) as exc:
@@ -271,8 +274,10 @@ def cmd_verify(args) -> int:
     _require_count(args.trials, "--trials")
     _require_count(args.seed, "--seed")
     g = _resolve_graph(args.graph)
-    dims = derive_dims(g)
     observables = sorted(g.observables)
+    if len(observables) < 2:
+        raise ConfigError(f"verify needs at least two observables, but graph {args.graph} has {len(observables)}")
+    dims = derive_dims(g)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
 
     def run_trial(trial_seed) -> dict:
@@ -435,13 +440,12 @@ def sweep_rows(
 ) -> list[list]:
     """One row per sampled mask: level statistics of the located shared set.
 
-    The graph is checked once.  Each cell's masks are drawn as patch
-    indices, and each mask goes through ``locate_shared_info``'s bit-mask
-    core on per-patch tables: the patch's node bits, their proper ancestors
-    and its size.  The layout is a permutation of the observables, so the
-    patches left unchosen hold the visible side.  The row is read from the
-    graph's level and dimension tables."""
-    _require_valid(g)
+    Each cell's masks are drawn as patch indices, and each mask goes through
+    ``locate_shared_info``'s bit-mask core on per-patch tables: the patch's
+    node bits, their proper ancestors and its size.  The layout is a
+    permutation of the observables, so the patches left unchosen hold the
+    visible side.  The row is read from the graph's level and dimension
+    tables."""
     bits = g.bit_index()
     level, dim = bits.level, bits.dim
     rows = []

@@ -55,7 +55,9 @@ class LatentGraph:
     of observable ids.  Construction only requires edge endpoints to be
     declared nodes; all structural invariants (acyclicity, observables as
     sinks, exogenous wiring, layout permutation) are checked by
-    :func:`validate_graph` and reported as data rather than raised.
+    :func:`validate_graph` and reported as data rather than raised, and
+    :meth:`bit_index`, which every reader of the graph's index goes through,
+    refuses a graph that breaks one.
     """
 
     def __init__(
@@ -88,8 +90,6 @@ class LatentGraph:
         self._children = {v: frozenset(cs) for v, cs in child_map.items()}
         self.edges = frozenset(edge_set)
         self.layout = tuple(layout)
-        self._bits: BitIndex | None = None
-        self._validation: ValidationReport | None = None
 
     # -- basic queries ------------------------------------------------
 
@@ -231,10 +231,19 @@ class LatentGraph:
 
     def bit_index(self) -> "BitIndex":
         """The graph's nodes interned to bit positions, built on first use.
-        Raises ValueError on a cyclic graph."""
-        if self._bits is None:
-            self._bits = BitIndex(self)
-        return self._bits
+        Raises ValueError naming every violation on a graph that
+        :func:`validate_graph` refuses."""
+        return self._bit_index
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _check_invariants(self)
+
+    @cached_property
+    def _bit_index(self) -> "BitIndex":
+        if not self._report.ok:
+            raise ValueError("invalid graph: " + "; ".join(self._report.violations))
+        return BitIndex(self)
 
     def __repr__(self) -> str:
         return (
@@ -244,7 +253,7 @@ class LatentGraph:
 
 
 class BitIndex:
-    """Node sets of one acyclic graph as Python ints, one bit per node.
+    """Node sets of one valid graph as Python ints, one bit per node.
 
     Bit ``i`` stands for ``ids[i]``; positions follow the topological order,
     so every parent sits on a lower bit than its children.  ``parents[i]``
@@ -304,8 +313,6 @@ class BitIndex:
                 d = int(exo_dims.get(v, 1))
                 if d <= 0:
                     raise ValueError(f"exogenous dimension for {v} must be positive, got {d}")
-            elif not self.parents[i]:
-                raise ValueError(f"non-exogenous node {v} has no parents; dimensions undefined")
             else:
                 d = sum(dims[j] for j in self.positions(self.parents[i]))
             dims.append(d)
@@ -363,9 +370,7 @@ class BitIndex:
 def validate_graph(g: LatentGraph) -> ValidationReport:
     """Check every structural invariant; violations are returned, not raised.
     The report is kept on the (immutable) graph, so later calls are free."""
-    if g._validation is None:
-        g._validation = _check_invariants(g)
-    return g._validation
+    return g._report
 
 
 def _check_invariants(g: LatentGraph) -> ValidationReport:

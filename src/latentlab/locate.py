@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from latentlab.graph import (
-    BitIndex,
-    LatentGraph,
-    Mask,
-    NodeId,
-    NodeKind,
-    validate_graph,
-)
+from latentlab.graph import BitIndex, LatentGraph, Mask, NodeId, NodeKind
 
 # Largest latent count the exhaustive oracle accepts.  Its branch and bound
 # is still exponential in the worst case: at 24 latents, the slowest of 400
@@ -83,21 +76,15 @@ class OracleResult:
 
 def _split_mask(g: LatentGraph, mask: Mask) -> tuple[BitIndex, int, int]:
     """The graph's bit index, with the masked and the visible observables as
-    bit masks.  The graph must be acyclic."""
+    bit masks."""
+    idx = g.bit_index()
     masked, observables = mask.masked, g._observable_set
     if not masked <= observables:
         raise ValueError(f"mask contains non-observable ids: {sorted(masked - observables)}")
     if not masked or masked == observables:
         raise ValueError("both the mask and its complement must be non-empty")
-    idx = g.bit_index()
     masked_bits = idx.encode(masked)
     return idx, masked_bits, idx.observables & ~masked_bits
-
-
-def _require_valid(g: LatentGraph) -> None:
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError("invalid graph: " + "; ".join(report.violations))
 
 
 def _locate_bits(idx: BitIndex, masked: int, reaches_visible: int) -> tuple[int, int]:
@@ -133,7 +120,6 @@ def locate_smc(g: LatentGraph, mask: Mask, c: Iterable[NodeId]) -> frozenset[Nod
     collected and latent parents backtracked.  The result is not unique in
     general; this returns the one induced by that reading.
     """
-    _require_valid(g)
     idx, _, visible = _split_mask(g, mask)
     c_bits = idx.encode(c)
     non_latent = c_bits & ~idx.latents
@@ -172,7 +158,6 @@ def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
     candidate on one of its directed paths to the visible side.  Both stages
     are order-independent.
     """
-    _require_valid(g)
     idx, masked, visible = _split_mask(g, mask)
     c, s_m = _locate_bits(idx, masked, idx.proper_ancestors(visible))
     s_mc = _smc_bits(idx, visible, c)
@@ -210,8 +195,7 @@ def verify_conditions(
     against the exhaustive oracle when a dimension map is supplied.
 
     Condition failures are reported as witnesses, not raised.  The mask
-    must split the observables and the graph must be acyclic, and valid
-    when ``dims`` is given (ValueError otherwise).
+    must split the observables (ValueError otherwise).
     """
     idx, masked, visible = _split_mask(g, mask)
     witnesses: list[str] = []
@@ -312,7 +296,6 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
     dimension among the undecided latents above it, and the largest of
     these costs is still to be paid.
     """
-    _require_valid(g)
     idx, masked_bits, visible_bits = _split_mask(g, mask)
     latents = sorted(g.latents)
     if len(latents) > ORACLE_MAX_LATENTS:

@@ -168,7 +168,7 @@ class TrainConfig:
 class MaeSettings:
     """The autoencoder's settings, the config's ``mae`` section.  A ``d_c``
     or ``d_sm`` of None is the total width of the located ``c`` or ``s_m``.
-    ``hidden`` is kept as a tuple, and an integer ``slope`` as a float."""
+    ``hidden`` is kept as a tuple."""
 
     d_c: int | None = field(default=None, metadata={"kind": "a positive integer"})
     d_sm: int | None = field(default=None, metadata={"kind": "a non-negative integer"})
@@ -178,7 +178,6 @@ class MaeSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "slope", float(self.slope))
 
 
 # -- coordinate bookkeeping -----------------------------------------------------

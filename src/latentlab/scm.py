@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from latentlab.graph import LatentGraph, NodeId, NodeKind, derive_dims
-from latentlab.locate import SharedInfo, _require_valid
+from latentlab.locate import SharedInfo
 
 
 def _node_stream(seed: int, node_id: NodeId, purpose: int) -> np.random.Generator:
@@ -113,8 +113,8 @@ class MixingFunction:
 @dataclass(frozen=True)
 class ScmSettings:
     """The simulator's settings, the config's ``scm`` section: ``build_scm``'s
-    arguments besides the graph, as ``dataset.json`` records them.  An
-    integer ``alpha`` is kept as a float, and an empty ``exo_dims`` as None."""
+    arguments besides the graph, as ``dataset.json`` records them.  An empty
+    ``exo_dims`` is kept as None."""
 
     exo_dims: dict[NodeId, int] | None = field(
         default=None, metadata={"kind": "an object", "entries": "a positive integer"})
@@ -125,7 +125,6 @@ class ScmSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "exo_dims", self.exo_dims or None)
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,6 @@ def build_scm(g: LatentGraph, settings: ScmSettings) -> ScmSpec:
     Deterministic given the graph and ``settings``, and invariant to the
     input order of the graph's node and edge lists.
     """
-    _require_valid(g)
     if settings.layers < 1:
         raise ValueError("at least one layer is required")
     dims = derive_dims(g, settings.exo_dims)

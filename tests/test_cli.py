@@ -159,6 +159,18 @@ def test_verify_respects_latent_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_verify_refuses_one_observable_graph(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "z1", "kind": "latent"}, {"id": "x1", "kind": "observable"}],
+        "edges": [["z1", "x1"]], "layout": ["x1"], "implicit_exogenous": True,
+    }))
+    assert main(["verify", str(path), "--trials", "3", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"latentlab: error: verify needs at least two observables, but graph {path} has 1\n"
+    assert out == ""
+
+
 # -- experiment pipeline ---------------------------------------------------------
 
 
@@ -592,6 +604,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         ({"mask": {"ratio": 0.0, "patch": 1, "seed": 3}},
          "config value 'mask.ratio' must be a number in (0, 1), got 0.0"),
         ({"mask": {"observables": ["x1", "q9"]}}, "mask names are not observables: ['q9']"),
+        ({"mask": {"observables": FIG4_LAYOUT}}, "mask names every observable; at least one must stay visible"),
     ],
 )
 def test_bad_config_section_exits_two(tmp_path, capsys, overrides, expected):
@@ -722,8 +735,8 @@ def test_cli_and_settings_classes_agree_on_defaults(tmp_path):
     """A config that leaves out every optional ``scm`` and ``mae`` key, one
     that sets each to null and one that spells out ``ScmSettings()``'s and
     ``MaeSettings()``'s defaults write the same headers and model; an
-    integer ``alpha`` or ``slope`` is recorded as a float, and an empty
-    ``exo_dims`` as null."""
+    integer ``alpha``, ``slope`` or ``ridge`` is recorded as a float, and an
+    empty ``exo_dims`` as null."""
     train_section = {"epochs": 1, "batch_size": 128, "seed": 13}
     spelled = {"scm": {"exo_dims": None, "layers": 2, "alpha": 0.2, "seed": 11, "bias": False},
                "mae": {"d_c": None, "d_sm": None, "hidden": [64, 64], "slope": 0.2, "train": train_section}}
@@ -742,12 +755,15 @@ def test_cli_and_settings_classes_agree_on_defaults(tmp_path):
                         for file in ("dataset.json", "model.json", "model.bin")])
     assert outputs[0] == outputs[1] == outputs[2]
 
-    cfg = write_config(tmp_path, scm={"seed": 11, "alpha": 1, "exo_dims": {}}, mae={"slope": 1, "train": train_section})
+    cfg = write_config(tmp_path, scm={"seed": 11, "alpha": 1, "exo_dims": {}}, mae={"slope": 1, "train": train_section},
+                       ident={"seed": 14, "max_train_rows": 300, "ridge": 1})
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["evaluate", "--config", str(cfg)]) == 0
     dataset = (tmp_path / "run" / "dataset.json").read_text()
     assert '"alpha": 1.0,' in dataset and '"exo_dims": null,' in dataset
     assert '"slope": 1.0,' in (tmp_path / "run" / "model.json").read_text()
+    assert '"ridge": 1.0,' in (tmp_path / "run" / "ident_report.json").read_text()
 
 
 def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, derive_dims
+from latentlab import LatentGraph, Mask, NodeKind, ScmSettings, UnknownNodeError, build_scm, derive_dims, validate_graph
+from latentlab import graph as graph_module
+from latentlab.cli import sweep_rows
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
@@ -62,6 +64,44 @@ def test_locate_c_rejects_invalid_graph(fig4):
     data["edges"].append(["x1", "x2"])
     with pytest.raises(ValueError, match="invalid graph"):
         locate_shared_info(graph_from_dict(data), Mask({"x1"}))
+
+
+# Every reader of a graph's bit index, each called on graph ``g``.
+INDEX_READERS = {
+    "locate_shared_info": lambda g: locate_shared_info(g, FIG4C_MASK),
+    "locate_smc": lambda g: locate_smc(g, FIG4C_MASK, {"z2"}),
+    "brute_force_minimal_c": lambda g: brute_force_minimal_c(g, FIG4C_MASK, dict.fromkeys(g.node_ids, 1)),
+    "verify_conditions": lambda g: verify_conditions(
+        g, FIG4C_MASK, SharedInfo(c=frozenset({"z2"}), s_m=frozenset(), s_mc=frozenset(), mask=FIG4C_MASK)),
+    "derive_dims": derive_dims,
+    "topo_depth": lambda g: g.topo_depth("z2"),
+    "build_scm": lambda g: build_scm(g, ScmSettings()),
+    "sweep_rows": lambda g: sweep_rows(g, [0.5], [1], 2, seed=0),
+}
+
+
+@pytest.mark.parametrize("reader", INDEX_READERS)
+def test_index_readers_refuse_invalid_graph(monkeypatch, fig4, reader):
+    """Without its ``eps_z3 -> z3`` edge fig4 stays acyclic but breaks the
+    one-exogenous-parent rule; every reader of the index refuses it with
+    the full violation list, and on a valid graph the invariants are
+    checked once however many readers run."""
+    data = graph_to_dict(fig4)
+    data["edges"].remove(["eps_z3", "z3"])
+    broken = graph_from_dict(data)
+    expected = "invalid graph: " + "; ".join(validate_graph(broken).violations)
+    with pytest.raises(ValueError) as err:
+        INDEX_READERS[reader](broken)
+    assert str(err.value) == expected
+
+    runs, check = [], graph_module._check_invariants
+    monkeypatch.setattr(graph_module, "_check_invariants", lambda g: runs.append(g) or check(g))
+    g = graph_from_dict(graph_to_dict(fig4))
+    INDEX_READERS[reader](g)
+    for read in INDEX_READERS.values():
+        read(g)
+    assert validate_graph(g).ok
+    assert runs == [g]
 
 
 def test_locate_c_order_invariant(fig4):
@@ -638,16 +678,12 @@ def test_smc_and_conditions_match_set_references(seed):
 @pytest.mark.parametrize("graph_name", ["bench3", "fig2", "fig4"])
 @pytest.mark.parametrize("seed", [1, 3, 11])
 def test_sweep_rows_match_set_reference(request, graph_name, seed):
-    from latentlab.cli import sweep_rows
-
     g = request.getfixturevalue(graph_name)
     ratios, patches = [0.1, 0.3, 0.5, 0.7, 0.9], [1, 2, 4]
     assert sweep_rows(g, ratios, patches, 6, seed) == _set_sweep_rows(g, ratios, patches, 6, seed)
 
 
 def test_sweep_rows_match_set_reference_on_random_graphs():
-    from latentlab.cli import sweep_rows
-
     rng = np.random.default_rng(20_261_018)
     empty_c_rows = 0
     for trial in range(40):
