@@ -22,8 +22,9 @@ from latentlab import fixtures
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
 from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
+    BitMatrices,
     SharedInfo,
-    _locate_bits,
+    _locate_c_rows,
     brute_force_minimal_c,
     locate_shared_info,
     verify_conditions,
@@ -440,35 +441,29 @@ def sweep_rows(
 ) -> list[list]:
     """One row per sampled mask: level statistics of the located shared set.
 
-    Each cell's masks are drawn as patch indices, and each mask goes through
-    ``locate_shared_info``'s bit-mask core on per-patch tables: the patch's
-    node bits, their proper ancestors and its size.  The layout is a
-    permutation of the observables, so the patches left unchosen hold the
-    visible side.  The row is read from the graph's level and dimension
-    tables."""
+    Each cell's masks are drawn as patch indices and answered as one batch:
+    the draws become a K x patches 0/1 matrix, each layout position takes
+    its patch's column to give the K x nodes matrix of masked observables,
+    and ``_locate_c_rows`` finds every mask's ``c`` at once.  The row's
+    statistics are vector sums and maxima over the graph's level and
+    dimension tables, emitted as Python ints and floats."""
     bits = g.bit_index()
-    level, dim = bits.level, bits.dim
+    mats = BitMatrices(bits)
+    level, dim = np.array(bits.level), np.array(bits.dim)
+    columns = [bits.bit[v] for v in g.layout]
     rows = []
     for r, s, rng in _cells(ratios, patches, seed):
         sampler = MaskSampler(r, s, tuple(g.layout))
-        patch_bits = [bits.encode(patch) for patch in sampler.patches]
-        patch_anc = [bits.proper_ancestors(b) for b in patch_bits]
-        patch_size = [len(patch) for patch in sampler.patches]
-        every_patch = (1 << len(patch_bits)) - 1
-        for idx in range(k_masks):
-            masked = chosen = n_masked = 0
-            for i in sampler.draw(rng).tolist():
-                masked |= patch_bits[i]
-                chosen |= 1 << i
-                n_masked += patch_size[i]
-            c, _ = _locate_bits(bits, masked, bits.union(patch_anc, every_patch & ~chosen))
-            members = bits.positions(c)
-            if members:
-                levels = [level[i] for i in members]
-                stats = [sum(levels) / len(levels), max(levels), sum(dim[i] for i in members)]
-            else:
-                stats = [0.0, 0, 0]
-            rows.append([r, s, k_masks, idx, n_masked, *stats])
+        draws = np.array([sampler.draw(rng) for _ in range(k_masks)], dtype=np.intp)
+        chosen = np.zeros((k_masks, sampler.num_patches), dtype=bool)
+        np.put_along_axis(chosen, draws.reshape(k_masks, sampler.num_masked_patches), True, axis=1)
+        masked = np.zeros((k_masks, len(bits.ids)), dtype=bool)
+        masked[:, columns] = chosen[:, np.arange(len(columns)) // s]
+        c = _locate_c_rows(mats, masked)
+        count = c.sum(axis=1)
+        stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
+                    (c * level).max(axis=1).tolist(), (c @ dim).tolist())
+        rows += ([r, s, k_masks, idx, *row] for idx, row in enumerate(stats))
     return rows
 
 

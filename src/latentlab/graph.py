@@ -437,9 +437,10 @@ def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
 def derive_dims(g: LatentGraph, exo_dims: Mapping[NodeId, int] | None = None) -> dict[NodeId, int]:
     """Dimension of every node under the additive rule: exogenous nodes get
     their assigned width (1 unless ``exo_dims`` sets it), every other node
-    the sum of its parents' widths."""
+    the sum of its parents' widths.  Unit widths are read from the index's
+    ``dim``, so they are derived once per graph."""
     idx = g.bit_index()
-    return dict(zip(idx.ids, idx.dims(exo_dims)))
+    return dict(zip(idx.ids, idx.dims(exo_dims) if exo_dims else idx.dim))
 
 
 # -- file format -------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from latentlab.graph import BitIndex, LatentGraph, Mask, NodeId, NodeKind
 
 # Largest latent count the exhaustive oracle accepts.  Its branch and bound
@@ -109,6 +111,55 @@ def _locate_bits(idx: BitIndex, masked: int, reaches_visible: int) -> tuple[int,
     # Every candidate lies upstream of the visible side, so another candidate
     # on one of d's paths there is simply a candidate below d.
     return candidates & ~idx.proper_ancestors(candidates), s_m
+
+
+class BitMatrices:
+    """A bit index's ``parents`` and ``ancestors`` tables as dense 0/1
+    matrices over the latent columns, the only nodes the search of ``c``
+    reaches: entry ``(i, j)`` says whether ``latents[j]`` is in node ``i``'s
+    set, so the product of a K x n 0/1 matrix of node sets with one,
+    compared ``> 0``, holds each set's union among the latents.  The entries
+    are float32 so the products run in BLAS; each sum counts at most n ones,
+    exact in float32 in any order, so no rounding and no thread count can
+    change a comparison.  ``observables`` is the boolean row of the
+    observable bits."""
+
+    def __init__(self, idx: BitIndex):
+        n = len(idx.ids)
+        width = (n + 7) // 8
+
+        def dense(table: list[int]) -> np.ndarray:
+            raw = b"".join(m.to_bytes(width, "little") for m in table)
+            return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(table), width),
+                                 axis=1, count=n, bitorder="little").astype(bool)
+
+        self.observables = dense([idx.observables])[0]
+        self.latents = np.flatnonzero(dense([idx.latents])[0])
+        self.parents = dense(idx.parents)[:, self.latents].astype(np.float32)
+        self.ancestors = dense(idx.ancestors)[:, self.latents].astype(np.float32)
+
+
+def _locate_c_rows(mats: BitMatrices, masked: np.ndarray) -> np.ndarray:
+    """``_locate_bits``'s ``c`` for a batch of masks: from the K x n boolean
+    matrix of each mask's masked observables, each with some observable
+    left visible, to the K x n boolean matrix of each mask's ``c``.  The
+    rows walk up in lock step, one level per product, until every row's
+    frontier is empty; pruning is one more product.  Past the masked
+    observables every set is one of latents, so the walk runs on the latent
+    columns alone."""
+    latents = mats.latents
+    latent_parents = mats.parents[latents]
+    reaches_visible = (mats.observables & ~masked) @ mats.ancestors > 0
+    above = masked @ mats.parents > 0
+    walked = candidates = np.zeros_like(above)
+    while above.any():
+        candidates = candidates | above & reaches_visible
+        frontier = above & ~reaches_visible & ~walked
+        walked = walked | frontier
+        above = frontier @ latent_parents > 0
+    c = np.zeros_like(masked)
+    c[:, latents] = candidates & ~(candidates @ mats.ancestors[latents] > 0)
+    return c
 
 
 def locate_smc(g: LatentGraph, mask: Mask, c: Iterable[NodeId]) -> frozenset[NodeId]:

@@ -62,6 +62,7 @@ class MaskSampler:
     def patches(self) -> tuple[tuple[NodeId, ...], ...]:
         return tuple(tuple(self.layout[i:i + self.s]) for i in range(0, len(self.layout), self.s))
 
+    @cached_property
     def num_masked_patches(self) -> int:
         k = int(math.floor(self.r * self.num_patches + 0.5))
         return min(max(k, 1), self.num_patches - 1)
@@ -69,7 +70,7 @@ class MaskSampler:
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """The indices of the patches to mask, in draw order: one
         ``rng.choice`` call, which every sampled mask goes through."""
-        return rng.choice(self.num_patches, size=self.num_masked_patches(), replace=False)
+        return rng.choice(self.num_patches, size=self.num_masked_patches, replace=False)
 
 
 def sample_mask(sampler: MaskSampler, rng: np.random.Generator) -> Mask:

@@ -23,6 +23,7 @@ from latentlab.cli import (
     sweep_rows,
     training_cells,
 )
+from latentlab.graph import BitIndex
 from latentlab.mae import MODEL_FIELDS
 from latentlab.scm import DATASET_FIELDS, JSON_KINDS
 
@@ -149,9 +150,19 @@ def test_verify_fig4(capsys):
     assert "mismatches=0" in capsys.readouterr().out
 
 
-def test_verify_fig2(capsys):
+def test_verify_fig2(monkeypatch, capsys):
+    """The unit dimensions are derived once per call: the oracle's map and
+    the flag check's total read the same cached table."""
+    dims_runs = []
+    dims = BitIndex.dims
+
+    def counted_dims(self, *args):
+        dims_runs.append(args)
+        return dims(self, *args)
+    monkeypatch.setattr(BitIndex, "dims", counted_dims)
     assert main(["verify", "fig2", "--trials", "10", "--seed", "1"]) == 0
     assert "mismatches=0" in capsys.readouterr().out
+    assert len(dims_runs) == 1
 
 
 def test_verify_respects_latent_cap(capsys):
@@ -328,6 +339,28 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
                  "--masks-per-cell", "100", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The sweep answers each cell's masks with 0/1 float32 products in
+    BLAS; their sums are exact counts, so the CSV is the one that
+    ``test_sweep_csv_bytes_are_pinned`` pins at one and at two BLAS threads."""
+    argv = ["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
+            "--masks-per-cell", "100", "--seed", "0"]
+    src = str(Path(latentlab.__file__).resolve().parents[1])
+    script = "import sys; from latentlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    procs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / f"{threads}.csv")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for threads, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        digest = hashlib.sha256((tmp_path / f"{threads}.csv").read_bytes()).hexdigest()
+        assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
 
 
 @pytest.mark.parametrize("graph_name", ["fig4", "bench3"])

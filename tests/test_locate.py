@@ -9,9 +9,12 @@ from latentlab.cli import sweep_rows
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
+    BitMatrices,
     OracleResult,
     SharedInfo,
     _closure,
+    _locate_bits,
+    _locate_c_rows,
     brute_force_minimal_c,
     locate_shared_info,
     locate_smc,
@@ -693,3 +696,58 @@ def test_sweep_rows_match_set_reference_on_random_graphs():
         assert rows == _set_sweep_rows(g, [0.2, 0.5, 0.8], patches, 5, seed=trial)
         empty_c_rows += sum(row[-1] == 0 for row in rows)
     assert empty_c_rows > 0
+
+
+# -- the sweep's batch search -------------------------------------------------------
+
+
+def _check_batch_c(g: LatentGraph, masks: list[Mask]) -> list[int]:
+    """``_locate_c_rows`` on ``masks`` as one batch against ``_locate_bits``
+    on each mask, compared as bit sets; returns the ``c`` bits."""
+    idx = g.bit_index()
+    masked = np.zeros((len(masks), len(idx.ids)), dtype=bool)
+    for row, mask in zip(masked, masks):
+        row[[idx.bit[v] for v in mask.masked]] = True
+    given = masked.copy()
+    c_rows = _locate_c_rows(BitMatrices(idx), masked)
+    assert c_rows.shape == masked.shape and c_rows.dtype == bool
+    assert (masked == given).all()
+    got = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in c_rows]
+    want = []
+    for mask in masks:
+        bits = idx.encode(mask.masked)
+        want.append(_locate_bits(idx, bits, idx.proper_ancestors(idx.observables & ~bits))[0])
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("graph_name", ["fig2", "fig4", "bench3"])
+def test_batch_c_matches_single_mask_search(request, graph_name):
+    g = request.getfixturevalue(graph_name)
+    rng = np.random.default_rng(20_261_019)
+    masks = [random_mask(rng, g) for _ in range(200)]
+    assert _check_batch_c(g, []) == []
+    _check_batch_c(g, masks[:1])
+    _check_batch_c(g, masks)
+
+
+def test_batch_c_holds_empty_rows():
+    """Two disjoint trees: a mask that splits neither tree shares no latent,
+    and its row stays empty beside a mask whose ``c`` is not."""
+    g = graph_from_dict({
+        "nodes": [{"id": v, "kind": k} for v, k in (("z1", "latent"), ("z2", "latent"), ("x1", "observable"),
+                                                     ("x2", "observable"), ("x3", "observable"))],
+        "edges": [["z1", "x1"], ["z1", "x2"], ["z2", "x3"]],
+        "layout": ["x1", "x2", "x3"],
+        "implicit_exogenous": True,
+    })
+    c = _check_batch_c(g, [Mask({"x3"}), Mask({"x1"}), Mask({"x1", "x2"})])
+    assert c == [0, 1 << g.bit_index().bit["z1"], 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=12))
+def test_batch_c_matches_single_mask_search_on_random_graphs(seed, k_masks):
+    rng = np.random.default_rng(seed)
+    g = random_hierarchy(rng)
+    _check_batch_c(g, [random_mask(rng, g) for _ in range(k_masks)])
