@@ -22,10 +22,12 @@ from latentlab import fixtures
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
 from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
-    BitMatrices,
     SharedInfo,
+    _bit_matrices,
     _locate_c_rows,
+    _oracle_latents,
     brute_force_minimal_c,
+    locate_many,
     locate_shared_info,
     verify_conditions,
 )
@@ -278,30 +280,23 @@ def cmd_verify(args) -> int:
     observables = sorted(g.observables)
     if len(observables) < 2:
         raise ConfigError(f"verify needs at least two observables, but graph {args.graph} has {len(observables)}")
+    _oracle_latents(g)  # a graph above the oracle's cap is refused before any mask is drawn
     dims = derive_dims(g)
-    seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
-
-    def run_trial(trial_seed) -> dict:
+    masks = []
+    for trial_seed in np.random.SeedSequence(args.seed).spawn(args.trials):
         rng = np.random.default_rng(trial_seed)
         k = int(rng.integers(1, len(observables)))
-        mask = Mask(str(v) for v in rng.choice(observables, size=k, replace=False))
-        info = locate_shared_info(g, mask)
+        masks.append(Mask(str(v) for v in rng.choice(observables, size=k, replace=False)))
+    mismatches, flag_failures, ties = [], 0, 0
+    for mask, info in zip(masks, locate_many(g, masks)):
         oracle = brute_force_minimal_c(g, mask, dims)
-        return {
-            "mask": sorted(mask.masked),
-            "match": info.c == oracle.c and info.s_m == oracle.s_m,
-            "ties": len(oracle.ties),
-            "flags_ok": verify_conditions(g, mask, info).all_ok,
-        }
-
-    results = [run_trial(trial_seed) for trial_seed in seeds]
-    mismatches = [r for r in results if not r["match"]]
-    flag_failures = [r for r in results if not r["flags_ok"]]
-    ties = sum(r["ties"] for r in results)
-    print(f"trials={args.trials} mismatches={len(mismatches)} "
-          f"flag_failures={len(flag_failures)} ties={ties}")
-    for r in mismatches:
-        print(f"  mismatch on mask {','.join(r['mask'])}")
+        if (info.c, info.s_m) != (oracle.c, oracle.s_m):
+            mismatches.append(mask)
+        ties += len(oracle.ties)
+        flag_failures += not verify_conditions(g, mask, info).all_ok
+    print(f"trials={args.trials} mismatches={len(mismatches)} flag_failures={flag_failures} ties={ties}")
+    for mask in mismatches:
+        print(f"  mismatch on mask {','.join(sorted(mask.masked))}")
     return EXIT_OK if not mismatches and not flag_failures else EXIT_DATA
 
 
@@ -444,11 +439,11 @@ def sweep_rows(
     Each cell's masks are drawn as patch indices and answered as one batch:
     the draws become a K x patches 0/1 matrix, each layout position takes
     its patch's column to give the K x nodes matrix of masked observables,
-    and ``_locate_c_rows`` finds every mask's ``c`` at once.  The row's
-    statistics are vector sums and maxima over the graph's level and
-    dimension tables, emitted as Python ints and floats."""
+    and ``_locate_c_rows`` finds every mask's ``c`` at once from the graph's
+    cached matrices.  The row's statistics are vector sums and maxima over
+    the graph's level and dimension tables, emitted as Python ints and
+    floats."""
     bits = g.bit_index()
-    mats = BitMatrices(bits)
     level, dim = np.array(bits.level), np.array(bits.dim)
     columns = [bits.bit[v] for v in g.layout]
     rows = []
@@ -459,7 +454,7 @@ def sweep_rows(
         np.put_along_axis(chosen, draws.reshape(k_masks, sampler.num_masked_patches), True, axis=1)
         masked = np.zeros((k_masks, len(bits.ids)), dtype=bool)
         masked[:, columns] = chosen[:, np.arange(len(columns)) // s]
-        c = _locate_c_rows(mats, masked)
+        c, _ = _locate_c_rows(_bit_matrices(bits), masked)
         count = c.sum(axis=1)
         stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
                     (c * level).max(axis=1).tolist(), (c @ dim).tolist())

@@ -341,22 +341,14 @@ class BitIndex:
             mask ^= low
         return out
 
-    @staticmethod
-    def union(table: Sequence[int], members: int) -> int:
-        """OR of ``table[i]`` over the bits ``i`` set in ``members``."""
-        out = 0
-        while members:
-            low = members & -members
-            out |= table[low.bit_length() - 1]
-            members ^= low
-        return out
-
-    def proper_ancestors(self, members: int) -> int:
-        """A member appears only if it is an ancestor of another member."""
-        return self.union(self.ancestors, members & self.non_roots)
-
     def ancestors_or_self(self, members: int) -> int:
-        return members | self.proper_ancestors(members)
+        """``members`` with every ancestor of a member; roots add none."""
+        out, rest = members, members & self.non_roots
+        while rest:
+            low = rest & -rest
+            out |= self.ancestors[low.bit_length() - 1]
+            rest ^= low
+        return out
 
     def share_ancestor(self, a: int, b: int) -> bool:
         """True iff some node is an ancestor-or-self of both a member of

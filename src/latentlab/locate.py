@@ -2,18 +2,21 @@
 
 For a mask over the observables, the shared set ``c`` is the minimal set of
 latent variables carrying all statistical dependence between the masked and
-visible parts.  ``locate_shared_info`` finds it by backtracking from the
-masked observables and pruning, together with the visible-side-specific
-remainder that ``locate_smc`` also collects; ``brute_force_minimal_c`` is an
-independent oracle, an exact branch and bound over the latents among the
+visible parts.  ``locate_many`` finds it for a batch of masks, and
+``locate_shared_info`` for one, by backtracking from the masked observables
+and pruning, one search for every caller: ``_locate_c_rows`` runs it for all
+the masks at once as 0/1 matrix products.  Each mask's visible-side-specific
+remainder is what ``locate_smc`` also collects.  ``brute_force_minimal_c`` is
+an independent oracle, an exact branch and bound over the latents among the
 mask's ancestors for the cheapest set whose ancestors hold every exogenous
 node above both sides of the mask.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -89,30 +92,6 @@ def _split_mask(g: LatentGraph, mask: Mask) -> tuple[BitIndex, int, int]:
     return idx, masked_bits, idx.observables & ~masked_bits
 
 
-def _locate_bits(idx: BitIndex, masked: int, reaches_visible: int) -> tuple[int, int]:
-    """The ``c`` and ``s_m`` search of ``locate_shared_info`` on bit masks:
-    from the masked observables of a valid graph, with some observable left
-    visible, and ``reaches_visible``, the proper ancestors of the visible
-    observables, to the bits of ``c`` and ``s_m``."""
-    parents, exogenous = idx.parents, idx.exogenous
-
-    # Walk up level by level; `walked` holds the masked observables and the
-    # latents backtracked through, and `s_m` gathers their noise.
-    walked = frontier = masked
-    candidates = s_m = 0
-    while frontier:
-        above = idx.union(parents, frontier)
-        s_m |= above & exogenous
-        above &= ~exogenous
-        candidates |= above & reaches_visible
-        frontier = above & ~reaches_visible & ~walked
-        walked |= frontier
-
-    # Every candidate lies upstream of the visible side, so another candidate
-    # on one of d's paths there is simply a candidate below d.
-    return candidates & ~idx.proper_ancestors(candidates), s_m
-
-
 class BitMatrices:
     """A bit index's ``parents`` and ``ancestors`` tables as dense 0/1
     matrices over the latent columns, the only nodes the search of ``c``
@@ -122,31 +101,52 @@ class BitMatrices:
     are float32 so the products run in BLAS; each sum counts at most n ones,
     exact in float32 in any order, so no rounding and no thread count can
     change a comparison.  ``observables`` is the boolean row of the
-    observable bits."""
+    observable bits; ``noise`` lists the exogenous positions and
+    ``noise_child`` the one child of each."""
 
     def __init__(self, idx: BitIndex):
-        n = len(idx.ids)
-        width = (n + 7) // 8
-
-        def dense(table: list[int]) -> np.ndarray:
-            raw = b"".join(m.to_bytes(width, "little") for m in table)
-            return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(table), width),
-                                 axis=1, count=n, bitorder="little").astype(bool)
-
-        self.observables = dense([idx.observables])[0]
-        self.latents = np.flatnonzero(dense([idx.latents])[0])
-        self.parents = dense(idx.parents)[:, self.latents].astype(np.float32)
-        self.ancestors = dense(idx.ancestors)[:, self.latents].astype(np.float32)
+        parents = _bool_rows(idx.parents, len(idx.ids))
+        self.observables, latents, exogenous = _bool_rows(
+            [idx.observables, idx.latents, idx.exogenous], len(idx.ids))
+        self.latents = np.flatnonzero(latents)
+        self.noise = np.flatnonzero(exogenous)
+        self.noise_child = np.arange(len(idx.ids)) @ parents[:, self.noise]  # one True per column
+        self.parents = parents[:, self.latents].astype(np.float32)
+        self.ancestors = _bool_rows(idx.ancestors, len(idx.ids))[:, self.latents].astype(np.float32)
 
 
-def _locate_c_rows(mats: BitMatrices, masked: np.ndarray) -> np.ndarray:
-    """``_locate_bits``'s ``c`` for a batch of masks: from the K x n boolean
-    matrix of each mask's masked observables, each with some observable
-    left visible, to the K x n boolean matrix of each mask's ``c``.  The
-    rows walk up in lock step, one level per product, until every row's
-    frontier is empty; pruning is one more product.  Past the masked
-    observables every set is one of latents, so the walk runs on the latent
-    columns alone."""
+# Each bit index's matrices, built on first use and dropped with the index.
+_MATRICES: weakref.WeakKeyDictionary[BitIndex, BitMatrices] = weakref.WeakKeyDictionary()
+
+
+def _bit_matrices(idx: BitIndex) -> BitMatrices:
+    if idx not in _MATRICES:
+        _MATRICES[idx] = BitMatrices(idx)
+    return _MATRICES[idx]
+
+
+def _bool_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The K x n boolean matrix whose row k holds the n low bits of ``masks[k]``."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").astype(bool)
+
+
+def _row_bits(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bit mask; ``_bool_rows`` undone."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
+
+
+def _locate_c_rows(mats: BitMatrices, masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``c`` and ``s_m`` search of ``locate_shared_info`` for a batch of
+    masks: from the K x n boolean matrix of each mask's masked observables,
+    each with some observable left visible, to the K x n boolean matrices
+    of each mask's ``c`` and ``s_m``.  The rows walk up in lock step, one
+    level per product, until every row's frontier is empty; pruning is one
+    more product.  Past the masked observables every set is one of latents,
+    so the walk runs on the latent columns alone.  ``s_m`` is the noise of
+    the masked observables and of the latents walked through, gathered from
+    each exogenous node's one child."""
     latents = mats.latents
     latent_parents = mats.parents[latents]
     reaches_visible = (mats.observables & ~masked) @ mats.ancestors > 0
@@ -157,9 +157,15 @@ def _locate_c_rows(mats: BitMatrices, masked: np.ndarray) -> np.ndarray:
         frontier = above & ~reaches_visible & ~walked
         walked = walked | frontier
         above = frontier @ latent_parents > 0
+    # Every candidate lies upstream of the visible side, so another candidate
+    # on one of d's paths there is simply a candidate below d.
     c = np.zeros_like(masked)
     c[:, latents] = candidates & ~(candidates @ mats.ancestors[latents] > 0)
-    return c
+    walked_all = masked.copy()
+    walked_all[:, latents] = walked
+    s_m = np.zeros_like(masked)
+    s_m[:, mats.noise] = walked_all.take(mats.noise_child, axis=1)
+    return c, s_m
 
 
 def locate_smc(g: LatentGraph, mask: Mask, c: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -200,7 +206,7 @@ def _smc_bits(idx: BitIndex, visible: int, c: int) -> int:
 def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
     """Find the shared latent set ``c``, the masked-side noise ``s_m`` and
     the visible-side remainder ``s_mc`` (as ``locate_smc`` collects it), and
-    bundle the triple with its mask.
+    bundle the triple with its mask: ``locate_many`` on one mask.
 
     Selection walks up from every masked observable: exogenous parents are
     collected into ``s_m``, latent parents that can reach a visible
@@ -209,15 +215,17 @@ def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
     candidate on one of its directed paths to the visible side.  Both stages
     are order-independent.
     """
-    idx, masked, visible = _split_mask(g, mask)
-    c, s_m = _locate_bits(idx, masked, idx.proper_ancestors(visible))
-    s_mc = _smc_bits(idx, visible, c)
-    return SharedInfo(
-        c=frozenset(idx.decode(c)),
-        s_m=frozenset(idx.decode(s_m)),
-        s_mc=frozenset(idx.decode(s_mc)),
-        mask=mask,
-    )
+    return locate_many(g, [mask])[0]
+
+
+def locate_many(g: LatentGraph, masks: Sequence[Mask]) -> list[SharedInfo]:
+    """``locate_shared_info`` on each mask, all checked first, then answered in one batch."""
+    splits = [_split_mask(g, mask) for mask in masks]
+    idx = g.bit_index()
+    c_rows, s_m_rows = _locate_c_rows(_bit_matrices(idx), _bool_rows([m for _, m, _ in splits], len(idx.ids)))
+    return [SharedInfo(c=frozenset(idx.decode(c)), s_m=frozenset(idx.decode(s_m)),
+                       s_mc=frozenset(idx.decode(_smc_bits(idx, visible, c))), mask=mask)
+            for mask, (_, _, visible), c, s_m in zip(masks, splits, _row_bits(c_rows), _row_bits(s_m_rows))]
 
 
 def _closure(idx: BitIndex, known: int) -> int:
@@ -318,6 +326,13 @@ def verify_conditions(
     )
 
 
+def _oracle_latents(g: LatentGraph) -> list[NodeId]:
+    """The sorted latents the oracle searches, refused above ``ORACLE_MAX_LATENTS``."""
+    if len(g.latents) > ORACLE_MAX_LATENTS:
+        raise ValueError(f"graph has {len(g.latents)} latents, above the exhaustive-search cap {ORACLE_MAX_LATENTS}")
+    return sorted(g.latents)
+
+
 def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]) -> OracleResult:
     """Exhaustive search for the minimal shared set, independent of the
     backtracking algorithm.
@@ -348,11 +363,7 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
     these costs is still to be paid.
     """
     idx, masked_bits, visible_bits = _split_mask(g, mask)
-    latents = sorted(g.latents)
-    if len(latents) > ORACLE_MAX_LATENTS:
-        raise ValueError(
-            f"graph has {len(latents)} latents, above the exhaustive-search cap {ORACLE_MAX_LATENTS}"
-        )
+    latents = _oracle_latents(g)
     if any(dims[v] < 0 for v in latents):
         raise ValueError("latent dimensions must be non-negative")
 

@@ -13,6 +13,7 @@ import pytest
 
 import latentlab
 from latentlab import MaeSettings, RegressorConfig, ScmSettings, TrainConfig, fixture_path, load_graph
+from latentlab import locate as locate_module
 from latentlab.cli import (
     CONFIG_FIELDS,
     LISTED_MASK_FIELDS,
@@ -165,9 +166,19 @@ def test_verify_fig2(monkeypatch, capsys):
     assert len(dims_runs) == 1
 
 
-def test_verify_respects_latent_cap(capsys):
+def test_verify_respects_latent_cap(monkeypatch, capsys):
+    """A graph above the oracle's cap is refused before any mask is located."""
+    searches = []
+    search = locate_module._locate_c_rows
+    monkeypatch.setattr(locate_module, "_locate_c_rows", lambda *args: searches.append(args) or search(*args))
     assert main(["verify", "bench3", "--trials", "5", "--seed", "1"]) == 2
     assert "cap" in capsys.readouterr().err
+    assert searches == []
+
+
+def test_verify_zero_trials(capsys):
+    assert main(["verify", "fig2", "--trials", "0", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "trials=0 mismatches=0 flag_failures=0 ties=0\n"
 
 
 def test_verify_refuses_one_observable_graph(tmp_path, capsys):
@@ -341,26 +352,46 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
     assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
 
 
-def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The sweep answers each cell's masks with 0/1 float32 products in
-    BLAS; their sums are exact counts, so the CSV is the one that
-    ``test_sweep_csv_bytes_are_pinned`` pins at one and at two BLAS threads."""
-    argv = ["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
-            "--masks-per-cell", "100", "--seed", "0"]
+def _run_cli_at_blas_threads(argv_at) -> dict[str, subprocess.CompletedProcess]:
+    """``latentlab`` with the arguments ``argv_at(threads)``, run in a
+    subprocess at each of one and two OpenBLAS threads at once."""
     src = str(Path(latentlab.__file__).resolve().parents[1])
     script = "import sys; from latentlab.cli import main; sys.exit(main(sys.argv[1:]))"
     procs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        procs[threads] = subprocess.Popen(
-            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / f"{threads}.csv")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        procs[threads] = subprocess.Popen([sys.executable, "-c", script, *argv_at(threads)], env=env,
+                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    done = {}
     for threads, proc in procs.items():
-        _, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err
+        out, err = proc.communicate(timeout=120)
+        done[threads] = subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+    return done
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The sweep answers each cell's masks with 0/1 float32 products in
+    BLAS; their sums are exact counts, so the CSV is the one that
+    ``test_sweep_csv_bytes_are_pinned`` pins at one and at two BLAS threads."""
+    argv = ["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
+            "--masks-per-cell", "100", "--seed", "0"]
+    runs = _run_cli_at_blas_threads(lambda threads: [*argv, "--out", str(tmp_path / f"{threads}.csv")])
+    for threads, run in runs.items():
+        assert run.returncode == 0, run.stderr
         digest = hashlib.sha256((tmp_path / f"{threads}.csv").read_bytes()).hexdigest()
         assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
+
+
+def test_locate_bytes_do_not_depend_on_blas_threads():
+    """A single mask goes through the same BLAS products as a sweep's batch,
+    so its JSON report is the same at one and at two BLAS threads."""
+    runs = _run_cli_at_blas_threads(lambda threads: ["locate", "bench3", "--ratio", "0.5", "--patch", "1",
+                                                     "--seed", "3"])
+    for run in runs.values():
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["c"]
+    assert runs["1"].stdout == runs["2"].stdout
 
 
 @pytest.mark.parametrize("graph_name", ["fig4", "bench3"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latentlab import LatentGraph, Mask, NodeKind, ScmSettings, UnknownNodeError, build_scm, derive_dims, validate_graph
 from latentlab import graph as graph_module
+from latentlab import locate as locate_module
 from latentlab.cli import sweep_rows
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import (
@@ -16,9 +17,9 @@ from latentlab.locate import (
     OracleResult,
     SharedInfo,
     _closure,
-    _locate_bits,
     _locate_c_rows,
     brute_force_minimal_c,
+    locate_many,
     locate_shared_info,
     locate_smc,
     verify_conditions,
@@ -718,27 +719,26 @@ def test_sweep_rows_match_set_reference_on_random_graphs():
     assert empty_c_rows > 0
 
 
-# -- the sweep's batch search -------------------------------------------------------
+# -- the batch search -------------------------------------------------------------
 
 
-def _check_batch_c(g: LatentGraph, masks: list[Mask]) -> list[int]:
-    """``_locate_c_rows`` on ``masks`` as one batch against ``_locate_bits``
-    on each mask, compared as bit sets; returns the ``c`` bits."""
+def _check_batch_c(g: LatentGraph, masks: list[Mask]) -> list[frozenset]:
+    """``_locate_c_rows`` on ``masks`` as one batch against the set
+    reference ``_set_locate_c`` on each mask, for both ``c`` and ``s_m``;
+    returns the ``c`` sets."""
     idx = g.bit_index()
     masked = np.zeros((len(masks), len(idx.ids)), dtype=bool)
     for row, mask in zip(masked, masks):
         row[[idx.bit[v] for v in mask.masked]] = True
     given = masked.copy()
-    c_rows = _locate_c_rows(BitMatrices(idx), masked)
-    assert c_rows.shape == masked.shape and c_rows.dtype == bool
+    c_rows, s_m_rows = _locate_c_rows(BitMatrices(idx), masked)
+    for rows in (c_rows, s_m_rows):
+        assert rows.shape == masked.shape and rows.dtype == bool
     assert (masked == given).all()
-    got = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in c_rows]
-    want = []
-    for mask in masks:
-        bits = idx.encode(mask.masked)
-        want.append(_locate_bits(idx, bits, idx.proper_ancestors(idx.observables & ~bits))[0])
-    assert got == want
-    return want
+    got = [tuple(frozenset(idx.ids[i] for i in np.flatnonzero(row).tolist()) for row in pair)
+           for pair in zip(c_rows, s_m_rows)]
+    assert got == [_set_locate_c(g, mask) for mask in masks]
+    return [c for c, _ in got]
 
 
 @pytest.mark.parametrize("graph_name", ["fig2", "fig4", "bench3"])
@@ -762,7 +762,22 @@ def test_batch_c_holds_empty_rows():
         "implicit_exogenous": True,
     })
     c = _check_batch_c(g, [Mask({"x3"}), Mask({"x1"}), Mask({"x1", "x2"})])
-    assert c == [0, 1 << g.bit_index().bit["z1"], 0]
+    assert c == [frozenset(), {"z1"}, frozenset()]
+
+
+def test_locate_many_answers_each_mask_as_alone(fig2):
+    rng = np.random.default_rng(20_261_021)
+    masks = [random_mask(rng, fig2) for _ in range(20)]
+    assert locate_many(fig2, masks) == [locate_shared_info(fig2, mask) for mask in masks]
+    assert locate_many(fig2, []) == []
+
+
+def test_locate_many_checks_every_mask_first(monkeypatch, fig4):
+    searches = []
+    monkeypatch.setattr(locate_module, "_locate_c_rows", lambda *args: searches.append(args))
+    with pytest.raises(ValueError, match="non-observable"):
+        locate_many(fig4, [FIG4C_MASK, Mask({"z2"})])
+    assert searches == []
 
 
 @settings(max_examples=60, deadline=None)
