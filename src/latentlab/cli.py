@@ -23,7 +23,6 @@ from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
 from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
     SharedInfo,
-    _bit_matrices,
     _locate_c_rows,
     _oracle_latents,
     brute_force_minimal_c,
@@ -440,9 +439,9 @@ def sweep_rows(
     the draws become a K x patches 0/1 matrix, each layout position takes
     its patch's column to give the K x nodes matrix of masked observables,
     and ``_locate_c_rows`` finds every mask's ``c`` at once from the graph's
-    cached matrices.  The row's statistics are vector sums and maxima over
-    the graph's level and dimension tables, emitted as Python ints and
-    floats."""
+    cached matrices, gathering no ``s_m`` or ``s_mc``.  The row's statistics
+    are vector sums and maxima over the graph's level and dimension tables,
+    emitted as Python ints and floats."""
     bits = g.bit_index()
     level, dim = np.array(bits.level), np.array(bits.dim)
     columns = [bits.bit[v] for v in g.layout]
@@ -454,7 +453,7 @@ def sweep_rows(
         np.put_along_axis(chosen, draws.reshape(k_masks, sampler.num_masked_patches), True, axis=1)
         masked = np.zeros((k_masks, len(bits.ids)), dtype=bool)
         masked[:, columns] = chosen[:, np.arange(len(columns)) // s]
-        c, _ = _locate_c_rows(_bit_matrices(bits), masked)
+        c, _ = _locate_c_rows(bits.matrices, masked)
         count = c.sum(axis=1)
         stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
                     (c * level).max(axis=1).tolist(), (c @ dim).tolist())

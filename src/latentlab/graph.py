@@ -1,4 +1,5 @@
-"""Hierarchical latent-variable DAGs with reachability queries and a bit index.
+"""Hierarchical latent-variable DAGs with reachability queries, a bit index
+and its 0/1 matrices.
 
 A graph has three node kinds: latent variables, observable variables (the
 "pixels"), and exogenous noise variables.  Observables are sinks, never
@@ -17,6 +18,8 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 NodeId = str
 
@@ -261,7 +264,8 @@ class BitIndex:
     proper ancestors; ``exogenous``, ``latents`` and ``observables`` mask
     the nodes of each kind.  ``level[i]`` is the length of node ``i``'s
     longest directed path down to an observable (0 where there is none), and
-    ``dim[i]`` its dimension under unit noise widths.
+    ``dim[i]`` its dimension under unit noise widths.  ``matrices`` holds the
+    tables as 0/1 matrices; it and ``dim`` are built on first use.
     """
 
     def __init__(self, g: LatentGraph):
@@ -302,6 +306,10 @@ class BitIndex:
     @cached_property
     def dim(self) -> tuple[int, ...]:
         return tuple(self.dims())
+
+    @cached_property
+    def matrices(self) -> "BitMatrices":
+        return BitMatrices(self)
 
     def dims(self, exo_dims: Mapping[NodeId, int] | None = None) -> list[int]:
         """Dimension of every node by bit, under the additive rule of
@@ -354,6 +362,40 @@ class BitIndex:
         """True iff some node is an ancestor-or-self of both a member of
         ``a`` and a member of ``b``."""
         return bool(self.ancestors_or_self(a) & self.ancestors_or_self(b))
+
+
+class BitMatrices:
+    """A bit index's ``parents`` and ``ancestors`` tables as dense 0/1
+    matrices over the latent columns, the only nodes a walk up past the
+    observables reaches: entry ``(i, j)`` says whether ``latents[j]`` is in
+    node ``i``'s set, so the product of a K x n 0/1 matrix of node sets with
+    one, compared ``> 0``, holds each set's union among the latents.  The
+    entries are float32 so the products run in BLAS; each sum counts at most
+    n ones, exact in float32 in any order, so no rounding and no thread count
+    can change a comparison.  ``latent_parents`` and ``latent_ancestors`` are
+    their latent rows.  ``observables`` is the boolean row of the observable
+    bits; ``noise`` lists the exogenous positions and ``noise_child`` the one
+    child of each; ``ids`` holds the node ids by position."""
+
+    def __init__(self, idx: BitIndex):
+        n = len(idx.ids)
+        parents = _bool_rows(idx.parents, n)
+        self.observables, latents, exogenous = _bool_rows([idx.observables, idx.latents, idx.exogenous], n)
+        self.ids = np.array(idx.ids, dtype=object)
+        self.latents = np.flatnonzero(latents)
+        self.noise = np.flatnonzero(exogenous)
+        self.noise_child = np.arange(n) @ parents[:, self.noise]  # one True per column
+        self.parents = parents[:, self.latents].astype(np.float32)
+        self.ancestors = _bool_rows(idx.ancestors, n)[:, self.latents].astype(np.float32)
+        self.latent_parents = self.parents[self.latents]
+        self.latent_ancestors = self.ancestors[self.latents]
+
+
+def _bool_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The K x n boolean matrix whose row k holds the n low bits of ``masks[k]``."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").astype(bool)
 
 
 # -- validation ----------------------------------------------------------

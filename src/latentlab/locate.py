@@ -5,22 +5,23 @@ latent variables carrying all statistical dependence between the masked and
 visible parts.  ``locate_many`` finds it for a batch of masks, and
 ``locate_shared_info`` for one, by backtracking from the masked observables
 and pruning, one search for every caller: ``_locate_c_rows`` runs it for all
-the masks at once as 0/1 matrix products.  Each mask's visible-side-specific
-remainder is what ``locate_smc`` also collects.  ``brute_force_minimal_c`` is
-an independent oracle, an exact branch and bound over the latents among the
-mask's ancestors for the cheapest set whose ancestors hold every exogenous
-node above both sides of the mask.
+the masks at once as 0/1 matrix products.  ``_locate_rows`` adds each mask's
+masked-side noise ``s_m`` and visible-side remainder ``s_mc``, the latter
+from a second batched walk, up from the visible observables to the children
+of ``c``.  ``brute_force_minimal_c`` is an independent oracle, an exact
+branch and bound over the latents among the mask's ancestors for the
+cheapest set whose ancestors hold every exogenous node above both sides of
+the mask.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from latentlab.graph import BitIndex, LatentGraph, Mask, NodeId, NodeKind
+from latentlab.graph import BitIndex, BitMatrices, LatentGraph, Mask, NodeId, NodeKind, _bool_rows
 
 # Largest latent count the exhaustive oracle accepts.  Its branch and bound
 # is still exponential in the worst case: at 24 latents, the slowest of 400
@@ -92,140 +93,94 @@ def _split_mask(g: LatentGraph, mask: Mask) -> tuple[BitIndex, int, int]:
     return idx, masked_bits, idx.observables & ~masked_bits
 
 
-class BitMatrices:
-    """A bit index's ``parents`` and ``ancestors`` tables as dense 0/1
-    matrices over the latent columns, the only nodes the search of ``c``
-    reaches: entry ``(i, j)`` says whether ``latents[j]`` is in node ``i``'s
-    set, so the product of a K x n 0/1 matrix of node sets with one,
-    compared ``> 0``, holds each set's union among the latents.  The entries
-    are float32 so the products run in BLAS; each sum counts at most n ones,
-    exact in float32 in any order, so no rounding and no thread count can
-    change a comparison.  ``observables`` is the boolean row of the
-    observable bits; ``noise`` lists the exogenous positions and
-    ``noise_child`` the one child of each."""
-
-    def __init__(self, idx: BitIndex):
-        parents = _bool_rows(idx.parents, len(idx.ids))
-        self.observables, latents, exogenous = _bool_rows(
-            [idx.observables, idx.latents, idx.exogenous], len(idx.ids))
-        self.latents = np.flatnonzero(latents)
-        self.noise = np.flatnonzero(exogenous)
-        self.noise_child = np.arange(len(idx.ids)) @ parents[:, self.noise]  # one True per column
-        self.parents = parents[:, self.latents].astype(np.float32)
-        self.ancestors = _bool_rows(idx.ancestors, len(idx.ids))[:, self.latents].astype(np.float32)
-
-
-# Each bit index's matrices, built on first use and dropped with the index.
-_MATRICES: weakref.WeakKeyDictionary[BitIndex, BitMatrices] = weakref.WeakKeyDictionary()
-
-
-def _bit_matrices(idx: BitIndex) -> BitMatrices:
-    if idx not in _MATRICES:
-        _MATRICES[idx] = BitMatrices(idx)
-    return _MATRICES[idx]
-
-
-def _bool_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """The K x n boolean matrix whose row k holds the n low bits of ``masks[k]``."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").astype(bool)
-
-
-def _row_bits(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as a bit mask; ``_bool_rows`` undone."""
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
+def _walk_up(mats: BitMatrices, start: np.ndarray, halts: np.ndarray) -> np.ndarray:
+    """The K x L boolean matrix of the latents each row reaches walking up
+    from its ``start`` nodes (K x n): every latent parent of a start node or
+    of a reached latent outside the row's ``halts`` (K x L).  The rows walk
+    in lock step, one level per product, until every frontier is empty."""
+    reached = np.zeros((len(start), len(mats.latents)), dtype=bool)
+    above = start @ mats.parents > 0
+    while above.any():
+        frontier = above & ~reached
+        reached |= frontier
+        above = (frontier & ~halts) @ mats.latent_parents > 0
+    return reached
 
 
 def _locate_c_rows(mats: BitMatrices, masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``c`` and ``s_m`` search of ``locate_shared_info`` for a batch of
-    masks: from the K x n boolean matrix of each mask's masked observables,
-    each with some observable left visible, to the K x n boolean matrices
-    of each mask's ``c`` and ``s_m``.  The rows walk up in lock step, one
-    level per product, until every row's frontier is empty; pruning is one
-    more product.  Past the masked observables every set is one of latents,
-    so the walk runs on the latent columns alone.  ``s_m`` is the noise of
-    the masked observables and of the latents walked through, gathered from
-    each exogenous node's one child."""
-    latents = mats.latents
-    latent_parents = mats.parents[latents]
+    """The ``c`` search of ``locate_shared_info`` for a batch of masks: from
+    the K x n boolean matrix of each mask's masked observables, each with
+    some observable left visible, to the K x n boolean matrix of each mask's
+    ``c`` and the K x L one of the latents walked through.  The walk up from
+    the masked observables halts at the latents that reach a visible
+    observable, the candidates; pruning is one more product."""
     reaches_visible = (mats.observables & ~masked) @ mats.ancestors > 0
-    above = masked @ mats.parents > 0
-    walked = candidates = np.zeros_like(above)
-    while above.any():
-        candidates = candidates | above & reaches_visible
-        frontier = above & ~reaches_visible & ~walked
-        walked = walked | frontier
-        above = frontier @ latent_parents > 0
+    reached = _walk_up(mats, masked, reaches_visible)
+    candidates = reached & reaches_visible
     # Every candidate lies upstream of the visible side, so another candidate
     # on one of d's paths there is simply a candidate below d.
     c = np.zeros_like(masked)
-    c[:, latents] = candidates & ~(candidates @ mats.ancestors[latents] > 0)
-    walked_all = masked.copy()
-    walked_all[:, latents] = walked
-    s_m = np.zeros_like(masked)
-    s_m[:, mats.noise] = walked_all.take(mats.noise_child, axis=1)
-    return c, s_m
+    c[:, mats.latents] = candidates & ~(candidates @ mats.latent_ancestors > 0)
+    return c, reached & ~reaches_visible
 
 
-def locate_smc(g: LatentGraph, mask: Mask, c: Iterable[NodeId]) -> frozenset[NodeId]:
-    """Collect one valid visible-side remainder ``s_mc`` for a given ``c``.
-
-    Backtracks from every visible observable.  A node with a parent in ``c``
-    contributes all its non-``c`` parents (the spouses, plus its own noise)
-    and those are not backtracked further; otherwise exogenous parents are
-    collected and latent parents backtracked.  The result is not unique in
-    general; this returns the one induced by that reading.
-    """
-    idx, _, visible = _split_mask(g, mask)
-    c_bits = idx.encode(c)
-    non_latent = c_bits & ~idx.latents
-    if non_latent:
-        raise ValueError(f"c must contain latents only, got {sorted(idx.decode(non_latent))}")
-    return frozenset(idx.decode(_smc_bits(idx, visible, c_bits)))
+def _noise(mats: BitMatrices, nodes: np.ndarray) -> np.ndarray:
+    """The K x n boolean matrix of the exogenous parents of each row's
+    ``nodes``, gathered from each exogenous node's one child."""
+    noise = np.zeros_like(nodes)
+    noise[:, mats.noise] = nodes.take(mats.noise_child, axis=1)
+    return noise
 
 
-def _smc_bits(idx: BitIndex, visible: int, c: int) -> int:
-    """``locate_smc`` on bit masks."""
-    parents, exogenous = idx.parents, idx.exogenous
-    s_mc = 0
-    processed = frontier = visible
-    while frontier:
-        above = 0
-        for i in idx.positions(frontier):
-            if parents[i] & c:
-                s_mc |= parents[i] & ~c
-            else:
-                above |= parents[i]
-        s_mc |= above & exogenous
-        frontier = above & ~exogenous & ~processed
-        processed |= frontier
-    return s_mc
+def _locate_rows(mats: BitMatrices, masked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``c``, ``s_m`` and ``s_mc`` of a batch of masks as K x n boolean
+    matrices, from the masked observables as for ``_locate_c_rows``.
+    ``s_m`` is the noise of the masked observables and of the latents walked
+    through.  ``s_mc`` comes from a walk up from the visible observables that
+    halts at each node with a parent in ``c``: it is the noise of the visible
+    observables and of the latents walked through, plus the latent parents
+    outside ``c`` of the nodes where the walk halted."""
+    c, walked = _locate_c_rows(mats, masked)
+    masked_side = masked.copy()
+    masked_side[:, mats.latents] = walked
+    visible = mats.observables & ~masked
+    c_latents = c[:, mats.latents]
+    halts = c_latents @ mats.parents.T > 0
+    visible_side = visible.copy()
+    visible_side[:, mats.latents] = _walk_up(mats, visible & ~halts, halts[:, mats.latents])
+    s_mc = _noise(mats, visible_side)
+    s_mc[:, mats.latents] = ((visible_side & halts) @ mats.parents > 0) & ~c_latents
+    return c, _noise(mats, masked_side), s_mc
 
 
 def locate_shared_info(g: LatentGraph, mask: Mask) -> SharedInfo:
     """Find the shared latent set ``c``, the masked-side noise ``s_m`` and
-    the visible-side remainder ``s_mc`` (as ``locate_smc`` collects it), and
-    bundle the triple with its mask: ``locate_many`` on one mask.
+    a visible-side remainder ``s_mc``, and bundle the triple with its mask:
+    ``locate_many`` on one mask.
 
     Selection walks up from every masked observable: exogenous parents are
     collected into ``s_m``, latent parents that can reach a visible
     observable join the candidate set, and everything else is backtracked
     further.  Pruning then drops any candidate with another pre-pruning
-    candidate on one of its directed paths to the visible side.  Both stages
-    are order-independent.
+    candidate on one of its directed paths to the visible side.  ``s_mc``
+    backtracks from every visible observable: a node with a parent in ``c``
+    contributes all its non-``c`` parents (the spouses, plus its own noise)
+    and those are not backtracked further; otherwise exogenous parents are
+    collected and latent parents backtracked.  Every stage is
+    order-independent.  ``s_mc`` is not unique in general; this returns the
+    one induced by that reading.
     """
     return locate_many(g, [mask])[0]
 
 
-def locate_many(g: LatentGraph, masks: Sequence[Mask]) -> list[SharedInfo]:
+def locate_many(g: LatentGraph, masks: Iterable[Mask]) -> list[SharedInfo]:
     """``locate_shared_info`` on each mask, all checked first, then answered in one batch."""
-    splits = [_split_mask(g, mask) for mask in masks]
-    idx = g.bit_index()
-    c_rows, s_m_rows = _locate_c_rows(_bit_matrices(idx), _bool_rows([m for _, m, _ in splits], len(idx.ids)))
-    return [SharedInfo(c=frozenset(idx.decode(c)), s_m=frozenset(idx.decode(s_m)),
-                       s_mc=frozenset(idx.decode(_smc_bits(idx, visible, c))), mask=mask)
-            for mask, (_, _, visible), c, s_m in zip(masks, splits, _row_bits(c_rows), _row_bits(s_m_rows))]
+    masks = list(masks)
+    masked = [_split_mask(g, mask)[1] for mask in masks]
+    mats = g.bit_index().matrices
+    return [SharedInfo(c=frozenset(mats.ids[c]), s_m=frozenset(mats.ids[s_m]),
+                       s_mc=frozenset(mats.ids[s_mc]), mask=mask)
+            for mask, c, s_m, s_mc in zip(masks, *_locate_rows(mats, _bool_rows(masked, len(mats.ids))))]
 
 
 def _closure(idx: BitIndex, known: int) -> int:

@@ -13,15 +13,13 @@ from latentlab.cli import sweep_rows
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import (
     ORACLE_MAX_LATENTS,
-    BitMatrices,
     OracleResult,
     SharedInfo,
     _closure,
-    _locate_c_rows,
+    _locate_rows,
     brute_force_minimal_c,
     locate_many,
     locate_shared_info,
-    locate_smc,
     verify_conditions,
 )
 
@@ -66,14 +64,14 @@ def test_locate_c_ideal_mask(fig4):
 ])
 def test_located_triples_are_pinned(request, graph_name, digest):
     """The sorted ``(c, s_m, s_mc)`` of 300 seeded masks hash to the digest
-    the search has always given, whichever way it computes them."""
+    the search has always given, whichever way it computes them: one mask
+    at a time or all 300 as one batch."""
     g = request.getfixturevalue(graph_name)
     rng = np.random.default_rng(20_261_021)
-    rows = []
-    for _ in range(300):
-        info = locate_shared_info(g, random_mask(rng, g))
-        rows.append([sorted(info.c), sorted(info.s_m), sorted(info.s_mc)])
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+    masks = [random_mask(rng, g) for _ in range(300)]
+    for infos in ([locate_shared_info(g, mask) for mask in masks], locate_many(g, masks)):
+        rows = [[sorted(info.c), sorted(info.s_m), sorted(info.s_mc)] for info in infos]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_locate_c_rejects_empty_sides(fig4):
@@ -93,7 +91,7 @@ def test_locate_c_rejects_invalid_graph(fig4):
 # Every reader of a graph's bit index, each called on graph ``g``.
 INDEX_READERS = {
     "locate_shared_info": lambda g: locate_shared_info(g, FIG4C_MASK),
-    "locate_smc": lambda g: locate_smc(g, FIG4C_MASK, {"z2"}),
+    "locate_many": lambda g: locate_many(g, [FIG4C_MASK]),
     "brute_force_minimal_c": lambda g: brute_force_minimal_c(g, FIG4C_MASK, dict.fromkeys(g.node_ids, 1)),
     "verify_conditions": lambda g: verify_conditions(
         g, FIG4C_MASK, SharedInfo(c=frozenset({"z2"}), s_m=frozenset(), s_mc=frozenset(), mask=FIG4C_MASK)),
@@ -138,23 +136,20 @@ def test_locate_c_order_invariant(fig4):
         assert locate_shared_info(g, FIG4C_MASK) == locate_shared_info(fig4, FIG4C_MASK)
 
 
-# -- locate_smc ----------------------------------------------------------------
+# -- locating s_mc ----------------------------------------------------------------
 
 
 def test_locate_smc_ideal_mask(fig4):
-    s_mc = locate_smc(fig4, FIG4C_MASK, {"z2"})
-    assert s_mc == {"eps_x4", "eps_x5", "eps_x6", "eps_z5", "eps_z6"}
+    info = locate_shared_info(fig4, FIG4C_MASK)
+    assert info.c == {"z2"}
+    assert info.s_mc == {"eps_x4", "eps_x5", "eps_x6", "eps_z5", "eps_z6"}
 
 
 def test_locate_smc_single_latent():
     g = single_latent_graph()
-    s_mc = locate_smc(g, Mask({"x1"}), {"z"})
-    assert s_mc == {"eps_x2"}
-
-
-def test_locate_smc_rejects_non_latent_c(fig4):
-    with pytest.raises(ValueError, match="latents only"):
-        locate_smc(fig4, FIG4C_MASK, {"eps_z2"})
+    info = locate_shared_info(g, Mask({"x1"}))
+    assert info.c == {"z"}
+    assert info.s_mc == {"eps_x2"}
 
 
 def test_fig2_pipeline_passes_conditions(fig2):
@@ -266,7 +261,7 @@ def test_verify_conditions_unpruned_not_minimal(fig4):
     unpruned = SharedInfo(
         c=frozenset({"z2", "z6"}),
         s_m=locate_shared_info(fig4, mask).s_m,
-        s_mc=locate_smc(fig4, mask, {"z2", "z6"}),
+        s_mc=_set_locate_smc(fig4, mask, {"z2", "z6"}),
         mask=mask,
     )
     report = verify_conditions(fig4, mask, unpruned, dims=derive_dims(fig4))
@@ -687,8 +682,6 @@ def test_smc_and_conditions_match_set_references(seed):
     info = locate_shared_info(g, mask)
     assert (info.c, info.s_m) == _set_locate_c(g, mask)
     assert info.s_mc == _set_locate_smc(g, mask, info.c)
-    random_c = {v for v in g.latents if rng.random() < 0.4}
-    assert locate_smc(g, mask, random_c) == _set_locate_smc(g, mask, random_c)
     dims = derive_dims(g, {v: int(rng.integers(1, 4)) for v in g.exogenous})
     for triple in _corrupted_triples(rng, g, info):
         for d in (None, dims):
@@ -723,22 +716,26 @@ def test_sweep_rows_match_set_reference_on_random_graphs():
 
 
 def _check_batch_c(g: LatentGraph, masks: list[Mask]) -> list[frozenset]:
-    """``_locate_c_rows`` on ``masks`` as one batch against the set
-    reference ``_set_locate_c`` on each mask, for both ``c`` and ``s_m``;
-    returns the ``c`` sets."""
+    """``_locate_rows`` on ``masks`` as one batch against the set references
+    ``_set_locate_c`` and ``_set_locate_smc`` on each mask, for ``c``,
+    ``s_m`` and ``s_mc``; returns the ``c`` sets."""
     idx = g.bit_index()
     masked = np.zeros((len(masks), len(idx.ids)), dtype=bool)
     for row, mask in zip(masked, masks):
         row[[idx.bit[v] for v in mask.masked]] = True
     given = masked.copy()
-    c_rows, s_m_rows = _locate_c_rows(BitMatrices(idx), masked)
-    for rows in (c_rows, s_m_rows):
+    triple_rows = _locate_rows(idx.matrices, masked)
+    for rows in triple_rows:
         assert rows.shape == masked.shape and rows.dtype == bool
     assert (masked == given).all()
-    got = [tuple(frozenset(idx.ids[i] for i in np.flatnonzero(row).tolist()) for row in pair)
-           for pair in zip(c_rows, s_m_rows)]
-    assert got == [_set_locate_c(g, mask) for mask in masks]
-    return [c for c, _ in got]
+    got = [tuple(frozenset(idx.ids[i] for i in np.flatnonzero(row).tolist()) for row in triple)
+           for triple in zip(*triple_rows)]
+    want = []
+    for mask in masks:
+        c, s_m = _set_locate_c(g, mask)
+        want.append((c, s_m, _set_locate_smc(g, mask, c)))
+    assert got == want
+    return [c for c, _, _ in got]
 
 
 @pytest.mark.parametrize("graph_name", ["fig2", "fig4", "bench3"])
@@ -768,7 +765,9 @@ def test_batch_c_holds_empty_rows():
 def test_locate_many_answers_each_mask_as_alone(fig2):
     rng = np.random.default_rng(20_261_021)
     masks = [random_mask(rng, fig2) for _ in range(20)]
-    assert locate_many(fig2, masks) == [locate_shared_info(fig2, mask) for mask in masks]
+    alone = [locate_shared_info(fig2, mask) for mask in masks]
+    assert locate_many(fig2, masks) == alone
+    assert locate_many(fig2, (mask for mask in masks)) == alone
     assert locate_many(fig2, []) == []
 
 
