@@ -692,6 +692,40 @@ def test_smc_and_conditions_match_set_references(seed):
             assert got == _set_verify_conditions(g, mask, triple, dims=d), triple
 
 
+# The witness kinds each fixture's pinned reports reach; minimality is not
+# checked on bench3, which is above the oracle's cap.
+WITNESS_KINDS = ("c contains", "s_m contains", "masked observables", "visible observables",
+                 "c + s_m not", "s_m is d-connected", "c has total")
+
+
+@pytest.mark.parametrize("graph_name, digest", [
+    ("fig2", "f71f18ff891d602d3bdf30c73a8f31c4af3e0a7d2baafaba8aaf1ddbea7deaa2"),
+    ("fig4", "226c91f02459cb41aa3e2fdfdbea69df56d3c1c423e713acdd2a5abc30202554"),
+    ("bench3", "7a22929e399b1d45a2ec5d221dda4e147e91561b11f83ac32af3676b09c6fb52"),
+])
+def test_condition_reports_are_pinned(request, graph_name, digest):
+    """The reports of ``verify_conditions`` on the located triples of 100
+    seeded masks and on their ``_corrupted_triples`` hash to the digest the
+    checks have always given, with the oracle's minimality check too where
+    the graph is under its cap."""
+    g = request.getfixturevalue(graph_name)
+    rng = np.random.default_rng(20_261_023)
+    masks = [random_mask(rng, g) for _ in range(100)]
+    dim_maps = [None] if len(g.latents) > ORACLE_MAX_LATENTS else [None, derive_dims(g)]
+    rows, kinds = [], set()
+    for mask, info in zip(masks, locate_many(g, masks)):
+        for triple in _corrupted_triples(rng, g, info):
+            for dims in dim_maps:
+                report = verify_conditions(g, mask, triple, dims=dims)
+                rows.append([sorted(triple.c), sorted(triple.s_m), sorted(triple.s_mc),
+                             report.invertible_masked, report.invertible_visible,
+                             report.recoverable_from_masked, report.independence_ok,
+                             report.total_dim_c, report.minimal_ok, list(report.witnesses)])
+                kinds |= {kind for kind in WITNESS_KINDS for w in report.witnesses if w.startswith(kind)}
+    assert kinds == set(WITNESS_KINDS[:-1] if dim_maps == [None] else WITNESS_KINDS)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("graph_name", ["bench3", "fig2", "fig4"])
 @pytest.mark.parametrize("seed", [1, 3, 11])
 def test_sweep_rows_match_set_reference(request, graph_name, seed):
