@@ -242,9 +242,10 @@ def _sampler(r: float, s: int, g: LatentGraph, ratio_flag: str, patch_flag: str)
 
 def cmd_locate(args) -> int:
     g = _resolve_graph(args.graph)
-    if args.mask is not None:
+    sampling = (args.ratio, args.patch, args.seed) != (None, None, None)
+    if args.mask is not None and not sampling:
         mask = _parse_mask_list(g, args.mask)
-    elif args.ratio is not None:
+    elif args.mask is None and args.ratio is not None:
         if args.patch is None or args.seed is None:
             raise ConfigError("sampled masks need --ratio, --patch, and --seed")
         _require_count(args.seed, "--seed")
@@ -418,10 +419,11 @@ def cmd_evaluate(args) -> int:
 
 
 def _cells(ratios: Sequence[float], patches: Sequence[int], seed: int):
-    """Each (ratio, patch) cell in sorted order with its own generator,
-    spawned from ``seed``.  A cell's masks are its generator's successive
-    draws, ``mask_idx`` 0 first; the training sweep trains that first one."""
-    cells = sorted((float(r), int(s)) for r in ratios for s in patches)
+    """Each distinct (ratio, patch) cell once, in sorted order, with its own
+    generator spawned from ``seed``.  A cell's masks are its generator's
+    successive draws, ``mask_idx`` 0 first; the training sweep trains that
+    first one."""
+    cells = sorted({(float(r), int(s)) for r in ratios for s in patches})
     for (r, s), cell_seed in zip(cells, np.random.SeedSequence(seed).spawn(len(cells))):
         yield r, s, np.random.default_rng(cell_seed)
 

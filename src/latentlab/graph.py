@@ -286,11 +286,6 @@ class BitIndex:
         self.exogenous = kind_masks[NodeKind.EXOGENOUS]
         self.latents = kind_masks[NodeKind.LATENT]
         self.observables = kind_masks[NodeKind.OBSERVABLE]
-        # (bit, parent mask) of every node with parents, parents first.
-        self.forward: tuple[tuple[int, int], ...] = tuple(
-            (1 << i, ps) for i, ps in enumerate(self.parents) if ps
-        )
-        self.non_roots = sum(bit for bit, _ in self.forward)
         # Children come after their parents, so one backward pass settles
         # every level; None marks nodes with no directed path to an observable.
         depth: list[int | None] = [None] * len(self.ids)
@@ -350,18 +345,14 @@ class BitIndex:
         return out
 
     def ancestors_or_self(self, members: int) -> int:
-        """``members`` with every ancestor of a member; roots add none."""
-        out, rest = members, members & self.non_roots
+        """``members`` with every ancestor of a member; the exogenous
+        members, the graph's roots, add none."""
+        out, rest = members, members & ~self.exogenous
         while rest:
             low = rest & -rest
             out |= self.ancestors[low.bit_length() - 1]
             rest ^= low
         return out
-
-    def share_ancestor(self, a: int, b: int) -> bool:
-        """True iff some node is an ancestor-or-self of both a member of
-        ``a`` and a member of ``b``."""
-        return bool(self.ancestors_or_self(a) & self.ancestors_or_self(b))
 
 
 class BitMatrices:

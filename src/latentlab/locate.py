@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from latentlab.graph import BitIndex, BitMatrices, LatentGraph, Mask, NodeId, NodeKind, _bool_rows
+from latentlab.graph import BitIndex, BitMatrices, LatentGraph, Mask, NodeId, _bool_rows
 
 # Largest latent count the exhaustive oracle accepts.  Its branch and bound
 # is still exponential in the worst case: at 24 latents, the slowest of 400
@@ -183,20 +183,16 @@ def locate_many(g: LatentGraph, masks: Iterable[Mask]) -> list[SharedInfo]:
             for mask, c, s_m, s_mc in zip(masks, *_locate_rows(mats, _bool_rows(masked, len(mats.ids))))]
 
 
-def _closure(idx: BitIndex, known: int) -> int:
-    """Least fixpoint of what the ``known`` node values determine, on bit
-    masks.  Two rules: knowing a node reveals all its parents (each
-    generating step is invertible), and knowing all parents of a node
-    reveals the node (forward evaluation); exogenous nodes enter only via
-    the first.  The upward rule applied to the known set gives every
-    ancestor; one forward pass in topological order then adds each node
-    whose parents are all known.  That set is already ancestor-closed, so
-    the upward rule adds nothing further."""
-    closed = idx.ancestors_or_self(known)
-    for bit, parents in idx.forward:
-        if parents & closed == parents:
-            closed |= bit
-    return closed
+def _undetermined(idx: BitIndex, targets: int, known: int) -> int:
+    """The ``targets`` that the values of the ``known`` nodes leave
+    undetermined, on bit masks.  Knowing a node reveals its parents (each
+    generating step is invertible), and knowing all of a node's parents
+    reveals the node.  In a valid graph the roots are exactly the exogenous
+    nodes, so a node is determined exactly when every exogenous node among
+    its ancestors-or-self lies in ``anc(known)``, the known set's
+    ancestor-or-self set."""
+    missing = idx.exogenous & ~idx.ancestors_or_self(known)
+    return sum(1 << i for i in idx.positions(targets) if (idx.ancestors[i] | 1 << i) & missing)
 
 
 def verify_conditions(
@@ -212,31 +208,31 @@ def verify_conditions(
     must split the observables (ValueError otherwise).
     """
     idx, masked, visible = _split_mask(g, mask)
+    c, s_m, s_mc = idx.encode(info.c), idx.encode(info.s_m), idx.encode(info.s_mc)
     witnesses: list[str] = []
 
-    bad_c = {v for v in info.c if g.kind(v) is not NodeKind.LATENT}
-    if bad_c:
-        witnesses.append(f"c contains non-latent nodes: {sorted(bad_c)}")
-    bad_sm = {v for v in info.s_m if g.kind(v) is not NodeKind.EXOGENOUS}
-    if bad_sm:
-        witnesses.append(f"s_m contains non-exogenous nodes: {sorted(bad_sm)}")
+    if c & ~idx.latents:
+        witnesses.append(f"c contains non-latent nodes: {sorted(idx.decode(c & ~idx.latents))}")
+    if s_m & ~idx.exogenous:
+        witnesses.append(f"s_m contains non-exogenous nodes: {sorted(idx.decode(s_m & ~idx.exogenous))}")
 
-    c, s_m, s_mc = idx.encode(info.c), idx.encode(info.s_m), idx.encode(info.s_mc)
-    undetermined = masked & ~_closure(idx, c | s_m)
+    undetermined = _undetermined(idx, masked, c | s_m)
     invertible_masked = not undetermined
     if undetermined:
         witnesses.append(
             f"masked observables not determined by c + s_m: {sorted(idx.decode(undetermined))}"
         )
 
-    undetermined = visible & ~_closure(idx, c | s_mc)
+    undetermined = _undetermined(idx, visible, c | s_mc)
     invertible_visible = not undetermined
     if undetermined:
         witnesses.append(
             f"visible observables not determined by c + s_mc: {sorted(idx.decode(undetermined))}"
         )
 
-    unrecovered = (c | s_m) & ~_closure(idx, masked)
+    # The masked observables determine their ancestor-or-self set and no more
+    # (see brute_force_minimal_c).
+    unrecovered = (c | s_m) & ~idx.ancestors_or_self(masked)
     recoverable = not unrecovered
     if unrecovered:
         witnesses.append(
@@ -244,16 +240,12 @@ def verify_conditions(
             f"{sorted(idx.decode(unrecovered))}"
         )
 
-    other = c | s_mc
-    if s_m & other:
-        independence_ok = False
-        witnesses.append(f"s_m overlaps c + s_mc: {sorted(idx.decode(s_m & other))}")
-    else:
-        # Given the empty set only colliders block a trail, so two disjoint
-        # sets are d-separated exactly when they share no ancestor-or-self.
-        independence_ok = not idx.share_ancestor(s_m, other)
-        if not independence_ok:
-            witnesses.append("s_m is d-connected to c + s_mc given the empty set")
+    # SharedInfo keeps s_m apart from c + s_mc.  Given the empty set only
+    # colliders block a trail, so two disjoint sets are d-separated exactly
+    # when they share no ancestor-or-self.
+    independence_ok = not (idx.ancestors_or_self(s_m) & idx.ancestors_or_self(c | s_mc))
+    if not independence_ok:
+        witnesses.append("s_m is d-connected to c + s_mc given the empty set")
 
     if dims is None:
         total_dim_c = sum(idx.dim[i] for i in idx.positions(c))
@@ -302,11 +294,11 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
     order.  Latent dimensions must be non-negative, and a graph with more
     than ``ORACLE_MAX_LATENTS`` latents is refused.
 
-    In a valid graph the roots are exactly the exogenous nodes, and each
-    has one child.  So ``closure(mask)`` is ``anc(mask)``, the mask's
-    ancestor-or-self set: a node outside it has its exogenous parent outside
-    it too.  ``C' + E`` always determines the mask, as ``E`` holds every
-    root above it, and only the upward rule reveals a root, so
+    By the rule of ``_undetermined``, ``closure(mask)`` is ``anc(mask)``,
+    the mask's ancestor-or-self set: a node outside it has its exogenous
+    parent, which has no other child, outside it too.  ``C' + E`` always
+    determines the mask, as ``E`` holds every exogenous node above it, and
+    an exogenous node is determined only inside ``anc(C')``, so
     ``S' = E - anc(C')``.  The tests thus reduce to ``C' <= anc(mask)`` and,
     as ``S'`` are roots, ``E & anc(visible) <= anc(C')``: the search is a
     weighted cover of those needed nodes by latents in ``anc(mask)``.  It is

@@ -137,6 +137,15 @@ def test_locate_requires_some_mask_spec(capsys):
     assert "provide either" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sampling", [["--ratio", "0.5"], ["--patch", "1"], ["--seed", "3"],
+                                      ["--ratio", "0.5", "--patch", "1", "--seed", "3"]])
+def test_locate_refuses_mask_with_sampling_flags(capsys, sampling):
+    assert main(["locate", "fig4", "--mask", "x1", *sampling]) == 2
+    captured = capsys.readouterr()
+    assert "provide either --mask or --ratio/--patch/--seed" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["locate"])  # missing graph argument
@@ -409,6 +418,15 @@ def test_training_cells_draw_the_sweeps_first_masks(request, graph_name):
         levels = [bits.level[bits.bit[v]] for v in info.c]
         total_dim = sum(bits.dim[bits.bit[v]] for v in info.c)
         assert first[r, s] == [len(mask.masked), sum(levels) / len(levels), max(levels), total_dim]
+
+
+def test_sweep_answers_a_repeated_cell_once(tmp_path, capsys):
+    once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
+    argv = ["sweep", "fig4", "--masks-per-cell", "2", "--seed", "1"]
+    assert main(argv + ["--ratios", "0.5", "--patches", "1", "--out", str(once)]) == 0
+    assert main(argv + ["--ratios", "0.5,0.5", "--patches", "1,1", "--out", str(repeated)]) == 0
+    assert repeated.read_bytes() == once.read_bytes()
+    assert len(once.read_text().splitlines()) == 3
 
 
 def test_sweep_rows_are_sorted(tmp_path, capsys):

@@ -15,8 +15,8 @@ from latentlab.locate import (
     ORACLE_MAX_LATENTS,
     OracleResult,
     SharedInfo,
-    _closure,
     _locate_rows,
+    _undetermined,
     brute_force_minimal_c,
     locate_many,
     locate_shared_info,
@@ -163,8 +163,10 @@ def test_fig2_pipeline_passes_conditions(fig2):
 
 
 def closure(g: LatentGraph, known) -> set:
+    """Every node that ``known`` determines, by ``_undetermined`` over all nodes."""
     idx = g.bit_index()
-    return idx.decode(_closure(idx, idx.encode(known)))
+    every = (1 << len(idx.ids)) - 1
+    return idx.decode(every & ~_undetermined(idx, every, idx.encode(known)))
 
 
 def test_closure_full_inversion_from_observable():
@@ -225,11 +227,11 @@ def _check_oracle_graph_facts(g: LatentGraph, rng, n_masks: int) -> None:
     idx = g.bit_index()
     latents = sorted(g.latents)
     for _ in range(n_masks):
-        mask = idx.encode(random_mask(rng, g).masked)
-        anc = idx.ancestors_or_self(mask)
-        assert _closure(idx, mask) == anc
+        mask = random_mask(rng, g).masked
+        anc = idx.ancestors_or_self(idx.encode(mask))
+        assert _naive_closure(g, mask) == idx.decode(anc)
         chosen = idx.encode(v for v in latents if rng.random() < 0.5)
-        assert not mask & ~_closure(idx, idx.ancestors_or_self(chosen) | anc & idx.exogenous)
+        assert mask <= _naive_closure(g, idx.decode(idx.ancestors_or_self(chosen) | anc & idx.exogenous))
 
 
 @settings(max_examples=80, deadline=None)
@@ -629,7 +631,7 @@ def _set_sweep_rows(g: LatentGraph, ratios, patches, k_masks, seed):
     from latentlab.mae import MaskSampler, sample_mask
 
     levels, dims = _set_levels(g), _set_dims(g)
-    cells = sorted((float(r), int(s)) for r in ratios for s in patches)
+    cells = sorted({(float(r), int(s)) for r in ratios for s in patches})
     rows = []
     for (r, s), cell_seed in zip(cells, np.random.SeedSequence(seed).spawn(len(cells))):
         rng = np.random.default_rng(cell_seed)
