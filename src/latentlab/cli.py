@@ -320,18 +320,32 @@ def _require_current(path: Path, writer: str, compared) -> None:
                               f"but the config's {key!r} is {json.dumps(expected)}; run {writer} again")
 
 
+def _some(ids: set[str]) -> str:
+    """At most three of ``ids``, sorted, and how many more there are."""
+    shown = sorted(ids)[:3]
+    more = f" and {len(ids) - len(shown)} more" if len(ids) > len(shown) else ""
+    return ", ".join(shown) + more if shown else "none"
+
+
 def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     """The dataset under ``cfg.out_dir``, refused when its header shows it
     was written for another graph (by its nodes, then its layout), ``n``,
-    ``sample_seed`` or ``scm`` section."""
+    ``sample_seed`` or ``scm`` section.  A refusal for other nodes names
+    each side's node count and a few of the ids the other side lacks."""
     base = cfg.out_dir / "dataset"
     header_path = base.with_suffix(".json")
     if not header_path.exists():
         raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
     header = read_header(header_path, "dataset", DATASET_FIELDS, "simulate")
+    recorded, expected = set(header["column_spans"]), set(g.node_ids)
+    if recorded != expected:
+        raise ConfigError(
+            f"{header_path} is stale: its graph has {len(recorded)} nodes, but the config's 'graph' has "
+            f"{len(expected)} (only in the config's graph: {_some(expected - recorded)}; only in the dataset: "
+            f"{_some(recorded - expected)}); run simulate again"
+        )
     recorded_scm = header.get("scm") or {}
     _require_current(header_path, "simulate", [
-        ("graph", sorted(header["column_spans"]), sorted(g.node_ids)),
         ("graph.layout", header["layout"], list(g.layout)),
         ("n", header["n"], cfg.n), ("sample_seed", header.get("seed"), cfg.sample_seed),
         *((f"scm.{key}", recorded_scm.get(key), value) for key, value in asdict(cfg.scm).items()),
@@ -437,22 +451,21 @@ def sweep_rows(
 ) -> list[list]:
     """One row per sampled mask: level statistics of the located shared set.
 
-    Each cell's masks are drawn as patch indices and answered as one batch:
-    the draws become a K x patches 0/1 matrix, each layout position takes
-    its patch's column to give the K x nodes matrix of masked observables,
-    and ``_locate_c_rows`` finds every mask's ``c`` at once from the graph's
-    cached matrices, gathering no ``s_m`` or ``s_mc``.  The row's statistics
-    are vector sums and maxima over the graph's level and dimension tables,
-    emitted as Python ints and floats."""
+    Each cell's masks are drawn by one ``MaskSampler.draw_many`` call and
+    answered as one batch: the draws become a K x patches 0/1 matrix, each
+    layout position takes its patch's column to give the K x nodes matrix
+    of masked observables, and ``_locate_c_rows`` finds every mask's ``c``
+    at once from the graph's cached matrices, gathering no ``s_m`` or
+    ``s_mc``.  The row's statistics are vector sums and maxima over the
+    graph's level and dimension tables, emitted as Python ints and floats."""
     bits = g.bit_index()
     level, dim = np.array(bits.level), np.array(bits.dim)
     columns = [bits.bit[v] for v in g.layout]
     rows = []
     for r, s, rng in _cells(ratios, patches, seed):
         sampler = MaskSampler(r, s, tuple(g.layout))
-        draws = np.array([sampler.draw(rng) for _ in range(k_masks)], dtype=np.intp)
         chosen = np.zeros((k_masks, sampler.num_patches), dtype=bool)
-        np.put_along_axis(chosen, draws.reshape(k_masks, sampler.num_masked_patches), True, axis=1)
+        np.put_along_axis(chosen, sampler.draw_many(rng, k_masks), True, axis=1)
         masked = np.zeros((k_masks, len(bits.ids)), dtype=bool)
         masked[:, columns] = chosen[:, np.arange(len(columns)) // s]
         c, _ = _locate_c_rows(bits.matrices, masked)

@@ -67,14 +67,20 @@ class MaskSampler:
         k = int(math.floor(self.r * self.num_patches + 0.5))
         return min(max(k, 1), self.num_patches - 1)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """The indices of the patches to mask, in draw order: one
-        ``rng.choice`` call, which every sampled mask goes through."""
-        return rng.choice(self.num_patches, size=self.num_masked_patches, replace=False)
+    def draw_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """A ``count`` x ``num_masked_patches`` matrix of the patch indices
+        to mask, which every sampled mask goes through.  Row i holds the
+        patches with the smallest uniforms in row i of one
+        ``rng.random((count, num_patches))`` draw, the same stream as
+        ``count`` successive ``rng.random(num_patches)`` draws; so row i is
+        the i-th mask drawn one at a time, and row 0 does not depend on
+        ``count``."""
+        keys = rng.random((count, self.num_patches))
+        return np.argsort(keys, axis=1, kind="stable")[:, :self.num_masked_patches]
 
 
 def sample_mask(sampler: MaskSampler, rng: np.random.Generator) -> Mask:
-    return Mask(v for i in sampler.draw(rng) for v in sampler.patches[i])
+    return Mask(v for i in sampler.draw_many(rng, 1)[0] for v in sampler.patches[i])
 
 
 @dataclass

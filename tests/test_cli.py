@@ -18,6 +18,7 @@ from latentlab.cli import (
     CONFIG_FIELDS,
     LISTED_MASK_FIELDS,
     SAMPLED_MASK_FIELDS,
+    ConfigError,
     ExperimentConfig,
     main,
     settings_fields,
@@ -28,7 +29,6 @@ from latentlab.graph import BitIndex
 from latentlab.mae import MODEL_FIELDS
 from latentlab.scm import DATASET_FIELDS, JSON_KINDS
 
-NODES = {name: load_graph(fixture_path(name)).node_ids for name in ("fig2", "fig4")}
 FIG4_LAYOUT = list(load_graph(fixture_path("fig4")).layout)
 
 
@@ -358,7 +358,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
     assert main(["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
                  "--masks-per-cell", "100", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
+    assert digest == "7c64b463ff062a3e897b952882f3f38b944f991fda7014b523dee468e3d30c4f"
 
 
 def _run_cli_at_blas_threads(argv_at) -> dict[str, subprocess.CompletedProcess]:
@@ -389,7 +389,7 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     for threads, run in runs.items():
         assert run.returncode == 0, run.stderr
         digest = hashlib.sha256((tmp_path / f"{threads}.csv").read_bytes()).hexdigest()
-        assert digest == "540ca4323ca9b969c16a11148f12d4c1ffbb9a26321cb0fe8a52316cbbc65a28"
+        assert digest == "7c64b463ff062a3e897b952882f3f38b944f991fda7014b523dee468e3d30c4f"
 
 
 def test_locate_bytes_do_not_depend_on_blas_threads():
@@ -528,9 +528,11 @@ def test_train_refuses_a_mask_whose_c_is_empty(tmp_path, capsys, d_c):
 @pytest.mark.parametrize("d_c", [None, 1])
 def test_training_sweep_refuses_a_cell_whose_c_is_empty(tmp_path, capsys, d_c):
     graph, cfg = empty_c_config(tmp_path, d_c)
-    # at this seed the cell's first mask is x1
+    # at this seed the cell's first mask is x1, which training_cells refuses
+    with pytest.raises(ConfigError, match=EMPTY_C):
+        training_cells(load_graph(graph), [0.3], [1], 9)
     assert main(["sweep", str(graph), "--ratios", "0.3", "--patches", "1", "--masks-per-cell", "1",
-                 "--seed", "1", "--out", str(tmp_path / "sweep.csv"),
+                 "--seed", "9", "--out", str(tmp_path / "sweep.csv"),
                  "--with-training", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert EMPTY_C in err and "Traceback" not in err
@@ -744,8 +746,9 @@ def test_wrongly_typed_mae_value_exits_two_on_train(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, expected",
     [
-        ({"graph": "fig2"}, "{dataset} is stale: its graph is " + json.dumps(sorted(NODES["fig4"]))
-         + ", but the config's 'graph' is " + json.dumps(sorted(NODES["fig2"])) + "; run simulate again"),
+        ({"graph": "fig2"}, "{dataset} is stale: its graph has 24 nodes, but the config's 'graph' has 42 "
+         "(only in the config's graph: eps_x10, eps_x11, eps_x7 and 15 more; only in the dataset: none); "
+         "run simulate again"),
         ({"n": 500}, "its n is 400, but the config's 'n' is 500"),
         ({"scm": {"layers": 2, "alpha": 0.9, "seed": 11}},
          "its scm.alpha is 0.5, but the config's 'scm.alpha' is 0.9"),
@@ -766,6 +769,22 @@ def test_stale_dataset_after_config_edit_exits_two(tmp_path, capsys, overrides, 
         assert expected.format(dataset=tmp_path / "run" / "dataset.json") in err and "run simulate again" in err
     assert (tmp_path / "run" / "model.bin").read_bytes() == model
     assert not (tmp_path / "run" / "ident_report.json").exists()
+
+
+def test_stale_graph_refusal_names_counts_not_node_lists(tmp_path, capsys):
+    """A fig4 dataset under a bench3 config: the refusal names both node
+    counts and three ids missing from each side, not 138 ids."""
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    write_config(tmp_path, graph="bench3", mask={"ratio": 0.5, "patch": 1, "seed": 0})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    dataset = tmp_path / "run" / "dataset.json"
+    assert (f"{dataset} is stale: its graph has 24 nodes, but the config's 'graph' has 114 "
+            "(only in the config's graph: eps_l1, eps_l10, eps_l11 and 111 more; "
+            "only in the dataset: eps_x1, eps_x2, eps_x3 and 21 more); run simulate again") in err
+    assert len(err) - len(str(dataset)) <= 250
 
 
 def test_graph_layout_edit_makes_the_dataset_stale(tmp_path, capsys):

@@ -70,13 +70,44 @@ def test_sample_mask_clamps_to_one_patch():
     assert len(mask.masked) == 2  # one patch of two pixels
 
 
-def test_draw_is_one_choice_call_that_sample_mask_reads():
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_draw_many_shape(count):
     sampler = MaskSampler(0.3, 2, unit_layout(11))
-    drawn, reference, masks = (np.random.default_rng(4) for _ in range(3))
-    for _ in range(20):
-        chosen = sampler.draw(drawn)
-        assert chosen.tolist() == reference.choice(6, size=2, replace=False).tolist()
-        assert sample_mask(sampler, masks).masked == {v for i in chosen for v in sampler.patches[i]}
+    assert sampler.draw_many(np.random.default_rng(4), count).shape == (count, sampler.num_masked_patches)
+
+
+@pytest.mark.parametrize("r, s, n", [(0.3, 2, 11), (0.5, 1, 32), (0.9, 4, 32), (0.05, 1, 7)])
+def test_draw_many_rows_are_k_distinct_patches(r, s, n):
+    sampler = MaskSampler(r, s, unit_layout(n))
+    draws = sampler.draw_many(np.random.default_rng(5), 500)
+    assert draws.min() >= 0 and draws.max() < sampler.num_patches
+    assert all(len(set(row)) == sampler.num_masked_patches for row in draws.tolist())
+
+
+def test_draw_many_row_i_is_the_ith_single_draw_and_sample_mask():
+    sampler = MaskSampler(0.3, 2, unit_layout(11))
+    batch = sampler.draw_many(np.random.default_rng(4), 20)
+    singles, masks = np.random.default_rng(4), np.random.default_rng(4)
+    for row in batch:
+        assert row.tolist() == sampler.draw_many(singles, 1)[0].tolist()
+        assert sample_mask(sampler, masks).masked == {v for i in row for v in sampler.patches[i]}
+
+
+def test_draw_many_first_row_does_not_depend_on_the_count():
+    sampler = MaskSampler(0.5, 1, unit_layout(32))
+    first = sampler.draw_many(np.random.default_rng(9), 1)[0].tolist()
+    for count in (2, 10, 1000):
+        assert sampler.draw_many(np.random.default_rng(9), count)[0].tolist() == first
+
+
+def test_draw_many_is_uniform_over_the_subsets():
+    """Each of the C(4, 2) = 6 two-patch masks of a 4-node layout comes out
+    within five binomial standard deviations of n / 6 over n draws."""
+    n = 60_000
+    draws = MaskSampler(0.5, 1, unit_layout(4)).draw_many(np.random.default_rng(11), n)
+    subsets, counts = np.unique(np.sort(draws, axis=1), axis=0, return_counts=True)
+    assert len(subsets) == math.comb(4, 2)
+    assert np.all(np.abs(counts - n / 6) <= 5 * math.sqrt(n * (1 / 6) * (5 / 6)))
 
 
 def test_sampler_rejects_degenerate_layout():
