@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -97,16 +98,14 @@ def _dump_json(data, path: Path | None) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write ``rows`` under ``header``, each row formatted by one ``%``
+    expression.  ``%s`` writes a float as its ``repr``, the shortest text
+    that reads back as the same float."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    row_format = ",".join(["%s"] * len(header))
     lines = [",".join(header)]
-    lines += (",".join(map(_csv_cell, row)) for row in rows)
+    lines += [row_format % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 # -- experiment config ------------------------------------------------------------
@@ -424,7 +423,7 @@ def cmd_evaluate(args) -> int:
     row = [cfg.graph, ";".join(expected), ds.n, report.r2_c_from_chat, report.r2_chat_from_c,
            report.r2_sm_from_chat, report.n_train, report.n_test]
     with open(summary, "a") as fh:
-        fh.write(",".join(map(_csv_cell, row)) + "\n")
+        fh.write(",".join(map(str, row)) + "\n")
     print(f"ident_report: {cfg.out_dir / 'ident_report.json'}")
     print(f"r2_c_from_chat: {report.r2_c_from_chat!r}")
     print(f"r2_chat_from_c: {report.r2_chat_from_c!r}")
@@ -556,7 +555,12 @@ def cmd_sweep(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call only: argparse
+    spends about 1 ms per build, mostly per-argument lookups, and parsing
+    leaves the parser as it was, so every ``main`` call of a process can
+    share one."""
     parser = _Parser(prog="latentlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -569,25 +573,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-minimal", action="store_true",
                    help="also compare against the exhaustive oracle (small graphs only)")
     p.add_argument("--out", help="write the JSON report here as well")
-    p.set_defaults(fn=cmd_locate)
 
     p = sub.add_parser("verify", help="compare the search against the exhaustive oracle")
     p.add_argument("graph")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="build the simulator and write a dataset")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("train", help="train the masked autoencoder on a dataset")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="score block identifiability of a checkpoint")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="scan masking ratio and patch size cells")
     p.add_argument("graph")
@@ -599,16 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-training", action="store_true",
                    help="also train and score a model per cell (slow; needs --config)")
     p.add_argument("--config", help="experiment config for the training sweep")
-    p.set_defaults(fn=cmd_sweep)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # Looked up by name on every call, so that a wrapper or stand-in bound
+        # to ``cmd_<name>`` after the parser was built is the one that runs.
+        return globals()["cmd_" + args.command](args)
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError, MemoryError) as exc:
         print(f"latentlab: error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -70,24 +70,30 @@ class LatentGraph:
         layout: Sequence[NodeId],
     ):
         kinds: dict[NodeId, NodeKind] = {}
+        of_kind: dict[NodeKind, list[NodeId]] = {k: [] for k in NodeKind}
         for node_id, kind in nodes:
             if not node_id:
                 raise ValueError("node ids must be non-empty strings")
             if node_id in kinds:
                 raise ValueError(f"duplicate node id {node_id!r}")
-            kinds[node_id] = NodeKind(kind)
-        parent_map: dict[NodeId, set[NodeId]] = {v: set() for v in kinds}
-        child_map: dict[NodeId, set[NodeId]] = {v: set() for v in kinds}
+            if type(kind) is not NodeKind:
+                kind = NodeKind(kind)
+            kinds[node_id] = kind
+            of_kind[kind].append(node_id)
         edge_set: set[tuple[NodeId, NodeId]] = set()
         for parent, child in edges:
             for endpoint in (parent, child):
                 if endpoint not in kinds:
                     raise UnknownNodeError(f"edge endpoint {endpoint!r} is not a declared node")
             edge_set.add((parent, child))
-            parent_map[child].add(parent)
-            child_map[parent].add(child)
+        # Lists, not sets: each distinct edge is added once.
+        parent_map: dict[NodeId, list[NodeId]] = {v: [] for v in kinds}
+        child_map: dict[NodeId, list[NodeId]] = {v: [] for v in kinds}
+        for parent, child in edge_set:
+            parent_map[child].append(parent)
+            child_map[parent].append(child)
         self._kinds = kinds
-        self._of_kind = {k: tuple(v for v, kind in kinds.items() if kind is k) for k in NodeKind}
+        self._of_kind = {k: tuple(vs) for k, vs in of_kind.items()}
         self._observable_set = frozenset(self._of_kind[NodeKind.OBSERVABLE])
         self._parents = {v: frozenset(ps) for v, ps in parent_map.items()}
         self._children = {v: frozenset(cs) for v, cs in child_map.items()}
@@ -269,31 +275,34 @@ class BitIndex:
     """
 
     def __init__(self, g: LatentGraph):
-        self.ids: tuple[NodeId, ...] = g.topo_order()
-        self.bit: dict[NodeId, int] = {v: i for i, v in enumerate(self.ids)}
+        # One pass in topological order over the graph's own tables, whose
+        # ids the validation behind ``bit_index`` has already checked.
+        ids = self.ids = g.topo_order()
+        bit = self.bit = {v: i for i, v in enumerate(ids)}
+        kinds, parents_of, children_of = g._kinds, g._parents, g._children
         self.parents: list[int] = []
         self.ancestors: list[int] = []
         kind_masks = dict.fromkeys(NodeKind, 0)
-        for i, v in enumerate(self.ids):
+        for i, v in enumerate(ids):
             parents = ancestors = 0
-            for p in g.parents(v):
-                j = self.bit[p]
+            for p in parents_of[v]:
+                j = bit[p]
                 parents |= 1 << j
                 ancestors |= self.ancestors[j]
             self.parents.append(parents)
             self.ancestors.append(ancestors | parents)
-            kind_masks[g.kind(v)] |= 1 << i
+            kind_masks[kinds[v]] |= 1 << i
         self.exogenous = kind_masks[NodeKind.EXOGENOUS]
         self.latents = kind_masks[NodeKind.LATENT]
         self.observables = kind_masks[NodeKind.OBSERVABLE]
         # Children come after their parents, so one backward pass settles
         # every level; None marks nodes with no directed path to an observable.
-        depth: list[int | None] = [None] * len(self.ids)
-        for i in reversed(range(len(self.ids))):
+        depth: list[int | None] = [None] * len(ids)
+        for i in reversed(range(len(ids))):
             if self.observables >> i & 1:
                 depth[i] = 0
                 continue
-            below = [depth[self.bit[c]] for c in g.children(self.ids[i])]
+            below = [depth[bit[c]] for c in children_of[ids[i]]]
             below = [d for d in below if d is not None]
             depth[i] = 1 + max(below) if below else None
         self.level: tuple[int, ...] = tuple(d or 0 for d in depth)
@@ -399,14 +408,24 @@ def validate_graph(g: LatentGraph) -> ValidationReport:
 
 
 def _check_invariants(g: LatentGraph) -> ValidationReport:
+    """Every violation, in a fixed order: a cycle, then the bad edges in
+    sorted order, then the nodes with the wrong exogenous wiring in node
+    order, then the layout.  It reads the graph's own tables, whose ids are
+    all declared nodes."""
+    kinds, parents_of, children_of = g._kinds, g._parents, g._children
+    observables, exogenous = g.observables, g.exogenous
     violations: list[str] = []
 
     cycle = _find_cycle(g)
     if cycle:
         violations.append("cycle: " + " -> ".join(cycle))
 
-    for parent, child in sorted(g.edges):
-        p_kind, c_kind = g.kind(parent), g.kind(child)
+    # An edge breaks a rule only when it leaves an observable or enters an
+    # exogenous node, so only those edges are gathered and sorted.
+    bad_edges = {(v, c) for v in observables for c in children_of[v]}
+    bad_edges.update((p, v) for v in exogenous for p in parents_of[v])
+    for parent, child in sorted(bad_edges):
+        p_kind, c_kind = kinds[parent], kinds[child]
         if p_kind is NodeKind.OBSERVABLE and c_kind is NodeKind.OBSERVABLE:
             violations.append(f"edge between observables: {parent} -> {child}")
         elif p_kind is NodeKind.OBSERVABLE:
@@ -414,22 +433,19 @@ def _check_invariants(g: LatentGraph) -> ValidationReport:
         if c_kind is NodeKind.EXOGENOUS:
             violations.append(f"exogenous node has in-edge: {parent} -> {child}")
 
-    for v in g.node_ids:
-        kind = g.kind(v)
+    exogenous_set = frozenset(exogenous)
+    for v, kind in kinds.items():
         if kind is NodeKind.EXOGENOUS:
-            out = len(g.children(v))
+            out = len(children_of[v])
             if out != 1:
                 violations.append(f"exogenous node {v} has out-degree {out}, expected 1")
         else:
-            exo_parents = [p for p in g.parents(v) if g.kind(p) is NodeKind.EXOGENOUS]
-            if len(exo_parents) != 1:
-                violations.append(
-                    f"{kind.value} node {v} has {len(exo_parents)} exogenous parents, expected 1"
-                )
+            exo_parents = len(parents_of[v] & exogenous_set)
+            if exo_parents != 1:
+                violations.append(f"{kind.value} node {v} has {exo_parents} exogenous parents, expected 1")
 
-    observables = set(g.observables)
     layout = list(g.layout)
-    if len(set(layout)) != len(layout) or set(layout) != observables:
+    if len(set(layout)) != len(layout) or set(layout) != g._observable_set:
         violations.append(
             f"layout is not a permutation of the observables: layout={layout}, "
             f"observables={sorted(observables)}"
@@ -442,13 +458,13 @@ def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
     """One cycle as a closed path ``a -> ... -> a``, or None.  Every node
     Kahn's algorithm leaves over has a parent that is left over too, so
     walking up from one of them must come back to a node already seen."""
-    left = set(g.node_ids).difference(g._kahn)
-    if not left:
+    if len(g._kahn) == len(g._kinds):
         return None
+    left = set(g._kinds).difference(g._kahn)
     walk = [min(left)]
     seen = {walk[0]: 0}
     while True:
-        v = min(p for p in g.parents(walk[-1]) if p in left)
+        v = min(p for p in g._parents[walk[-1]] if p in left)
         if v in seen:
             cycle = walk[seen[v]:] + [v]
             return cycle[::-1]
@@ -471,6 +487,7 @@ def derive_dims(g: LatentGraph, exo_dims: Mapping[NodeId, int] | None = None) ->
 # -- file format -------------------------------------------------------------
 
 EXOGENOUS_PREFIX = "eps_"
+_KINDS = {kind.value: kind for kind in NodeKind}
 
 
 def _edge(entry) -> tuple[NodeId, NodeId]:
@@ -504,7 +521,7 @@ def graph_from_dict(data: Mapping) -> LatentGraph:
     naming the field or entry at fault."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a graph must be an object, got {data!r}")
-    nodes = _entries(data, "nodes", lambda n: (str(n["id"]), NodeKind(str(n["kind"]).lower())),
+    nodes = _entries(data, "nodes", lambda n: (str(n["id"]), _KINDS[str(n["kind"]).lower()]),
                      "an object with an 'id' and a 'kind' (latent, observable, exogenous)")
     edges = _entries(data, "edges", _edge, "a [parent, child] pair")
     layout = _entries({"layout": [], **data}, "layout", str, "an id")

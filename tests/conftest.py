@@ -4,7 +4,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from latentlab import LatentGraph, Mask, UnknownNodeError, fixture_path, load_graph
+from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, fixture_path, load_graph
 
 
 @pytest.fixture(scope="session")
@@ -109,3 +109,109 @@ def d_separated(g: LatentGraph, a: Iterable[str], b: Iterable[str], z: Iterable[
                 for p in g.parents(v):
                     agenda.append((p, up))
     return True
+
+
+# -- reference graph checks and index ---------------------------------------
+#
+# The validation and bit index as first written, through the checked
+# ``kind``/``parents``/``children`` accessors and one lookup per edge.  The
+# package reads its own tables in one pass; tests compare the two.
+
+
+def reference_violations(g: LatentGraph) -> tuple[str, ...]:
+    """Every violation ``validate_graph`` must report, in its order."""
+    violations: list[str] = []
+
+    cycle = _reference_cycle(g)
+    if cycle:
+        violations.append("cycle: " + " -> ".join(cycle))
+
+    for parent, child in sorted(g.edges):
+        p_kind, c_kind = g.kind(parent), g.kind(child)
+        if p_kind is NodeKind.OBSERVABLE and c_kind is NodeKind.OBSERVABLE:
+            violations.append(f"edge between observables: {parent} -> {child}")
+        elif p_kind is NodeKind.OBSERVABLE:
+            violations.append(f"observable has out-edge: {parent} -> {child}")
+        if c_kind is NodeKind.EXOGENOUS:
+            violations.append(f"exogenous node has in-edge: {parent} -> {child}")
+
+    for v in g.node_ids:
+        kind = g.kind(v)
+        if kind is NodeKind.EXOGENOUS:
+            out = len(g.children(v))
+            if out != 1:
+                violations.append(f"exogenous node {v} has out-degree {out}, expected 1")
+        else:
+            exo_parents = [p for p in g.parents(v) if g.kind(p) is NodeKind.EXOGENOUS]
+            if len(exo_parents) != 1:
+                violations.append(
+                    f"{kind.value} node {v} has {len(exo_parents)} exogenous parents, expected 1"
+                )
+
+    observables = set(g.observables)
+    layout = list(g.layout)
+    if len(set(layout)) != len(layout) or set(layout) != observables:
+        violations.append(
+            f"layout is not a permutation of the observables: layout={layout}, "
+            f"observables={sorted(observables)}"
+        )
+    return tuple(violations)
+
+
+def _reference_cycle(g: LatentGraph) -> list[str] | None:
+    """The closed path ``a -> ... -> a`` found by walking up, smallest
+    parent first, from the smallest node that Kahn's algorithm leaves over."""
+    in_deg = {v: len(g.parents(v)) for v in g.node_ids}
+    queue = deque(v for v, d in in_deg.items() if d == 0)
+    while queue:
+        v = queue.popleft()
+        for c in g.children(v):
+            in_deg[c] -= 1
+            if in_deg[c] == 0:
+                queue.append(c)
+    left = {v for v, d in in_deg.items() if d > 0}
+    if not left:
+        return None
+    walk = [min(left)]
+    seen = {walk[0]: 0}
+    while True:
+        v = min(p for p in g.parents(walk[-1]) if p in left)
+        if v in seen:
+            return (walk[seen[v]:] + [v])[::-1]
+        seen[v] = len(walk)
+        walk.append(v)
+
+
+def reference_index(g: LatentGraph) -> dict:
+    """``ids``, ``parents``, ``ancestors``, ``level`` and ``dim`` that a valid
+    graph's ``BitIndex`` must hold."""
+    ids = g.topo_order()
+    bit = {v: i for i, v in enumerate(ids)}
+    parents: list[int] = []
+    ancestors: list[int] = []
+    observables = 0
+    for i, v in enumerate(ids):
+        own = up = 0
+        for p in g.parents(v):
+            own |= 1 << bit[p]
+            up |= ancestors[bit[p]]
+        parents.append(own)
+        ancestors.append(up | own)
+        if g.kind(v) is NodeKind.OBSERVABLE:
+            observables |= 1 << i
+    depth: list[int | None] = [None] * len(ids)
+    for i in reversed(range(len(ids))):
+        if observables >> i & 1:
+            depth[i] = 0
+            continue
+        below = [depth[bit[c]] for c in g.children(ids[i])]
+        below = [d for d in below if d is not None]
+        depth[i] = 1 + max(below) if below else None
+    dim: list[int] = []
+    for i, v in enumerate(ids):
+        if g.kind(v) is NodeKind.EXOGENOUS:
+            dim.append(1)
+        else:
+            dim.append(sum(dim[j] for j in range(i) if parents[i] >> j & 1))
+    return {"ids": ids, "parents": parents, "ancestors": ancestors,
+            "level": tuple(d or 0 for d in depth), "dim": tuple(dim)}

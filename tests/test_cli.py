@@ -13,6 +13,7 @@ import pytest
 
 import latentlab
 from latentlab import MaeSettings, RegressorConfig, ScmSettings, TrainConfig, fixture_path, load_graph
+from latentlab import cli as cli_module
 from latentlab import locate as locate_module
 from latentlab.cli import (
     CONFIG_FIELDS,
@@ -150,6 +151,68 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["locate"])  # missing graph argument
     assert err.value.code == 1
+
+
+def test_dispatch_is_late_bound(monkeypatch, capsys):
+    """The parser is built once per process, and ``main`` finds the command
+    function by name on each call: one bound to ``cli.cmd_locate`` after the
+    parser was built is the one that runs."""
+    assert main(["locate", "fig4", "--mask", "x1"]) == 0
+    assert cli_module.build_parser() is cli_module.build_parser()
+    calls = []
+    monkeypatch.setattr(cli_module, "cmd_locate", lambda args: calls.append(args.mask) or 5)
+    assert main(["locate", "fig4", "--mask", "x1,x2"]) == 5
+    assert calls == ["x1,x2"]
+
+
+def _main_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_in_fresh_process(argv: list[str], env: dict) -> tuple[int, str, str]:
+    script = "import sys; from latentlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+                         timeout=120)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    """Usage errors, help, data errors and good calls, interleaved in one
+    process, each give the exit code, stdout and stderr (and, for ``sweep``,
+    the CSV) of the same call made first in a fresh process."""
+    out = tmp_path / "sweep.csv"
+    calls = [
+        ["locate"],  # usage error: exit 1
+        ["--help"],
+        ["locate", "fig4", "--mask", "x9"],  # data error: exit 2
+        ["locate", "fig4", "--mask", "x1,x2,x3", "--check-minimal"],
+        ["verify", "fig2", "--trials", "20", "--seed", "3"],
+        ["sweep", "bench3", "--ratios", "0.3,0.7", "--patches", "1,2", "--masks-per-cell", "20",
+         "--seed", "5", "--out", str(out)],
+        ["verify", "--help"],
+        ["verify", "fig2", "--trials", "x", "--seed", "1"],  # usage error in a subcommand
+        ["sweep", "bench3", "--ratios", "0.5"],
+        ["locate", "fig4", "--mask", "x1"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+    src = str(Path(latentlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = {}
+    for argv in calls:
+        fresh[tuple(argv)] = (*_main_in_fresh_process(argv, env), out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+    assert {run[0] for run in fresh.values()} == {0, 1, 2}
+    for argv in calls + calls[::-1] + calls:
+        got = (*_main_in_process(argv), out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        assert got == fresh[tuple(argv)], argv
 
 
 # -- verify ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from latentlab import (
 from latentlab.graph import graph_to_dict
 from latentlab.locate import locate_shared_info
 
-from conftest import d_separated, random_hierarchy
+from conftest import d_separated, random_hierarchy, reference_index, reference_violations
 
 MINIMAL_CHAIN = LatentGraph(
     [("z", "latent"), ("x", "observable"), ("eps_z", "exogenous"), ("eps_x", "exogenous")],
@@ -130,6 +130,79 @@ def test_duplicate_and_empty_ids_rejected():
         LatentGraph([("", "latent")], [], [])
     with pytest.raises(UnknownNodeError):
         LatentGraph([("a", "latent")], [("a", "b")], [])
+
+
+def _index_tables(g: LatentGraph) -> dict:
+    idx = g.bit_index()
+    return {"ids": idx.ids, "parents": idx.parents, "ancestors": idx.ancestors,
+            "level": idx.level, "dim": idx.dim}
+
+
+def test_fixture_indexes_match_the_accessor_reference(fig4, fig2, bench3):
+    for g in (fig4, fig2, bench3):
+        assert validate_graph(g).violations == reference_violations(g) == ()
+        assert _index_tables(g) == reference_index(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_bit_index_matches_the_accessor_reference(seed):
+    """The one-pass index over the graph's own tables holds the bit order,
+    parent and ancestor masks, levels and unit dimensions that the
+    accessor-based construction gives."""
+    g = random_hierarchy(np.random.default_rng(seed), max_latents=14, max_observables=12)
+    assert validate_graph(g).violations == reference_violations(g) == ()
+    assert _index_tables(g) == reference_index(g)
+
+
+FAULTS = ("cycle", "exogenous_in_edge", "observable_out_edge", "two_exogenous_parents",
+          "missing_exogenous_parent", "layout")
+
+
+def _broken_hierarchy(seed: int, faults: list[str]) -> LatentGraph:
+    """A random hierarchy with each of ``faults`` added: a two-latent cycle
+    (a self-loop when both ends coincide), an edge into an exogenous node, an
+    edge out of an observable, a second exogenous parent, a dropped
+    exogenous edge, or a layout that is not a permutation of the observables."""
+    rng = np.random.default_rng(seed)
+    g = random_hierarchy(rng, max_latents=8, max_observables=8)
+    latents, observables, exogenous = sorted(g.latents), sorted(g.observables), sorted(g.exogenous)
+    edges, layout = sorted(g.edges), list(g.layout)
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+    for fault in faults:
+        if fault == "cycle":
+            a, b = pick(latents), pick(latents)
+            edges += [(a, b), (b, a)]
+        elif fault == "exogenous_in_edge":
+            edges.append((pick(latents + observables + exogenous), pick(exogenous)))
+        elif fault == "observable_out_edge":
+            edges.append((pick(observables), pick(latents + observables)))
+        elif fault == "two_exogenous_parents":
+            edges.append((pick(exogenous), pick(latents + observables)))
+        elif fault == "missing_exogenous_parent":
+            edges.remove(pick([e for e in edges if e[0] in exogenous]))
+        else:
+            layout = pick([layout[:-1], layout + layout[:1], layout + [pick(latents)], layout[::-1][1:]])
+    return LatentGraph([(v, g.kind(v)) for v in g.node_ids], edges, layout)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.lists(st.sampled_from(FAULTS), min_size=1, max_size=4))
+def test_violations_match_the_accessor_reference(seed, faults):
+    """The one-pass check reports the same violations, with the same
+    wording and in the same order, as the accessor-based check that reads
+    every edge; the index refuses the graph naming them all."""
+    g = _broken_hierarchy(seed, faults)
+    expected = reference_violations(g)
+    assert validate_graph(g).violations == expected
+    if expected:
+        with pytest.raises(ValueError) as err:
+            g.bit_index()
+        assert str(err.value) == "invalid graph: " + "; ".join(expected)
+    else:
+        assert _index_tables(g) == reference_index(g)
 
 
 # -- parents / ancestors / descendants ---------------------------------------
