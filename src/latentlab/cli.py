@@ -20,6 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from latentlab import fixtures
+from latentlab.artifacts import DATASET_FIELDS, MODEL_FIELDS, Field, check_fields, read_header, require_current
+from latentlab.artifacts import write_csv, write_json
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
 from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
 from latentlab.locate import (
@@ -38,14 +40,10 @@ from latentlab.mae import (
     encode,
     load_model,
     sample_mask,
-    save_loss_curve,
     save_model,
     train,
 )
-from latentlab.scm import (
-    DATASET_FIELDS, Field, ScmSettings, build_scm, check_fields, extract_blocks, load_dataset, read_header, sample,
-    save_dataset,
-)
+from latentlab.scm import ScmSettings, build_scm, extract_blocks, load_dataset, sample, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,25 +85,6 @@ def _parse_mask_list(g: LatentGraph, raw: str) -> Mask:
     if set(ids) == observables:
         raise ConfigError("mask names every observable; at least one must stay visible")
     return Mask(ids)
-
-
-def _dump_json(data, path: Path | None) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    return text
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write ``rows`` under ``header``, each row formatted by one ``%``
-    expression.  ``%s`` writes a float as its ``repr``, the shortest text
-    that reads back as the same float."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    row_format = ",".join(["%s"] * len(header))
-    lines = [",".join(header)]
-    lines += [row_format % tuple(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
 
 
 # -- experiment config ------------------------------------------------------------
@@ -263,7 +242,7 @@ def cmd_locate(args) -> int:
         "s_mc": sorted(info.s_mc),
         "report": asdict(report),
     }
-    print(_dump_json(payload, Path(args.out) if args.out else None), end="")
+    print(write_json(payload, Path(args.out) if args.out else None), end="")
     return EXIT_OK if report.all_ok else EXIT_DATA
 
 
@@ -309,42 +288,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _require_current(path: Path, writer: str, compared) -> None:
-    """Refuse the artifact at ``path`` when its header shows it was written
-    for other settings: the first of the ``compared`` (key, recorded,
-    expected) triples whose values differ names the config key."""
-    for key, recorded, expected in compared:
-        if recorded != expected:
-            raise ConfigError(f"{path} is stale: its {key} is {json.dumps(recorded)}, "
-                              f"but the config's {key!r} is {json.dumps(expected)}; run {writer} again")
-
-
-def _some(ids: set[str]) -> str:
-    """At most three of ``ids``, sorted, and how many more there are."""
-    shown = sorted(ids)[:3]
-    more = f" and {len(ids) - len(shown)} more" if len(ids) > len(shown) else ""
-    return ", ".join(shown) + more if shown else "none"
-
-
 def _load_current_dataset(cfg: ExperimentConfig, g: LatentGraph):
     """The dataset under ``cfg.out_dir``, refused when its header shows it
     was written for another graph (by its nodes, then its layout), ``n``,
-    ``sample_seed`` or ``scm`` section.  A refusal for other nodes names
-    each side's node count and a few of the ids the other side lacks."""
+    ``sample_seed`` or ``scm`` section."""
     base = cfg.out_dir / "dataset"
-    header_path = base.with_suffix(".json")
-    if not header_path.exists():
-        raise ConfigError(f"dataset not found under {cfg.out_dir}; run simulate first")
-    header = read_header(header_path, "dataset", DATASET_FIELDS, "simulate")
-    recorded, expected = set(header["column_spans"]), set(g.node_ids)
-    if recorded != expected:
-        raise ConfigError(
-            f"{header_path} is stale: its graph has {len(recorded)} nodes, but the config's 'graph' has "
-            f"{len(expected)} (only in the config's graph: {_some(expected - recorded)}; only in the dataset: "
-            f"{_some(recorded - expected)}); run simulate again"
-        )
+    header = read_header(base.with_suffix(".json"), "dataset", DATASET_FIELDS, "simulate")
     recorded_scm = header.get("scm") or {}
-    _require_current(header_path, "simulate", [
+    require_current(base.with_suffix(".json"), "simulate", [
+        ("graph", set(header["column_spans"]), set(g.node_ids)),
         ("graph.layout", header["layout"], list(g.layout)),
         ("n", header["n"], cfg.n), ("sample_seed", header.get("seed"), cfg.sample_seed),
         *((f"scm.{key}", recorded_scm.get(key), value) for key, value in asdict(cfg.scm).items()),
@@ -393,7 +345,7 @@ def cmd_train(args) -> int:
     mask = cfg.resolve_mask(g)
     model, curve = _train_cell(cfg, ds, mask, _trainable_info(g, mask))
     written = save_model(model, cfg.out_dir / "model")
-    curve_path = save_loss_curve(curve, cfg.out_dir / "loss_curve.csv")
+    curve_path = write_csv(cfg.out_dir / "loss_curve.csv", ["epoch", "loss"], list(enumerate(curve)))
     print(f"checkpoint: {written['json']}")
     print(f"loss_curve: {curve_path}")
     print(f"final_loss: {curve[-1]!r}")
@@ -404,26 +356,22 @@ def cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     g = cfg.load_graph()
     model_base = cfg.out_dir / "model"
-    if not model_base.with_suffix(".json").exists():
-        raise ConfigError(f"checkpoint not found under {cfg.out_dir}; run train first")
+    model_header = read_header(model_base.with_suffix(".json"), "checkpoint", MODEL_FIELDS, "train")
     ds = _load_current_dataset(cfg, g)
-    model = load_model(model_base)
+    model = load_model(model_base, model_header)
     mask = cfg.resolve_mask(g)
     expected = tuple(sorted(mask.masked))
-    _require_current(model_base.with_suffix(".json"), "train", [("mask", model.mask, expected)])
+    require_current(model_base.with_suffix(".json"), "train", [("mask", model.mask, expected)])
     info = locate_shared_info(g, mask)
     report = _score_cell(cfg, ds, model, mask, info)
     payload = report.to_dict()
     payload["mask"] = sorted(mask.masked)
     payload["c"] = sorted(info.c)
-    _dump_json(payload, cfg.out_dir / "ident_report.json")
-    summary = cfg.out_dir / "summary.csv"
-    if not summary.exists():
-        summary.write_text("graph,mask,n,r2_c_from_chat,r2_chat_from_c,r2_sm_from_chat,n_train,n_test\n")
+    write_json(payload, cfg.out_dir / "ident_report.json")
     row = [cfg.graph, ";".join(expected), ds.n, report.r2_c_from_chat, report.r2_chat_from_c,
            report.r2_sm_from_chat, report.n_train, report.n_test]
-    with open(summary, "a") as fh:
-        fh.write(",".join(map(str, row)) + "\n")
+    write_csv(cfg.out_dir / "summary.csv", ["graph", "mask", "n", "r2_c_from_chat", "r2_chat_from_c", "r2_sm_from_chat",
+                                            "n_train", "n_test"], [row], append=True)
     print(f"ident_report: {cfg.out_dir / 'ident_report.json'}")
     print(f"r2_c_from_chat: {report.r2_c_from_chat!r}")
     print(f"r2_chat_from_c: {report.r2_chat_from_c!r}")
@@ -542,12 +490,12 @@ def cmd_sweep(args) -> int:
         ds = _load_current_dataset(cfg, g)
     rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)
     out = Path(args.out)
-    _write_csv(out, SWEEP_HEADER, rows)
+    write_csv(out, SWEEP_HEADER, rows)
     print(f"sweep: {out} ({len(rows)} rows)")
     if cfg is not None:
         training_out = out.with_name(out.stem + "_training" + out.suffix)
         training = training_sweep_rows(ds, cells, cfg)
-        _write_csv(training_out, TRAINING_SWEEP_HEADER, training)
+        write_csv(training_out, TRAINING_SWEEP_HEADER, training)
         print(f"training sweep: {training_out} ({len(training)} rows)")
     return EXIT_OK
 

@@ -21,6 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from latentlab.artifacts import write_json
+
 NodeId = str
 
 
@@ -561,6 +563,4 @@ def load_graph(path: str | Path) -> LatentGraph:
 
 
 def save_graph(g: LatentGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(graph_to_dict(g), Path(path))

@@ -14,7 +14,6 @@ intermediate in float32.  Checkpoints hold those float32 parameters.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -24,9 +23,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from latentlab.artifacts import MODEL_FIELDS, read_array, read_header, write_artifact
 from latentlab.graph import Mask, NodeId
 from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size, row_blocks
-from latentlab.scm import Dataset, Field, read_array, read_header
+from latentlab.scm import Dataset
 
 
 class TrainingDiverged(RuntimeError):
@@ -374,16 +374,6 @@ def grad_check(
 
 # -- checkpoints -------------------------------------------------------------------
 
-# The fields of a ``model.json`` header, as ``save_model`` writes them; a
-# checkpoint written before ``mask`` was recorded has none.
-MODEL_FIELDS = {
-    "layout": Field("a list", entries="a string"), "widths": Field("an object", entries="a positive integer"),
-    "d_c": Field("a positive integer"), "d_sm": Field("a non-negative integer"),
-    "hidden": Field("a list", entries="a positive integer"), "slope": Field("a number in [0, 1]"),
-    "param_seed": Field("a non-negative integer"), "n_params": Field("a non-negative integer"),
-    "dtype": Field('"float32"'), "mask": Field("a list", False, "a string"),
-}
-
 
 def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
     """Write ``<base>.json`` (architecture, seeds, ``"dtype": "float32"``
@@ -392,8 +382,6 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
     by layer, each weight matrix row-major as (fan_out, fan_in)).  A
     trained model's bytes are its parameters; float64 parameters, as
     ``init_mae_model`` makes, are rounded to nearest."""
-    base = Path(basepath)
-    base.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "layout": list(model.layout),
         "widths": {v: model.widths[v] for v in model.layout},
@@ -406,23 +394,20 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
         "dtype": "float32",
         "mask": None if model.mask is None else list(model.mask),
     }
-    json_path = base.with_suffix(".json")
-    json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    bin_path = base.with_suffix(".bin")
-    bin_path.write_bytes(model.flat.astype(np.float32, copy=False).tobytes())
-    return {"json": json_path, "bin": bin_path}
+    return write_artifact(Path(basepath), header, model.flat.astype(np.float32, copy=False))
 
 
-def load_model(basepath: str | Path) -> MaeModel:
-    """Rebuild a checkpoint: the architecture from ``<base>.json`` and the
-    float32 parameter vector read straight from ``<base>.bin``.  A header
-    that ``MODEL_FIELDS`` refuses (as one written before checkpoints were
-    float32, which has no ``dtype``), or that lacks a layout node's entry
-    in ``widths``, a file whose size does not match the header, or one that
-    holds a non-finite value, is a ``ValueError`` naming the file."""
+def load_model(basepath: str | Path, header: dict | None = None) -> MaeModel:
+    """Rebuild a checkpoint: the architecture from ``<base>.json`` (or
+    ``header``, if the caller has read it) and the float32 parameter vector
+    read straight from ``<base>.bin``.  A header that ``MODEL_FIELDS``
+    refuses (as one written before checkpoints were float32, which has no
+    ``dtype``), or that lacks a layout node's entry in ``widths``, a file
+    whose size does not match the header, or one that holds a non-finite
+    value, is a ``ValueError`` naming the file."""
     base = Path(basepath)
-    json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
-    header = read_header(json_path, "checkpoint", MODEL_FIELDS, "train")
+    json_path = base.with_suffix(".json")
+    header = header or read_header(json_path, "checkpoint", MODEL_FIELDS, "train")
     layout = tuple(header["layout"])
     missing = [v for v in layout if v not in header["widths"]]
     if missing:
@@ -439,9 +424,7 @@ def load_model(basepath: str | Path) -> MaeModel:
         raise ValueError(
             f"{json_path}: n_params is {header['n_params']}, but the architecture it describes has {n_params}"
         )
-    flat = read_array(bin_path, n_params, np.float32)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"{bin_path}: non-finite parameter values")
+    flat = read_array(base.with_suffix(".bin"), (n_params,), np.float32, "C", lambda _: "parameter values")
     return MaeModel(
         encoder=Mlp(flat[:n_enc], enc_widths, header["slope"]),
         decoder=Mlp(flat[n_enc:], dec_widths, header["slope"]),
@@ -453,11 +436,3 @@ def load_model(basepath: str | Path) -> MaeModel:
         flat=flat,
         mask=None if header.get("mask") is None else tuple(header["mask"]),
     )
-
-
-def save_loss_curve(curve: list[float], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["epoch,loss"] + [f"{i},{value!r}" for i, value in enumerate(curve)]
-    path.write_text("\n".join(lines) + "\n")
-    return path

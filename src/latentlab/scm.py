@@ -9,17 +9,14 @@ parents combined, so each mixing function is square and exactly invertible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
-import sys
-from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from latentlab.artifacts import DATASET_FIELDS, read_array, read_header, write_artifact
 from latentlab.graph import LatentGraph, NodeId, NodeKind, derive_dims
 from latentlab.locate import SharedInfo
 
@@ -294,87 +291,6 @@ def extract_blocks(
 # -- on-disk format ------------------------------------------------------------
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, float)
-
-
-# What each JSON type (or, for some fields, value) in a field table accepts,
-# keyed by the name that a refusal gives.
-JSON_KINDS = {
-    "an integer": _is_integer,
-    "a non-negative integer": lambda v: _is_integer(v) and v >= 0,
-    "a positive integer": lambda v: _is_integer(v) and v > 0,
-    "a finite number": lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
-    # NaN fails every comparison, so these refuse it with the infinities.
-    "a number in (0, 1)": lambda v: _is_number(v) and 0 < v < 1,
-    "a number in (0, 1]": lambda v: _is_number(v) and 0 < v <= 1,
-    "a number in [0, 1]": lambda v: _is_number(v) and 0 <= v <= 1,
-    "a boolean": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a list": lambda v: isinstance(v, list),
-    "an object": lambda v: isinstance(v, dict),
-    "an [offset, length] pair": lambda v: isinstance(v, list) and len(v) == 2
-    and all(_is_integer(x) and x >= 0 for x in v),
-    '"C" or "F"': lambda v: v in ("C", "F"),
-    '"float32"': lambda v: v == "float32",
-    '"float64"': lambda v: v == "float64",
-}
-
-
-# A field table maps each field of a JSON object to its `JSON_KINDS` type,
-# whether the object must hold it (a null counts as absent) and, for a list
-# or an object, the type of each entry.
-Field = namedtuple("Field", "kind required entries", defaults=(True, None))
-
-
-def check_fields(obj: dict, table: Mapping[str, Field]) -> tuple[str, str] | None:
-    """The first field of ``obj`` that ``table`` refuses, as ``(key, problem)``:
-    in table order a required field that is "missing", or a field or entry
-    that "[entry <e>] must be <type>, got <value>"; then the keys the table
-    lacks, listed in ``key``, as "unknown".  None if ``table`` accepts ``obj``."""
-    for key, field in table.items():
-        value = obj.get(key)
-        if value is None:
-            if field.required:
-                return key, "missing"
-        elif not JSON_KINDS[field.kind](value):
-            return key, f"must be {field.kind}, got {json.dumps(value)}"
-        elif field.entries:
-            for entry, item in value.items() if isinstance(value, dict) else enumerate(value):
-                if not JSON_KINDS[field.entries](item):
-                    return key, f"entry {entry!r} must be {field.entries}, got {json.dumps(item)}"
-    unknown = sorted(set(obj) - set(table))
-    return (", ".join(map(repr, unknown)), "unknown") if unknown else None
-
-
-def read_header(path: Path, kind: str, table: Mapping[str, Field], writer: str) -> dict:
-    """The JSON object in ``path``, a ``kind`` header written by the CLI's
-    ``writer`` stage.  Anything else, or an object that ``table`` refuses, is
-    a ``ValueError`` naming the file and the field and saying to run ``writer`` again."""
-    header = json.loads(path.read_text())
-    if not isinstance(header, dict):
-        raise ValueError(f"{path} is not a {kind} header; run {writer} again")
-    if report := check_fields(header, table):
-        key, problem = report
-        detail = {"missing": f" has no {key!r} field", "unknown": f" has unknown field(s) {key}"}
-        raise ValueError(f"{path}{detail.get(problem, f': its {key!r} field {problem}')}; run {writer} again")
-    return header
-
-
-# The fields of a ``dataset.json`` header, as ``save_dataset`` writes them.
-DATASET_FIELDS = {
-    "n": Field("an integer"), "total_dim": Field("an integer"),
-    "dtype": Field('"float64"'), "order": Field('"C" or "F"'),
-    "column_spans": Field("an object", entries="an [offset, length] pair"),
-    "layout": Field("a list", entries="a string"),
-    "seed": Field("an integer", False), "scm": Field("an object", False),
-}
-
-
 def save_dataset(
     ds: Dataset,
     basepath: str | Path,
@@ -385,10 +301,6 @@ def save_dataset(
     header, which records the sampling ``seed`` and the simulator settings
     ``scm`` (null when not given); datasets of at most 1000 rows also get a
     ``<base>.csv``."""
-    base = Path(basepath)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    bin_path = base.with_suffix(".bin")
-    bin_path.write_bytes(np.asfortranarray(ds.values).tobytes(order="F"))
     header = {
         "n": ds.n,
         "total_dim": int(ds.values.shape[1]),
@@ -399,33 +311,9 @@ def save_dataset(
         "seed": seed,
         "scm": None if scm is None else asdict(scm),
     }
-    json_path = base.with_suffix(".json")
-    json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    written = {"bin": bin_path, "json": json_path}
-    if ds.n <= 1000:
-        csv_path = base.with_suffix(".csv")
-        names = [
-            f"{v}[{i}]"
-            for v, (offset, length) in sorted(ds.column_spans.items(), key=lambda kv: kv[1][0])
-            for i in range(length)
-        ]
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in ds.values:
-                writer.writerow([repr(float(x)) for x in row])
-        written["csv"] = csv_path
-    return written
-
-
-def read_array(path: Path, count: int, dtype=np.float64) -> np.ndarray:
-    """Exactly ``count`` native values of ``dtype`` from ``path``; a file of
-    any other size is a ``ValueError`` naming it and both byte counts."""
-    expected = np.dtype(dtype).itemsize * count
-    actual = path.stat().st_size
-    if actual != expected:
-        raise ValueError(f"{path} holds {actual} bytes, but its header calls for {expected}")
-    return np.fromfile(path, dtype=dtype)
+    spans = sorted(ds.column_spans.items(), key=lambda kv: kv[1][0])
+    names = [f"{v}[{i}]" for v, (_, length) in spans for i in range(length)] if ds.n <= 1000 else None
+    return write_artifact(Path(basepath), header, ds.values, "F", names)
 
 
 def load_dataset(basepath: str | Path, header: dict | None = None) -> Dataset:
@@ -444,11 +332,10 @@ def load_dataset(basepath: str | Path, header: dict | None = None) -> Dataset:
         if offset + length > total:
             raise ValueError(f"{json_path}: its 'column_spans' field entry {v!r} [{offset}, {length}] "
                              f"runs past total_dim {total}; run simulate again")
-    bin_path = base.with_suffix(".bin")
-    raw = read_array(bin_path, n * total)
-    values = raw.reshape((n, total), order=header["order"]).copy()
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
+    def non_finite_nodes(values: np.ndarray) -> str:
+        finite = np.isfinite(values).all(axis=0)
         bad = sorted(v for v, (offset, length) in spans.items() if not finite[offset:offset + length].all())
-        raise ValueError(f"{bin_path}: non-finite values in node(s) {', '.join(bad)}")
-    return Dataset(values=values, column_spans=spans, layout=tuple(header["layout"]))
+        return f"values in node(s) {', '.join(bad)}"
+
+    values = read_array(base.with_suffix(".bin"), (n, total), np.float64, header["order"], non_finite_nodes)
+    return Dataset(values=values.copy(), column_spans=spans, layout=tuple(header["layout"]))

@@ -1,10 +1,14 @@
+import csv
+import json
 from collections import deque
+from dataclasses import asdict
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 import pytest
 
-from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, fixture_path, load_graph
+from latentlab import LatentGraph, Mask, NodeKind, UnknownNodeError, fixture_path, graph_to_dict, load_graph
 
 
 @pytest.fixture(scope="session")
@@ -215,3 +219,102 @@ def reference_index(g: LatentGraph) -> dict:
             dim.append(sum(dim[j] for j in range(i) if parents[i] >> j & 1))
     return {"ids": ids, "parents": parents, "ancestors": ancestors,
             "level": tuple(d or 0 for d in depth), "dim": tuple(dim)}
+
+
+# -- reference writers ----------------------------------------------------------
+# The artifact writers as they stood before `latentlab.artifacts` took them
+# over, kept so that tests can require byte-identical output from the same
+# in-memory objects.
+
+
+def reference_save_dataset(ds, basepath, seed=None, scm=None) -> dict[str, Path]:
+    base = Path(basepath)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    bin_path = base.with_suffix(".bin")
+    bin_path.write_bytes(np.asfortranarray(ds.values).tobytes(order="F"))
+    header = {
+        "n": ds.n,
+        "total_dim": int(ds.values.shape[1]),
+        "dtype": "float64",
+        "order": "F",
+        "column_spans": {v: list(span) for v, span in sorted(ds.column_spans.items())},
+        "layout": list(ds.layout),
+        "seed": seed,
+        "scm": None if scm is None else asdict(scm),
+    }
+    json_path = base.with_suffix(".json")
+    json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    written = {"bin": bin_path, "json": json_path}
+    if ds.n <= 1000:
+        csv_path = base.with_suffix(".csv")
+        names = [
+            f"{v}[{i}]"
+            for v, (offset, length) in sorted(ds.column_spans.items(), key=lambda kv: kv[1][0])
+            for i in range(length)
+        ]
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            for row in ds.values:
+                writer.writerow([repr(float(x)) for x in row])
+        written["csv"] = csv_path
+    return written
+
+
+def reference_save_model(model, basepath) -> dict[str, Path]:
+    base = Path(basepath)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    header = {
+        "layout": list(model.layout),
+        "widths": {v: model.widths[v] for v in model.layout},
+        "d_c": model.d_c,
+        "d_sm": model.d_sm,
+        "hidden": list(model.encoder.widths[1:-1]),
+        "slope": model.encoder.slope,
+        "param_seed": model.param_seed,
+        "n_params": int(model.flat.size),
+        "dtype": "float32",
+        "mask": None if model.mask is None else list(model.mask),
+    }
+    json_path = base.with_suffix(".json")
+    json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    bin_path = base.with_suffix(".bin")
+    bin_path.write_bytes(model.flat.astype(np.float32, copy=False).tobytes())
+    return {"json": json_path, "bin": bin_path}
+
+
+def reference_save_loss_curve(curve: list[float], path) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = ["epoch,loss"] + [f"{i},{value!r}" for i, value in enumerate(curve)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def reference_dump_json(data, path: Path | None) -> str:
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return text
+
+
+def reference_save_graph(g: LatentGraph, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def reference_write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    row_format = ",".join(["%s"] * len(header))
+    lines = [",".join(header)]
+    lines += [row_format % tuple(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_append_summary(summary: Path, row: list) -> None:
+    if not summary.exists():
+        summary.write_text("graph,mask,n,r2_c_from_chat,r2_chat_from_c,r2_sm_from_chat,n_train,n_test\n")
+    with open(summary, "a") as fh:
+        fh.write(",".join(map(str, row)) + "\n")

@@ -22,7 +22,8 @@ from latentlab.locate import (
 )
 from latentlab.mae import grad_check, init_mae_model
 from latentlab.scm import ScmSettings, build_scm, invert_observables, jacobian_min_singular_value, sample
-from latentlab.cli import sweep_rows, SWEEP_HEADER, _write_csv
+from latentlab.artifacts import write_csv
+from latentlab.cli import sweep_rows, SWEEP_HEADER
 
 from conftest import random_hierarchy, random_mask
 
@@ -70,7 +71,7 @@ def generate_oracle_pairs_csv(path: Path) -> None:
             int(flags.invertible_masked), int(flags.invertible_visible),
             int(flags.recoverable_from_masked), int(flags.independence_ok),
         ])
-    _write_csv(path, ["trial", "n_latents", "n_observables", "mask", "c_match",
+    write_csv(path, ["trial", "n_latents", "n_observables", "mask", "c_match",
                       "s_m_match", "ties", "inv_masked", "inv_visible",
                       "recoverable", "independent"], rows)
 
@@ -94,7 +95,7 @@ def generate_roundtrip_csv(path: Path) -> None:
             for _ in range(100)
         )
         rows.append([name, repr(worst), repr(sigma_min), repr(spec.settings.alpha ** spec.settings.layers)])
-    _write_csv(path, ["fixture", "max_rel_inversion_error", "min_sigma", "bound"], rows)
+    write_csv(path, ["fixture", "max_rel_inversion_error", "min_sigma", "bound"], rows)
 
 
 def generate_grad_check_csv(path: Path) -> None:
@@ -112,7 +113,7 @@ def generate_grad_check_csv(path: Path) -> None:
         mask = Mask(set(layout[: int(rng.integers(1, n_pixels))]))
         deviation = grad_check(model, batch, mask, rng=np.random.default_rng(trial))
         rows.append([trial, repr(deviation)])
-    _write_csv(path, ["trial", "max_relative_deviation"], rows)
+    write_csv(path, ["trial", "max_relative_deviation"], rows)
 
 
 def generate_all(root: Path) -> dict[str, float]:
@@ -138,7 +139,7 @@ def generate_all(root: Path) -> dict[str, float]:
     def sweep():
         g = load_graph(fixture_path("bench3"))
         rows = sweep_rows(g, [0.1, 0.5, 0.9], [1], 100, seed=MASTER_SEED + 2)
-        _write_csv(root / "sweep_bench3.csv", SWEEP_HEADER, rows)
+        write_csv(root / "sweep_bench3.csv", SWEEP_HEADER, rows)
 
     stage("sweep", sweep)
 

@@ -15,6 +15,7 @@ import latentlab
 from latentlab import MaeSettings, RegressorConfig, ScmSettings, TrainConfig, fixture_path, load_graph
 from latentlab import cli as cli_module
 from latentlab import locate as locate_module
+from latentlab.artifacts import DATASET_FIELDS, JSON_KINDS, MODEL_FIELDS
 from latentlab.cli import (
     CONFIG_FIELDS,
     LISTED_MASK_FIELDS,
@@ -27,8 +28,6 @@ from latentlab.cli import (
     training_cells,
 )
 from latentlab.graph import BitIndex
-from latentlab.mae import MODEL_FIELDS
-from latentlab.scm import DATASET_FIELDS, JSON_KINDS
 
 FIG4_LAYOUT = list(load_graph(fixture_path("fig4")).layout)
 
