@@ -144,7 +144,10 @@ def read_header(path: Path, kind: str, table: Mapping[str, Field], writer: str) 
     refuses is an error naming the file (and the field) and ``writer``."""
     if not path.exists():
         raise FileNotFoundError(f"{kind} not found under {path.parent}; run {writer} first")
-    header = json.loads(path.read_text())
+    try:
+        header = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}; run {writer} again") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path} is not a {kind} header; run {writer} again")
     if report := check_fields(header, table):

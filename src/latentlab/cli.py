@@ -23,7 +23,7 @@ from latentlab import fixtures
 from latentlab.artifacts import DATASET_FIELDS, MODEL_FIELDS, Field, check_fields, read_header, require_current
 from latentlab.artifacts import write_csv, write_json
 from latentlab.graph import LatentGraph, Mask, derive_dims, load_graph
-from latentlab.ident import IdentReport, RegressorConfig, block_identifiability
+from latentlab.ident import RegressorConfig, block_identifiability
 from latentlab.locate import (
     SharedInfo,
     _locate_c_rows,
@@ -74,8 +74,9 @@ def _resolve_graph(path: str) -> LatentGraph:
     return g
 
 
-def _parse_mask_list(g: LatentGraph, raw: str) -> Mask:
-    ids = [token.strip() for token in raw.split(",") if token.strip()]
+def _listed_mask(g: LatentGraph, ids: list[str]) -> Mask:
+    """The mask of the observables ``ids``, refused when it is empty, names
+    an id that is not an observable, or names every observable."""
     if not ids:
         raise ConfigError("mask is empty")
     observables = set(g.observables)
@@ -141,7 +142,7 @@ class ExperimentConfig:
 
     def resolve_mask(self, g: LatentGraph) -> Mask:
         if "observables" in self.mask:
-            return _parse_mask_list(g, ",".join(self.mask["observables"]))
+            return _listed_mask(g, self.mask["observables"])
         sampler = _sampler(float(self.mask["ratio"]), self.mask["patch"], g, "mask.ratio", "mask.patch")
         return sample_mask(sampler, np.random.default_rng(self.mask["seed"]))
 
@@ -222,7 +223,7 @@ def cmd_locate(args) -> int:
     g = _resolve_graph(args.graph)
     sampling = (args.ratio, args.patch, args.seed) != (None, None, None)
     if args.mask is not None and not sampling:
-        mask = _parse_mask_list(g, args.mask)
+        mask = _listed_mask(g, [token.strip() for token in args.mask.split(",") if token.strip()])
     elif args.mask is None and args.ratio is not None:
         if args.patch is None or args.seed is None:
             raise ConfigError("sampled masks need --ratio, --patch, and --seed")
@@ -329,13 +330,14 @@ def _train_cell(cfg: ExperimentConfig, ds, mask: Mask, info: SharedInfo):
     return train(ds, mask, d_c, d_sm, mae.train, hidden=mae.hidden, slope=mae.slope)
 
 
-def _score_cell(cfg: ExperimentConfig, ds, model, mask: Mask, info: SharedInfo) -> IdentReport:
-    """Block identifiability of ``model``'s code for ``mask``, encoded from
-    the visible columns, against the located ``c`` and ``s_m``."""
+def _code_and_blocks(ds, model, mask: Mask, info: SharedInfo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``model``'s code ``chat`` for ``mask``, encoded from the visible
+    columns, and the located ``c`` and ``s_m`` blocks: the inputs of
+    ``block_identifiability``, each a copy that holds no reference to ``ds``."""
     visible_nodes = [v for v in ds.layout if v not in mask.masked]
     chat = encode(model, ds.stack(visible_nodes), mask)
     c_block, s_m_block, *_ = extract_blocks(ds, info)
-    return block_identifiability(chat, c_block, s_m_block, cfg.ident)
+    return chat, c_block, s_m_block
 
 
 def cmd_train(args) -> int:
@@ -363,12 +365,15 @@ def cmd_evaluate(args) -> int:
     expected = tuple(sorted(mask.masked))
     require_current(model_base.with_suffix(".json"), "train", [("mask", model.mask, expected)])
     info = locate_shared_info(g, mask)
-    report = _score_cell(cfg, ds, model, mask, info)
+    chat, c_block, s_m_block = _code_and_blocks(ds, model, mask, info)
+    n = ds.n
+    del ds  # released before the kernel fits, which need only the code and the two blocks
+    report = block_identifiability(chat, c_block, s_m_block, cfg.ident)
     payload = report.to_dict()
     payload["mask"] = sorted(mask.masked)
     payload["c"] = sorted(info.c)
     write_json(payload, cfg.out_dir / "ident_report.json")
-    row = [cfg.graph, ";".join(expected), ds.n, report.r2_c_from_chat, report.r2_chat_from_c,
+    row = [cfg.graph, ";".join(expected), n, report.r2_c_from_chat, report.r2_chat_from_c,
            report.r2_sm_from_chat, report.n_train, report.n_test]
     write_csv(cfg.out_dir / "summary.csv", ["graph", "mask", "n", "r2_c_from_chat", "r2_chat_from_c", "r2_sm_from_chat",
                                             "n_train", "n_test"], [row], append=True)
@@ -449,7 +454,7 @@ def training_sweep_rows(
     rows = []
     for r, s, mask, info in cells:
         model, curve = _train_cell(cfg, ds, mask, info)
-        report = _score_cell(cfg, ds, model, mask, info)
+        report = block_identifiability(*_code_and_blocks(ds, model, mask, info), cfg.ident)
         rows.append([
             r, s, ";".join(sorted(mask.masked)), model.d_c, model.d_sm, curve[-1],
             report.r2_c_from_chat, report.r2_chat_from_c, report.r2_sm_from_chat,

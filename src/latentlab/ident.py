@@ -131,8 +131,9 @@ class KernelRidge:
 
 def median_distance(x: np.ndarray) -> float:
     """Median Euclidean distance over the pairs of rows of ``x``, filled one
-    row of the upper triangle at a time; 1.0 when it is not positive or
-    there is no pair."""
+    row of the upper triangle at a time into a scratch array that the median
+    then partitions in place; 1.0 when it is not positive or there is no
+    pair."""
     m = x.shape[0]
     dists = np.empty(m * (m - 1) // 2)
     at = 0
@@ -140,7 +141,7 @@ def median_distance(x: np.ndarray) -> float:
         row = dists[at:at + m - 1 - i]
         np.sqrt(np.sum((x[i] - x[i + 1:]) ** 2, axis=-1), out=row)
         at += row.size
-    median = float(np.median(dists)) if dists.size else 0.0
+    median = float(np.median(dists, overwrite_input=True)) if dists.size else 0.0
     return median if median > 0 else 1.0
 
 

@@ -183,9 +183,20 @@ def test_row_blocks_cover_aligned_and_large(n_rows, row_size):
 
 
 def test_median_distance_matches_pairwise_definition():
+    """Exactly ``np.median`` of every pair's distance, on an even (780) and
+    an odd (741) pair count and on rows repeated three times (435 pairs, a
+    quarter of them 0); a NaN anywhere makes the median NaN, read as 1.0."""
+    def pairwise_median(x):
+        m = x.shape[0]
+        return float(np.median([np.sqrt(np.sum((x[i] - x[j]) ** 2)) for i in range(m) for j in range(i + 1, m)]))
+
     x = np.random.default_rng(0).standard_normal((40, 3))
-    pairs = [np.linalg.norm(x[i] - x[j]) for i in range(40) for j in range(i + 1, 40)]
-    assert median_distance(x) == pytest.approx(float(np.median(pairs)), rel=1e-12)
+    for rows in (x, x[:39], np.repeat(x[:10], 3, axis=0)):
+        assert median_distance(rows) == pairwise_median(rows)
+    with_nan = x.copy()
+    with_nan[7, 1] = np.nan
+    assert np.isnan(pairwise_median(with_nan))
+    assert median_distance(with_nan) == 1.0
     assert median_distance(x[:1]) == 1.0
     assert median_distance(np.zeros((5, 2))) == 1.0
 

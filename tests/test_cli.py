@@ -1,11 +1,13 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +301,49 @@ def test_pipeline_and_artifacts(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg)]) == 0
     assert (run / "ident_report.json").read_bytes() == report_bytes
     assert len((run / "summary.csv").read_text().splitlines()) == 3  # header + 2 runs
+
+
+def test_evaluate_releases_the_dataset_before_the_kernel_fits(tmp_path, monkeypatch):
+    """The fits see only the code and the two blocks: no reference to the
+    loaded ``Dataset`` or to its values array is left when they start."""
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    load, fit = cli_module._load_current_dataset, cli_module.block_identifiability
+    loaded, live_at_fit = [], []
+
+    def tracked_load(*args):
+        ds = load(*args)
+        loaded.extend([weakref.ref(ds), weakref.ref(ds.values)])
+        return ds
+
+    def checked_fit(*args):
+        live_at_fit.append([ref() is not None for ref in loaded])
+        return fit(*args)
+
+    monkeypatch.setattr(cli_module, "_load_current_dataset", tracked_load)
+    monkeypatch.setattr(cli_module, "block_identifiability", checked_fit)
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert live_at_fit == [[False, False]]
+
+
+def test_listed_mask_id_may_hold_a_comma(tmp_path, capsys):
+    """A config lists mask ids as given; ``locate --mask`` still splits at commas."""
+    graph = json.loads(fixture_path("fig4").read_text().replace('"x1"', '"x,1"'))
+    assert "x,1" in graph["layout"]
+    graph_path = tmp_path / "fig,4.json"
+    graph_path.write_text(json.dumps(graph))
+    cfg = write_config(tmp_path, graph=str(graph_path), mask={"observables": ["x,1", "x2", "x3"]})
+    for stage in ("simulate", "train", "evaluate"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    with open(tmp_path / "run" / "summary.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(row) == len(header)
+    summary = dict(zip(header, row))
+    assert (summary["graph"], summary["mask"], summary["n"]) == (str(graph_path), "x,1;x2;x3", "400")
+    capsys.readouterr()
+    assert main(["locate", str(graph_path), "--mask", "x,1"]) == 2
+    assert capsys.readouterr().err == "latentlab: error: mask names are not observables: ['x', '1']\n"
 
 
 def test_train_requires_dataset(tmp_path, capsys):
@@ -936,6 +981,24 @@ def test_dataset_header_that_is_not_an_object_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     assert "is not a dataset header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, command, writer", [
+    ("dataset.json", "train", "simulate"),
+    ("model.json", "evaluate", "train"),
+])
+def test_header_that_is_not_valid_json_exits_two(tmp_path, capsys, name, command, writer):
+    cfg = write_config(tmp_path)
+    header_path = tmp_path / "run" / name
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    header_path.write_text("{\n")
+    with pytest.raises(json.JSONDecodeError) as decoding:
+        json.loads("{\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"latentlab: error: {header_path} is not valid JSON: {decoding.value}; "
+                                       f"run {writer} again\n")
 
 
 @pytest.mark.parametrize("name, field, command, writer", [
