@@ -1,6 +1,20 @@
+"""The simulator: dimensions, sampling, inversion, Jacobians and files.
+
+The pinned digests are computed in a child process at one BLAS thread, where
+every product's bytes are fixed.  Run this file as a script to print them.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import latentlab
 from latentlab import LatentGraph, Mask, load_graph, fixture_path
 from latentlab.graph import graph_from_dict, graph_to_dict
 from latentlab.locate import SharedInfo, locate_shared_info
@@ -110,6 +124,54 @@ def test_sample_graph_order_invariant(fig4):
     b = sample(build_scm(graph_from_dict(data), ScmSettings(seed=5)), 16, seed=11)
     for v in a.column_spans:
         assert np.array_equal(a.columns(v), b.columns(v))
+
+
+def simulator_digests() -> dict[str, str]:
+    """SHA-256 of the bytes of 3,000 sampled rows on each fixture, of two
+    fig4 variants (wider noise, biased layers), and of every node value that
+    ``invert_observables`` recovers from 50 rows of the fig4 sample."""
+    settings = ScmSettings(layers=2, alpha=0.5, seed=11)
+    cases = {name: (name, settings) for name in FIXTURES}
+    cases["fig4_exo_dims"] = ("fig4", ScmSettings(exo_dims={"eps_z1": 2, "eps_z4": 3}, layers=2, alpha=0.5, seed=11))
+    cases["fig4_bias"] = ("fig4", ScmSettings(layers=2, alpha=0.5, seed=11, bias=True))
+    digests = {}
+    for case, (name, case_settings) in cases.items():
+        g = load_graph(fixture_path(name))
+        spec = build_scm(g, case_settings)
+        ds = sample(spec, 3000, seed=12)
+        digests[case] = hashlib.sha256(ds.values.tobytes()).hexdigest()
+        if case == "fig4":
+            recovered = invert_observables(spec, {v: ds.columns(v)[:50] for v in g.observables})
+            h = hashlib.sha256()
+            for v in sorted(recovered):
+                h.update(v.encode() + recovered[v].tobytes())
+            digests["fig4_inverted"] = h.hexdigest()
+    return digests
+
+
+PINNED_DIGESTS = {
+    "fig4": "5c5bb07914bd87c379f3ceb0cb139cc110d1b18c7d15da88a6a8eeb21830cc61",
+    "fig2": "89ee0b5af52d7c87bf8b0fcc0556e9fa19e239844bce815f54cd8d3d5ad21990",
+    "bench3": "9ff05622a955ee335a94aedffb84e8a04d6cc55b80cb32ce6a8da976da29a986",
+    "fig4_exo_dims": "18ffa07c84a5ab85d79aaf4965377dd327fdd02b9fd95450773532ee0688d49a",
+    "fig4_bias": "5488fd144fd1ff5b6851de90ca699018dced040f042356bd79a63d1fc0308b44",
+    "fig4_inverted": "da600c9bddc371ad0a490c482e0f73447b598f1ccbeb01d292d4266af7da625f",
+}
+
+
+@pytest.fixture(scope="module")
+def one_thread_digests():
+    src = str(Path(latentlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("case", PINNED_DIGESTS)
+def test_simulator_bytes_are_pinned(one_thread_digests, case):
+    assert one_thread_digests[case] == PINNED_DIGESTS[case]
 
 
 # -- inversion ----------------------------------------------------------------
@@ -226,3 +288,7 @@ def test_dataset_csv_skipped_for_large_n(tmp_path, fig4):
     ds = sample(spec, 1001, seed=9)
     paths = save_dataset(ds, tmp_path / "data")
     assert "csv" not in paths
+
+
+if __name__ == "__main__":
+    print(json.dumps(simulator_digests()))
