@@ -139,13 +139,16 @@ def write_artifact(base: Path, header: dict, values: np.ndarray, order="C", colu
 
 
 def read_header(path: Path, kind: str, table: Mapping[str, Field], writer: str) -> dict:
-    """The JSON object in ``path``, a ``kind`` header written by the CLI's
-    ``writer`` stage.  No file, anything else, or an object that ``table``
-    refuses is an error naming the file (and the field) and ``writer``."""
+    """The JSON object in the UTF-8 text of ``path``, a ``kind`` header
+    written by the CLI's ``writer`` stage.  No file, anything else, or an
+    object that ``table`` refuses is an error naming the file (and the
+    field) and ``writer``."""
     if not path.exists():
         raise FileNotFoundError(f"{kind} not found under {path.parent}; run {writer} first")
     try:
-        header = json.loads(path.read_text())
+        header = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} is not UTF-8 text; run {writer} again") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}; run {writer} again") from exc
     if not isinstance(header, dict):

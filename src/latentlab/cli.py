@@ -112,7 +112,9 @@ class ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

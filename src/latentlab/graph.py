@@ -553,11 +553,13 @@ def graph_to_dict(g: LatentGraph) -> dict:
 
 
 def load_graph(path: str | Path) -> LatentGraph:
-    """The graph in a JSON file; a file that does not hold a graph's dict
-    form is a ``ValueError`` naming it."""
+    """The graph in a UTF-8 JSON file; a file that does not hold a graph's
+    dict form is a ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return graph_from_dict(json.load(fh))
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} is not UTF-8 text") from None
         except (KeyError, ValueError) as exc:  # an edge to an undeclared node is a KeyError
             raise ValueError(f"{path}: {exc.args[0]}") from None
 

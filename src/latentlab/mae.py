@@ -249,7 +249,7 @@ def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
     for block in blocks:
         enc_in = plan.enc_in[: block.stop - block.start]
         enc_in[:, : model.obs_width][:, plan.visible] = rows[block]
-        chat[block], _ = mlp_forward(model.encoder, enc_in)
+        chat[block] = mlp_forward(model.encoder, enc_in)[0]
     return chat[0] if single else chat
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from latentlab.artifacts import DATASET_FIELDS, read_array, read_header, write_artifact
-from latentlab.graph import LatentGraph, NodeId, NodeKind, derive_dims
+from latentlab.graph import LatentGraph, NodeId, derive_dims
 from latentlab.locate import SharedInfo
 
 
@@ -127,7 +127,8 @@ class ScmSettings:
 @dataclass(frozen=True)
 class ScmSpec:
     """A graph with node dimensions and one mixing function per non-exogenous
-    node; immutable and fully determined by its build arguments."""
+    node, ``mixers`` in the graph's topological order; immutable and fully
+    determined by its build arguments."""
 
     graph: LatentGraph
     dims: dict[NodeId, int]
@@ -161,28 +162,21 @@ class Dataset:
         return np.hstack([self.columns(v) for v in nodes])
 
 
-def _canonical_parent_order(g: LatentGraph, v: NodeId) -> list[NodeId]:
-    parents = g.parents(v)
-    exo = sorted(p for p in parents if g.kind(p) is NodeKind.EXOGENOUS)
-    rest = sorted(p for p in parents if g.kind(p) is not NodeKind.EXOGENOUS)
-    return rest + exo
-
-
 def build_scm(g: LatentGraph, settings: ScmSettings) -> ScmSpec:
-    """Derive dimensions and construct every mixing function.
+    """Derive dimensions and construct every mixing function, reading the
+    graph through its bit index alone.
 
     Deterministic given the graph and ``settings``, and invariant to the
     input order of the graph's node and edge lists.
     """
     if settings.layers < 1:
         raise ValueError("at least one layer is required")
+    idx = g.bit_index()
     dims = derive_dims(g, settings.exo_dims)
     mixers: dict[NodeId, MixingFunction] = {}
-    for v in g.topo_order():
-        if g.kind(v) is NodeKind.EXOGENOUS:
-            continue
-        order = _canonical_parent_order(g, v)
-        sizes = tuple(dims[p] for p in order)
+    for i in idx.positions(idx.latents | idx.observables):
+        v, parents = idx.ids[i], idx.parents[i]
+        order = (*sorted(idx.decode(parents & idx.latents)), *idx.decode(parents & idx.exogenous))
         dim = dims[v]
         rng = _node_stream(settings.seed, v, purpose=0)
         weights = tuple(_random_orthogonal(dim, rng) for _ in range(settings.layers))
@@ -190,8 +184,8 @@ def build_scm(g: LatentGraph, settings: ScmSettings) -> ScmSpec:
             0.1 * rng.standard_normal(dim) if settings.bias else np.zeros(dim) for _ in range(settings.layers)
         )
         mixers[v] = MixingFunction(
-            input_order=tuple(order),
-            block_sizes=sizes,
+            input_order=order,
+            block_sizes=tuple(dims[p] for p in order),
             weights=weights,
             biases=biases,
             slope=settings.alpha,
@@ -202,31 +196,22 @@ def build_scm(g: LatentGraph, settings: ScmSettings) -> ScmSpec:
 def sample(scm: ScmSpec, n: int, seed: int = 0) -> Dataset:
     """Draw ``n`` rows by ancestral evaluation: exogenous coordinates are
     i.i.d. standard normal, every other node applies its mixing function to
-    its parents.  Deterministic given the seed and order-invariant."""
+    its parents.  Each node's values are written once, into its columns of
+    the returned matrix.  Deterministic given the seed and order-invariant."""
     if n < 0:
         raise ValueError("sample count must be non-negative")
-    g = scm.graph
-    values: dict[NodeId, np.ndarray] = {}
-    for v in g.topo_order():
-        if g.kind(v) is NodeKind.EXOGENOUS:
-            rng = _node_stream(seed, v, purpose=1)
-            values[v] = rng.standard_normal((n, scm.dims[v]))
-        else:
-            mixer = scm.mixers[v]
-            x = np.hstack([values[p] for p in mixer.input_order]) if n else np.empty((0, mixer.dim))
-            values[v] = mixer.forward(x)
-
     spans: dict[NodeId, tuple[int, int]] = {}
     offset = 0
-    ordered = sorted(g.node_ids)
-    for v in ordered:
+    for v in sorted(scm.dims):
         spans[v] = (offset, scm.dims[v])
         offset += scm.dims[v]
-    matrix = np.empty((n, offset))
-    for v in ordered:
-        start, length = spans[v]
-        matrix[:, start:start + length] = values[v]
-    return Dataset(values=matrix, column_spans=spans, layout=tuple(g.layout))
+    ds = Dataset(values=np.empty((n, offset)), column_spans=spans, layout=tuple(scm.graph.layout))
+    for v, dim in scm.dims.items():
+        if v not in scm.mixers:
+            ds.columns(v)[:] = _node_stream(seed, v, purpose=1).standard_normal((n, dim))
+    for v, mixer in scm.mixers.items():
+        ds.columns(v)[:] = mixer.forward(ds.stack(mixer.input_order))
+    return ds
 
 
 def invert_node(scm: ScmSpec, v: NodeId, value: np.ndarray) -> dict[NodeId, np.ndarray]:
@@ -250,9 +235,7 @@ def invert_observables(scm: ScmSpec, observed: Mapping[NodeId, np.ndarray]) -> d
     values: dict[NodeId, np.ndarray] = {
         v: np.asarray(observed[v], dtype=float) for v in g.observables
     }
-    for v in reversed(g.topo_order()):
-        if g.kind(v) is NodeKind.EXOGENOUS:
-            continue
+    for v in reversed(scm.mixers):
         if v not in values:
             raise ValueError(f"value of {v!r} is not determined by the observables")
         for parent, block in invert_node(scm, v, values[v]).items():

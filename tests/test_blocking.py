@@ -217,5 +217,29 @@ def test_predict_memory_is_bounded_by_one_block():
     assert peak < 10 * 2 ** 20
 
 
+def test_encode_holds_one_row_block_at_a_time():
+    """Rows that span three row blocks cost no more, beyond the code they
+    return, than the largest of those blocks alone: each block's forward
+    activations are freed before the next block's forward pass runs."""
+    model = init_mae_model(LAYOUT, PIXEL_WIDTHS, 8, 2, hidden=(64, 64), slope=0.2, seed=0)
+    visible = sum(PIXEL_WIDTHS[v] for v in LAYOUT if v not in MASK.masked)
+    m = 3 * block_rows(max(model.encoder.widths)) + 5000
+    blocks = row_blocks(m, max(model.encoder.widths))
+    assert len(blocks) == 3
+    rng = np.random.default_rng(0)
+
+    def peak_beyond_code(rows):
+        x = rng.standard_normal((rows, visible))
+        tracemalloc.start()
+        try:
+            chat = encode(model, x, MASK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - chat.nbytes
+
+    assert peak_beyond_code(m) <= 1.1 * peak_beyond_code(max(b.stop - b.start for b in blocks))
+
+
 if __name__ == "__main__":
     print(json.dumps(compare_all()))

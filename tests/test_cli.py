@@ -1001,6 +1001,30 @@ def test_header_that_is_not_valid_json_exits_two(tmp_path, capsys, name, command
                                        f"run {writer} again\n")
 
 
+def test_header_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    header_path = tmp_path / "run" / "dataset.json"
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    header_path.write_bytes(b'{"n": "\xff"}')
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"latentlab: error: {header_path} is not UTF-8 text; run simulate again\n"
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b'"run"', b'"r\xffn"'))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"latentlab: error: config file {cfg} is not UTF-8 text\n"
+
+
+def test_graph_that_is_not_utf8_exits_two(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_bytes(fixture_path("fig4").read_bytes().replace(b'"z1"', b'"z\xff"'))
+    assert main(["locate", str(graph), "--ratio", "0.5", "--seed", "7", "--patch", "1"]) == 2
+    assert capsys.readouterr().err == f"latentlab: error: {graph} is not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("name, field, command, writer", [
     ("model.json", "layout", "evaluate", "train"),
     ("dataset.json", "total_dim", "train", "simulate"),

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,19 @@ def one_thread_digests():
 @pytest.mark.parametrize("case", PINNED_DIGESTS)
 def test_simulator_bytes_are_pinned(one_thread_digests, case):
     assert one_thread_digests[case] == PINNED_DIGESTS[case]
+
+
+def test_sample_holds_little_beyond_its_dataset(bench3):
+    """``sample`` writes each node's values straight into the dataset
+    matrix, so its traced peak stays well under two copies of that matrix."""
+    spec = build_scm(bench3, ScmSettings(seed=3))
+    tracemalloc.start()
+    try:
+        ds = sample(spec, 5000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.values.nbytes
 
 
 # -- inversion ----------------------------------------------------------------
