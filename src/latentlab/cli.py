@@ -28,6 +28,7 @@ from latentlab.locate import (
     SharedInfo,
     _locate_c_rows,
     _oracle_latents,
+    _split_mask,
     brute_force_minimal_c,
     locate_many,
     locate_shared_info,
@@ -74,20 +75,6 @@ def _resolve_graph(path: str) -> LatentGraph:
     return g
 
 
-def _listed_mask(g: LatentGraph, ids: list[str]) -> Mask:
-    """The mask of the observables ``ids``, refused when it is empty, names
-    an id that is not an observable, or names every observable."""
-    if not ids:
-        raise ConfigError("mask is empty")
-    observables = set(g.observables)
-    unknown = [v for v in ids if v not in observables]
-    if unknown:
-        raise ConfigError(f"mask names are not observables: {unknown}")
-    if set(ids) == observables:
-        raise ConfigError("mask names every observable; at least one must stay visible")
-    return Mask(ids)
-
-
 # -- experiment config ------------------------------------------------------------
 
 
@@ -130,23 +117,18 @@ class ExperimentConfig:
             "out_dir": path.parent / raw["out_dir"],  # an absolute out_dir stays as it is
         })
 
-    def load_graph(self) -> LatentGraph:
-        """The config's graph, refused when ``scm.exo_dims`` sizes a node that
-        is not one of its exogenous nodes or when it refuses the config's mask
-        (an unknown observable, or a patch size its layout cannot hold)."""
+    def load_graph(self) -> tuple[LatentGraph, Mask]:
+        """The config's graph and its mask, the listed one or the sampled
+        draw; so every stage refuses an ``scm.exo_dims`` key that is not an
+        exogenous node, and a mask or patch size the graph refuses."""
         g = _resolve_graph(self.graph)
-        unknown = sorted(set(self.scm.exo_dims or ()) - set(g.exogenous))
-        if unknown:
-            raise ConfigError(f"config value 'scm.exo_dims' entry {unknown[0]!r} is not an exogenous node "
-                              f"of the graph {self.graph!r}")
-        self.resolve_mask(g)  # a mask the graph refuses stops every stage
-        return g
-
-    def resolve_mask(self, g: LatentGraph) -> Mask:
+        derive_dims(g, self.scm.exo_dims)
         if "observables" in self.mask:
-            return _listed_mask(g, self.mask["observables"])
+            mask = Mask(self.mask["observables"])
+            _split_mask(g, mask)
+            return g, mask
         sampler = _sampler(float(self.mask["ratio"]), self.mask["patch"], g, "mask.ratio", "mask.patch")
-        return sample_mask(sampler, np.random.default_rng(self.mask["seed"]))
+        return g, sample_mask(sampler, np.random.default_rng(self.mask["seed"]))
 
 
 # One field table per config section.  A mask is a list of observables or
@@ -225,7 +207,7 @@ def cmd_locate(args) -> int:
     g = _resolve_graph(args.graph)
     sampling = (args.ratio, args.patch, args.seed) != (None, None, None)
     if args.mask is not None and not sampling:
-        mask = _listed_mask(g, [token.strip() for token in args.mask.split(",") if token.strip()])
+        mask = Mask(token.strip() for token in args.mask.split(",") if token.strip())
     elif args.mask is None and args.ratio is not None:
         if args.patch is None or args.seed is None:
             raise ConfigError("sampled masks need --ratio, --patch, and --seed")
@@ -283,7 +265,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    g = cfg.load_graph()
+    g, _ = cfg.load_graph()
     ds = sample(build_scm(g, cfg.scm), cfg.n, seed=cfg.sample_seed)
     written = save_dataset(ds, cfg.out_dir / "dataset", seed=cfg.sample_seed, scm=cfg.scm)
     for kind, path in sorted(written.items()):
@@ -344,9 +326,8 @@ def _code_and_blocks(ds, model, mask: Mask, info: SharedInfo) -> tuple[np.ndarra
 
 def cmd_train(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    g = cfg.load_graph()
+    g, mask = cfg.load_graph()
     ds = _load_current_dataset(cfg, g)
-    mask = cfg.resolve_mask(g)
     model, curve = _train_cell(cfg, ds, mask, _trainable_info(g, mask))
     written = save_model(model, cfg.out_dir / "model")
     curve_path = write_csv(cfg.out_dir / "loss_curve.csv", ["epoch", "loss"], list(enumerate(curve)))
@@ -358,12 +339,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    g = cfg.load_graph()
+    g, mask = cfg.load_graph()
     model_base = cfg.out_dir / "model"
     model_header = read_header(model_base.with_suffix(".json"), "checkpoint", MODEL_FIELDS, "train")
     ds = _load_current_dataset(cfg, g)
     model = load_model(model_base, model_header)
-    mask = cfg.resolve_mask(g)
     expected = tuple(sorted(mask.masked))
     require_current(model_base.with_suffix(".json"), "train", [("mask", model.mask, expected)])
     info = locate_shared_info(g, mask)
@@ -406,22 +386,18 @@ def sweep_rows(
     """One row per sampled mask: level statistics of the located shared set.
 
     Each cell's masks are drawn by one ``MaskSampler.draw_many`` call and
-    answered as one batch: the draws become a K x patches 0/1 matrix, each
-    layout position takes its patch's column to give the K x nodes matrix
-    of masked observables, and ``_locate_c_rows`` finds every mask's ``c``
-    at once from the graph's cached matrices, gathering no ``s_m`` or
-    ``s_mc``.  The row's statistics are vector sums and maxima over the
+    answered as one batch: its K x layout rows, placed in the layout's
+    columns, give the K x nodes matrix of masked observables, and
+    ``_locate_c_rows`` finds every mask's ``c`` at once from the graph's
+    cached matrices, gathering no ``s_m`` or ``s_mc``.  The row's statistics are vector sums and maxima over the
     graph's level and dimension tables, emitted as Python ints and floats."""
     bits = g.bit_index()
     level, dim = np.array(bits.level), np.array(bits.dim)
     columns = [bits.bit[v] for v in g.layout]
     rows = []
     for r, s, rng in _cells(ratios, patches, seed):
-        sampler = MaskSampler(r, s, tuple(g.layout))
-        chosen = np.zeros((k_masks, sampler.num_patches), dtype=bool)
-        np.put_along_axis(chosen, sampler.draw_many(rng, k_masks), True, axis=1)
         masked = np.zeros((k_masks, len(bits.ids)), dtype=bool)
-        masked[:, columns] = chosen[:, np.arange(len(columns)) // s]
+        masked[:, columns] = MaskSampler(r, s, tuple(g.layout)).draw_many(rng, k_masks)
         c, _ = _locate_c_rows(bits.matrices, masked)
         count = c.sum(axis=1)
         stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
@@ -487,7 +463,7 @@ def cmd_sweep(args) -> int:
         if not args.config:
             raise ConfigError("--with-training needs --config for simulator and training settings")
         cfg = ExperimentConfig.load(args.config)
-        config_graph = cfg.load_graph()
+        config_graph, _ = cfg.load_graph()
         if (config_graph.edges, config_graph.layout) != (g.edges, g.layout):
             raise ConfigError(
                 f"the config's graph {cfg.graph!r} is not the swept graph {args.graph!r}; "

@@ -319,8 +319,12 @@ class BitIndex:
 
     def dims(self, exo_dims: Mapping[NodeId, int] | None = None) -> list[int]:
         """Dimension of every node by bit, under the additive rule of
-        :func:`derive_dims`."""
+        :func:`derive_dims`; an ``exo_dims`` key that is not an exogenous
+        node is refused."""
         exo_dims = exo_dims or {}
+        stray = sorted(set(exo_dims) - self.decode(self.exogenous))
+        if stray:
+            raise ValueError(f"exo_dims entry {stray[0]!r} is not an exogenous node")
         dims: list[int] = []
         for i, v in enumerate(self.ids):
             if self.exogenous >> i & 1:
@@ -479,9 +483,10 @@ def _find_cycle(g: LatentGraph) -> list[NodeId] | None:
 
 def derive_dims(g: LatentGraph, exo_dims: Mapping[NodeId, int] | None = None) -> dict[NodeId, int]:
     """Dimension of every node under the additive rule: exogenous nodes get
-    their assigned width (1 unless ``exo_dims`` sets it), every other node
-    the sum of its parents' widths.  Unit widths are read from the index's
-    ``dim``, so they are derived once per graph."""
+    their assigned width (1 unless ``exo_dims`` sets it; a key that is not
+    an exogenous node is refused), every other node the sum of its parents'
+    widths.  Unit widths are read from the index's ``dim``, so they are
+    derived once per graph."""
     idx = g.bit_index()
     return dict(zip(idx.ids, idx.dims(exo_dims) if exo_dims else idx.dim))
 

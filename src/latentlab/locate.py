@@ -82,13 +82,16 @@ class OracleResult:
 
 def _split_mask(g: LatentGraph, mask: Mask) -> tuple[BitIndex, int, int]:
     """The graph's bit index, with the masked and the visible observables as
-    bit masks."""
+    bit masks.  It is the one check of a mask: it refuses a mask that is
+    empty, names an id that is not an observable, or names every observable."""
     idx = g.bit_index()
     masked, observables = mask.masked, g._observable_set
+    if not masked:
+        raise ValueError("mask is empty")
     if not masked <= observables:
-        raise ValueError(f"mask contains non-observable ids: {sorted(masked - observables)}")
-    if not masked or masked == observables:
-        raise ValueError("both the mask and its complement must be non-empty")
+        raise ValueError(f"mask names are not observables: {sorted(masked - observables)}")
+    if masked == observables:
+        raise ValueError("mask names every observable; at least one must stay visible")
     masked_bits = idx.encode(masked)
     return idx, masked_bits, idx.observables & ~masked_bits
 

@@ -59,28 +59,27 @@ class MaskSampler:
         return math.ceil(len(self.layout) / self.s)
 
     @cached_property
-    def patches(self) -> tuple[tuple[NodeId, ...], ...]:
-        return tuple(tuple(self.layout[i:i + self.s]) for i in range(0, len(self.layout), self.s))
-
-    @cached_property
     def num_masked_patches(self) -> int:
         k = int(math.floor(self.r * self.num_patches + 0.5))
         return min(max(k, 1), self.num_patches - 1)
 
     def draw_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """A ``count`` x ``num_masked_patches`` matrix of the patch indices
-        to mask, which every sampled mask goes through.  Row i holds the
+        """A ``count`` x ``len(layout)`` boolean matrix of the masked layout
+        positions, which every sampled mask goes through.  Row i masks the
         patches with the smallest uniforms in row i of one
         ``rng.random((count, num_patches))`` draw, the same stream as
         ``count`` successive ``rng.random(num_patches)`` draws; so row i is
         the i-th mask drawn one at a time, and row 0 does not depend on
-        ``count``."""
+        ``count``.  Position j lies in patch ``j // s``."""
         keys = rng.random((count, self.num_patches))
-        return np.argsort(keys, axis=1, kind="stable")[:, :self.num_masked_patches]
+        picked = np.argsort(keys, axis=1, kind="stable")[:, :self.num_masked_patches]
+        chosen = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(chosen, picked, True, axis=1)
+        return chosen[:, np.arange(len(self.layout)) // self.s]
 
 
 def sample_mask(sampler: MaskSampler, rng: np.random.Generator) -> Mask:
-    return Mask(v for i in sampler.draw_many(rng, 1)[0] for v in sampler.patches[i])
+    return Mask(v for v, masked in zip(sampler.layout, sampler.draw_many(rng, 1)[0]) if masked)
 
 
 @dataclass

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab import MaeSettings, RegressorConfig, ScmSettings, TrainConfig, fixture_path, load_graph
+from latentlab import MaeSettings, Mask, RegressorConfig, ScmSettings, TrainConfig, fixture_path, load_graph
+from latentlab import locate_shared_info, sample_mask
 from latentlab import cli as cli_module
 from latentlab import locate as locate_module
 from latentlab.artifacts import DATASET_FIELDS, JSON_KINDS, MODEL_FIELDS
@@ -343,7 +344,7 @@ def test_listed_mask_id_may_hold_a_comma(tmp_path, capsys):
     assert (summary["graph"], summary["mask"], summary["n"]) == (str(graph_path), "x,1;x2;x3", "400")
     capsys.readouterr()
     assert main(["locate", str(graph_path), "--mask", "x,1"]) == 2
-    assert capsys.readouterr().err == "latentlab: error: mask names are not observables: ['x', '1']\n"
+    assert capsys.readouterr().err == "latentlab: error: mask names are not observables: ['1', 'x']\n"
 
 
 def test_train_requires_dataset(tmp_path, capsys):
@@ -436,6 +437,40 @@ def test_config_sampled_mask(tmp_path, capsys):
     cfg = write_config(tmp_path, mask={"ratio": 0.5, "patch": 2, "seed": 3})
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert main(["train", "--config", str(cfg)]) == 0
+
+
+def test_sampled_config_mask_is_drawn_once_per_stage(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, mask={"ratio": 0.5, "patch": 2, "seed": 3})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return sample_mask(*args)
+    monkeypatch.setattr(cli_module, "sample_mask", counted)
+    for stage in ("train", "evaluate"):
+        draws.clear()
+        assert main([stage, "--config", str(cfg)]) == 0
+        assert len(draws) == 1, stage
+
+
+@pytest.mark.parametrize("ids, expected", [
+    ([], "mask is empty"),
+    (["x1", "q9", "a0"], "mask names are not observables: ['a0', 'q9']"),
+    (FIG4_LAYOUT, "mask names every observable; at least one must stay visible"),
+])
+def test_listed_mask_refusals_are_one_check(tmp_path, capsys, fig4, ids, expected):
+    """``locate_shared_info``, ``locate --mask`` and a config's listed mask
+    refuse a bad mask with the same text."""
+    with pytest.raises(ValueError) as refused:
+        locate_shared_info(fig4, Mask(ids))
+    assert str(refused.value) == expected
+    assert main(["locate", "fig4", "--mask", ",".join(ids)]) == 2
+    assert capsys.readouterr().err == f"latentlab: error: {expected}\n"
+    cfg = write_config(tmp_path, mask={"observables": ids})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"latentlab: error: {expected}\n"
+    assert not (tmp_path / "run").exists()
 
 
 # -- sweep -------------------------------------------------------------------
@@ -769,8 +804,9 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         ({"mask": {"ratio": 0.5, "seed": 3}}, "config is missing the 'mask.patch' entry"),
         ({"mae": {"hidden": [0], "train": {"seed": 13}}},
          "config value 'mae.hidden' entry 0 must be a positive integer, got 0"),
-        ({"scm": {"seed": 11, "exo_dims": {"nope": 2}}},
-         "config value 'scm.exo_dims' entry 'nope' is not an exogenous node of the graph 'fig4'"),
+        # The library refuses the key now; the id is kept from when the CLI did.
+        pytest.param({"scm": {"seed": 11, "exo_dims": {"nope": 2}}}, "exo_dims entry 'nope' is not an exogenous node",
+                     id="overrides19-config value 'scm.exo_dims' entry 'nope' is not an exogenous node of the graph 'fig4'"),
         ({"n": -1}, "config value 'n' must be a non-negative integer, got -1"),
         ({"scm": {"seed": 11, "layers": 0}}, "config value 'scm.layers' must be a positive integer, got 0"),
         ({"mae": {"d_c": 0, "train": {"seed": 13}}}, "config value 'mae.d_c' must be a positive integer, got 0"),

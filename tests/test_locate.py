@@ -810,7 +810,7 @@ def test_locate_many_answers_each_mask_as_alone(fig2):
 def test_locate_many_checks_every_mask_first(monkeypatch, fig4):
     searches = []
     monkeypatch.setattr(locate_module, "_locate_c_rows", lambda *args: searches.append(args))
-    with pytest.raises(ValueError, match="non-observable"):
+    with pytest.raises(ValueError, match="mask names are not observables"):
         locate_many(fig4, [FIG4C_MASK, Mask({"z2"})])
     assert searches == []
 

@@ -73,24 +73,30 @@ def test_sample_mask_clamps_to_one_patch():
 @pytest.mark.parametrize("count", [0, 1, 7])
 def test_draw_many_shape(count):
     sampler = MaskSampler(0.3, 2, unit_layout(11))
-    assert sampler.draw_many(np.random.default_rng(4), count).shape == (count, sampler.num_masked_patches)
+    draws = sampler.draw_many(np.random.default_rng(4), count)
+    assert draws.shape == (count, 11) and draws.dtype == bool
 
 
 @pytest.mark.parametrize("r, s, n", [(0.3, 2, 11), (0.5, 1, 32), (0.9, 4, 32), (0.05, 1, 7)])
 def test_draw_many_rows_are_k_distinct_patches(r, s, n):
+    """Each row masks whole patches, ``num_masked_patches`` of them: the
+    positions of a patch are all masked or all visible."""
     sampler = MaskSampler(r, s, unit_layout(n))
     draws = sampler.draw_many(np.random.default_rng(5), 500)
-    assert draws.min() >= 0 and draws.max() < sampler.num_patches
-    assert all(len(set(row)) == sampler.num_masked_patches for row in draws.tolist())
+    patch = np.arange(n) // s
+    for row in draws:
+        assert len(set(patch[row])) == sampler.num_masked_patches
+        assert not set(patch[row]) & set(patch[~row])
 
 
 def test_draw_many_row_i_is_the_ith_single_draw_and_sample_mask():
-    sampler = MaskSampler(0.3, 2, unit_layout(11))
+    layout = unit_layout(11)
+    sampler = MaskSampler(0.3, 2, layout)
     batch = sampler.draw_many(np.random.default_rng(4), 20)
     singles, masks = np.random.default_rng(4), np.random.default_rng(4)
     for row in batch:
         assert row.tolist() == sampler.draw_many(singles, 1)[0].tolist()
-        assert sample_mask(sampler, masks).masked == {v for i in row for v in sampler.patches[i]}
+        assert sample_mask(sampler, masks).masked == {v for v, masked in zip(layout, row) if masked}
 
 
 def test_draw_many_first_row_does_not_depend_on_the_count():
@@ -105,8 +111,8 @@ def test_draw_many_is_uniform_over_the_subsets():
     within five binomial standard deviations of n / 6 over n draws."""
     n = 60_000
     draws = MaskSampler(0.5, 1, unit_layout(4)).draw_many(np.random.default_rng(11), n)
-    subsets, counts = np.unique(np.sort(draws, axis=1), axis=0, return_counts=True)
-    assert len(subsets) == math.comb(4, 2)
+    subsets, counts = np.unique(draws, axis=0, return_counts=True)
+    assert len(subsets) == math.comb(4, 2) and (subsets.sum(axis=1) == 2).all()
     assert np.all(np.abs(counts - n / 6) <= 5 * math.sqrt(n * (1 / 6) * (5 / 6)))
 
 

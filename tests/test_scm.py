@@ -17,7 +17,7 @@ import pytest
 
 import latentlab
 from latentlab import LatentGraph, Mask, load_graph, fixture_path
-from latentlab.graph import graph_from_dict, graph_to_dict
+from latentlab.graph import derive_dims, graph_from_dict, graph_to_dict
 from latentlab.locate import SharedInfo, locate_shared_info
 from latentlab.scm import (
     Dataset,
@@ -59,6 +59,14 @@ def test_build_dims_additive_chain():
 def test_build_dims_fig4(fig4):
     spec = build_scm(fig4, ScmSettings(seed=1))
     assert spec.dims["x6"] == spec.dims["z6"] + 1 == 3
+
+
+@pytest.mark.parametrize("exo_dims, stray", [({"z1": 3, "nope": 2}, "nope"), ({"eps_z1": 2, "z1": 3}, "z1")])
+def test_build_refuses_an_exo_dims_key_that_is_not_exogenous(fig4, exo_dims, stray):
+    with pytest.raises(ValueError, match=f"exo_dims entry '{stray}' is not an exogenous node"):
+        build_scm(fig4, ScmSettings(exo_dims=exo_dims))
+    with pytest.raises(ValueError, match=f"exo_dims entry '{stray}'"):
+        derive_dims(fig4, exo_dims)
 
 
 def test_build_deterministic(fig4):
