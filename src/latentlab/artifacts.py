@@ -81,8 +81,10 @@ DATASET_FIELDS = {
     "seed": Field("an integer", False), "scm": Field("an object", False),
 }
 
-# The fields of a ``model.json`` header, as ``mae.save_model`` writes them; a
-# checkpoint written before ``mask`` was recorded has none.
+# The fields of a ``model.json`` header, as ``mae.save_model`` writes them.
+# ``mask`` entered the header before ``dtype`` did, so every checkpoint this
+# table accepts records one; it is null only for an untrained model, as
+# ``mae.init_mae_model`` makes.
 MODEL_FIELDS = {
     "layout": Field("a list", entries="a string"), "widths": Field("an object", entries="a positive integer"),
     "d_c": Field("a positive integer"), "d_sm": Field("a non-negative integer"),

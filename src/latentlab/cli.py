@@ -245,11 +245,14 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"verify needs at least two observables, but graph {args.graph} has {len(observables)}")
     _oracle_latents(g)  # a graph above the oracle's cap is refused before any mask is drawn
     dims = derive_dims(g)
-    masks = []
-    for trial_seed in np.random.SeedSequence(args.seed).spawn(args.trials):
-        rng = np.random.default_rng(trial_seed)
-        k = int(rng.integers(1, len(observables)))
-        masks.append(Mask(str(v) for v in rng.choice(observables, size=k, replace=False)))
+    # Row i of one draw is trial i, whatever --trials is: its last uniform
+    # sets the size k, uniform over 1..n-1, and the observables at its k
+    # smallest other uniforms form the mask.
+    n = len(observables)
+    keys = np.random.default_rng(args.seed).random((args.trials, n + 1))
+    sizes = (1 + np.floor(keys[:, -1] * (n - 1))).astype(int).tolist()
+    order = np.argsort(keys[:, :-1], axis=1, kind="stable").tolist()
+    masks = [Mask(observables[j] for j in row[:k]) for row, k in zip(order, sizes)]
     mismatches, flag_failures, ties = [], 0, 0
     for mask, info in zip(masks, locate_many(g, masks)):
         oracle = brute_force_minimal_c(g, mask, dims)
@@ -319,9 +322,7 @@ def _code_and_blocks(ds, model, mask: Mask, info: SharedInfo) -> tuple[np.ndarra
     columns, and the located ``c`` and ``s_m`` blocks: the inputs of
     ``block_identifiability``, each a copy that holds no reference to ``ds``."""
     visible_nodes = [v for v in ds.layout if v not in mask.masked]
-    chat = encode(model, ds.stack(visible_nodes), mask)
-    c_block, s_m_block, *_ = extract_blocks(ds, info)
-    return chat, c_block, s_m_block
+    return encode(model, ds.stack(visible_nodes), mask), *extract_blocks(ds, info)
 
 
 def cmd_train(args) -> int:
@@ -539,7 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Looked up by name on every call, so that a wrapper or stand-in bound
         # to ``cmd_<name>`` after the parser was built is the one that runs.
         return globals()["cmd_" + args.command](args)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError, MemoryError) as exc:
+    except (OSError, KeyError, ValueError, MemoryError) as exc:  # a ConfigError is a ValueError
         print(f"latentlab: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -45,6 +45,17 @@ class Mask:
     def __init__(self, masked: Iterable[NodeId]):
         object.__setattr__(self, "masked", frozenset(masked))
 
+    def check(self, observables: frozenset[NodeId]) -> None:
+        """The one check of a mask over ``observables``: it refuses a mask
+        that is empty, names an id that is not an observable, or names every
+        observable."""
+        if not self.masked:
+            raise ValueError("mask is empty")
+        if not self.masked <= observables:
+            raise ValueError(f"mask names are not observables: {sorted(self.masked - observables)}")
+        if self.masked == observables:
+            raise ValueError("mask names every observable; at least one must stay visible")
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -82,17 +82,10 @@ class OracleResult:
 
 def _split_mask(g: LatentGraph, mask: Mask) -> tuple[BitIndex, int, int]:
     """The graph's bit index, with the masked and the visible observables as
-    bit masks.  It is the one check of a mask: it refuses a mask that is
-    empty, names an id that is not an observable, or names every observable."""
+    bit masks, after ``Mask.check`` against the graph's observables."""
     idx = g.bit_index()
-    masked, observables = mask.masked, g._observable_set
-    if not masked:
-        raise ValueError("mask is empty")
-    if not masked <= observables:
-        raise ValueError(f"mask names are not observables: {sorted(masked - observables)}")
-    if masked == observables:
-        raise ValueError("mask names every observable; at least one must stay visible")
-    masked_bits = idx.encode(masked)
+    mask.check(g._observable_set)
+    masked_bits = idx.encode(mask.masked)
     return idx, masked_bits, idx.observables & ~masked_bits
 
 

@@ -205,11 +205,7 @@ class _MaskPlan:
 
 
 def _plan(model: MaeModel, mask: Mask, rows: int) -> _MaskPlan:
-    unknown = mask.masked - set(model.layout)
-    if unknown:
-        raise ValueError(f"mask refers to nodes outside the layout: {sorted(unknown)}")
-    if not mask.masked or mask.masked == set(model.layout):
-        raise ValueError("mask must leave both a masked and a visible part")
+    mask.check(frozenset(model.layout))
     masked = np.array([v in mask.masked for v in model.layout])
     visible = ~masked[model.column_nodes]
     obs = model.obs_width

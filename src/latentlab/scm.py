@@ -20,6 +20,11 @@ from latentlab.artifacts import DATASET_FIELDS, read_array, read_header, write_a
 from latentlab.graph import LatentGraph, NodeId, derive_dims
 from latentlab.locate import SharedInfo
 
+# Largest number of mixing weights, layers x the sum of dim^2 over the latent
+# and observable nodes, that build_scm draws; the fig2 fixture, the widest at
+# unit noise, needs 3,892 a layer.
+MAX_SCM_WEIGHTS = 10**8
+
 
 def _node_stream(seed: int, node_id: NodeId, purpose: int) -> np.random.Generator:
     # Stream depends on (seed, node id, purpose) only, never on iteration order.
@@ -167,14 +172,22 @@ def build_scm(g: LatentGraph, settings: ScmSettings) -> ScmSpec:
     graph through its bit index alone.
 
     Deterministic given the graph and ``settings``, and invariant to the
-    input order of the graph's node and edge lists.
+    input order of the graph's node and edge lists.  A simulator of more
+    than ``MAX_SCM_WEIGHTS`` weights is refused before any is drawn.
     """
     if settings.layers < 1:
         raise ValueError("at least one layer is required")
     idx = g.bit_index()
     dims = derive_dims(g, settings.exo_dims)
+    positions = idx.positions(idx.latents | idx.observables)
+    count = settings.layers * sum(dims[idx.ids[i]] ** 2 for i in positions)
+    if count > MAX_SCM_WEIGHTS:
+        raise ValueError(
+            f"layers {settings.layers} asks for {count} mixing weights (layers x the sum of dim^2 "
+            f"over latent and observable nodes), above the limit of {MAX_SCM_WEIGHTS}"
+        )
     mixers: dict[NodeId, MixingFunction] = {}
-    for i in idx.positions(idx.latents | idx.observables):
+    for i in positions:
         v, parents = idx.ids[i], idx.parents[i]
         order = (*sorted(idx.decode(parents & idx.latents)), *idx.decode(parents & idx.exogenous))
         dim = dims[v]
@@ -252,23 +265,13 @@ def jacobian_min_singular_value(scm: ScmSpec, v: NodeId, point: np.ndarray) -> f
     return float(np.linalg.svd(jac, compute_uv=False)[-1])
 
 
-def extract_blocks(
-    ds: Dataset, info: SharedInfo
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column blocks (C, S_m, S_mc, X_masked, X_visible), each concatenated
-    in sorted node-id order."""
-    for v in sorted(info.c | info.s_m | info.s_mc | info.mask.masked):
+def extract_blocks(ds: Dataset, info: SharedInfo) -> tuple[np.ndarray, np.ndarray]:
+    """The column blocks (C, S_m) of the located ``c`` and ``s_m``, each
+    concatenated in sorted node-id order."""
+    for v in sorted(info.c | info.s_m):
         if v not in ds.column_spans:
             raise KeyError(f"node {v!r} not present in the dataset")
-    masked = sorted(info.mask.masked)
-    visible = sorted(set(ds.layout) - info.mask.masked)
-    return (
-        ds.stack(sorted(info.c)),
-        ds.stack(sorted(info.s_m)),
-        ds.stack(sorted(info.s_mc)),
-        ds.stack(masked),
-        ds.stack(visible),
-    )
+    return ds.stack(sorted(info.c)), ds.stack(sorted(info.s_m))
 
 
 # -- on-disk format ------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import weakref
@@ -31,6 +32,8 @@ from latentlab.cli import (
     training_cells,
 )
 from latentlab.graph import BitIndex
+from latentlab.mae import encode, grad_check, init_mae_model, train
+from latentlab.scm import build_scm, sample
 
 FIG4_LAYOUT = list(load_graph(fixture_path("fig4")).layout)
 
@@ -267,6 +270,40 @@ def test_verify_refuses_one_observable_graph(tmp_path, capsys):
     assert out == ""
 
 
+def _verified_masks(monkeypatch, argv) -> list[frozenset]:
+    """The masks a ``verify`` run hands the oracle, in trial order."""
+    masks = []
+    oracle = locate_module.brute_force_minimal_c
+
+    def recorded(g, mask, *args):
+        masks.append(mask.masked)
+        return oracle(g, mask, *args)
+    monkeypatch.setattr(cli_module, "brute_force_minimal_c", recorded)
+    assert main(argv) == 0
+    return masks
+
+
+def test_verify_draws_its_trials_from_one_generator(monkeypatch, capsys):
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args))
+    assert main(["verify", "fig4", "--trials", "5", "--seed", "3"]) == 0
+    assert made == [(3,)]
+
+
+def test_verify_trial_does_not_depend_on_trial_count(monkeypatch, capsys):
+    five = _verified_masks(monkeypatch, ["verify", "fig4", "--trials", "5", "--seed", "3"])
+    nine = _verified_masks(monkeypatch, ["verify", "fig4", "--trials", "9", "--seed", "3"])
+    assert len(five) == 5 and len(nine) == 9
+    assert nine[:5] == five
+
+
+def test_verify_mask_sizes_cover_one_to_n_minus_one(monkeypatch, capsys, fig4):
+    masks = _verified_masks(monkeypatch, ["verify", "fig4", "--trials", "200", "--seed", "3"])
+    assert all(m <= set(fig4.observables) for m in masks)
+    assert {len(m) for m in masks} == set(range(1, len(fig4.observables)))
+
+
 # -- experiment pipeline ---------------------------------------------------------
 
 
@@ -454,14 +491,38 @@ def test_sampled_config_mask_is_drawn_once_per_stage(tmp_path, capsys, monkeypat
         assert len(draws) == 1, stage
 
 
+def test_simulate_refuses_a_runaway_layer_count(tmp_path):
+    """``"layers": 10**30`` passes the field table and is refused before the
+    simulator draws a weight.  It runs in a child process under a 2 GB
+    address-space cap and a 20 s timeout, so a simulator that draws layer
+    after layer fails the test without exhausting the machine."""
+    layers = 10**30
+    cfg = write_config(tmp_path, scm={"layers": layers, "alpha": 0.5, "seed": 11})
+    src = str(Path(latentlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run([sys.executable, "-m", "latentlab.cli", "simulate", "--config", str(cfg)], env=env,
+                          preexec_fn=cap_address_space, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"latentlab: error: layers {layers} asks for {163 * layers} mixing weights (layers x the sum of dim^2 "
+        f"over latent and observable nodes), above the limit of {latentlab.scm.MAX_SCM_WEIGHTS}\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("ids, expected", [
     ([], "mask is empty"),
     (["x1", "q9", "a0"], "mask names are not observables: ['a0', 'q9']"),
     (FIG4_LAYOUT, "mask names every observable; at least one must stay visible"),
 ])
 def test_listed_mask_refusals_are_one_check(tmp_path, capsys, fig4, ids, expected):
-    """``locate_shared_info``, ``locate --mask`` and a config's listed mask
-    refuse a bad mask with the same text."""
+    """``locate_shared_info``, ``locate --mask``, a config's listed mask and
+    the trainer's ``train``, ``encode`` and ``grad_check`` refuse a bad mask
+    with the same text."""
     with pytest.raises(ValueError) as refused:
         locate_shared_info(fig4, Mask(ids))
     assert str(refused.value) == expected
@@ -471,6 +532,18 @@ def test_listed_mask_refusals_are_one_check(tmp_path, capsys, fig4, ids, expecte
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"latentlab: error: {expected}\n"
     assert not (tmp_path / "run").exists()
+
+    ds = sample(build_scm(fig4, ScmSettings(seed=1)), 20, seed=2)
+    widths = {v: ds.column_spans[v][1] for v in ds.layout}
+    model = init_mae_model(ds.layout, widths, 1, 1, hidden=(4,), slope=0.2)
+    for call in (
+        lambda: train(ds, Mask(ids), 1, 1, TrainConfig(epochs=1), hidden=(4,), slope=0.2),
+        lambda: encode(model, np.zeros((2, 1)), Mask(ids)),
+        lambda: grad_check(model, ds.stack(ds.layout)[:2], Mask(ids)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == expected
 
 
 # -- sweep -------------------------------------------------------------------

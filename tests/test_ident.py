@@ -115,7 +115,7 @@ def test_leakage_bound_on_simulated_ground_truth(fig4):
     spec = build_scm(fig4, ScmSettings(seed=3, alpha=0.5))
     ds = sample(spec, 2000, seed=4)
     info = locate_shared_info(fig4, Mask({"x1", "x2", "x3"}))
-    c, s_m, *_ = extract_blocks(ds, info)
+    c, s_m = extract_blocks(ds, info)
     report = block_identifiability(c, c, s_m, CFG)
     assert report.r2_sm_from_chat <= 0.05
 

@@ -18,6 +18,7 @@ import pytest
 import latentlab
 from latentlab import LatentGraph, Mask, load_graph, fixture_path
 from latentlab.graph import derive_dims, graph_from_dict, graph_to_dict
+from latentlab import scm as scm_module
 from latentlab.locate import SharedInfo, locate_shared_info
 from latentlab.scm import (
     Dataset,
@@ -67,6 +68,15 @@ def test_build_refuses_an_exo_dims_key_that_is_not_exogenous(fig4, exo_dims, str
         build_scm(fig4, ScmSettings(exo_dims=exo_dims))
     with pytest.raises(ValueError, match=f"exo_dims entry '{stray}'"):
         derive_dims(fig4, exo_dims)
+
+
+def test_build_refuses_more_weights_than_the_limit(fig4, monkeypatch):
+    """fig4 has 163 weights a layer; the limit admits exactly the layers
+    that fit under it."""
+    monkeypatch.setattr(scm_module, "MAX_SCM_WEIGHTS", 2 * 163)
+    assert len(build_scm(fig4, ScmSettings(layers=2)).mixers["z1"].weights) == 2
+    with pytest.raises(ValueError, match=r"^layers 3 asks for 489 mixing weights .* above the limit of 326$"):
+        build_scm(fig4, ScmSettings(layers=3))
 
 
 def test_build_deterministic(fig4):
@@ -270,21 +280,21 @@ def test_extract_blocks_widths(fig4):
     spec = build_scm(fig4, ScmSettings(seed=1))
     ds = sample(spec, 8, seed=1)
     info = locate_shared_info(fig4, Mask({"x1", "x2", "x3"}))
-    C, S_m, S_mc, X_m, X_mc = extract_blocks(ds, info)
+    C, S_m = extract_blocks(ds, info)
     assert C.shape == (8, spec.dims["z2"])
-    assert S_m.shape[1] == len(info.s_m)
-    assert X_m.shape[1] + X_mc.shape[1] == sum(spec.dims[v] for v in fig4.observables)
+    assert S_m.shape == (8, sum(spec.dims[v] for v in info.s_m))
+    assert np.array_equal(S_m, ds.stack(sorted(info.s_m)))
 
 
-def test_extract_blocks_empty_smc(fig4):
+def test_extract_blocks_empty_sm(fig4):
     spec = build_scm(fig4, ScmSettings(seed=1))
     ds = sample(spec, 5, seed=2)
     info = SharedInfo(
         c=frozenset({"z2"}), s_m=frozenset(), s_mc=frozenset(), mask=Mask({"x1"})
     )
-    _, S_m, S_mc, _, _ = extract_blocks(ds, info)
+    C, S_m = extract_blocks(ds, info)
+    assert C.shape == (5, spec.dims["z2"])
     assert S_m.shape == (5, 0)
-    assert S_mc.shape == (5, 0)
 
 
 def test_extract_blocks_missing_node(fig4):
