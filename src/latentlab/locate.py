@@ -25,7 +25,7 @@ from latentlab.graph import BitIndex, BitMatrices, LatentGraph, Mask, NodeId, _b
 
 # Largest latent count the exhaustive oracle accepts.  Its branch and bound
 # is still exponential in the worst case: at 24 latents, the slowest of 400
-# seeded masks on random hierarchies took 10 ms.
+# seeded masks on random hierarchies took 10.3 ms.
 ORACLE_MAX_LATENTS = 24
 
 
@@ -316,21 +316,35 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
     needed = exo & idx.ancestors_or_self(visible_bits)
     pool = [v for v in latents if mask_anc >> idx.bit[v] & 1]
     weight = [dims[v] for v in pool]
-    up = [idx.ancestors_or_self(1 << idx.bit[v]) for v in pool]
-    # rest[i]: ancestor-or-self mask of pool[i:].  bound[i]: the needed
-    # nodes that pool[i:] covers, grouped by the least weight above them in
-    # pool[i:] as (weight, nodes), largest weight first.
-    rest = [0] * (len(pool) + 1)
-    bound: list[list[tuple[int, int]]] = [[]] * (len(pool) + 1)
-    cheapest: dict[int, int] = {}
-    for i in reversed(range(len(pool))):
-        rest[i] = rest[i + 1] | up[i]
-        for e in idx.positions(needed & up[i]):
-            cheapest[e] = min(cheapest.get(e, weight[i]), weight[i])
-        groups: dict[int, int] = {}
-        for e, w in cheapest.items():
-            groups[w] = groups.get(w, 0) | 1 << e
-        bound[i] = sorted(groups.items(), reverse=True)
+    up = [idx.ancestors[b] | 1 << b for b in (idx.bit[v] for v in pool)]
+    # skip[i]: the needed nodes that pool[i + 1:] cannot cover, so pool[i]
+    # must be taken unless anc holds them.  bound[i]: the needed nodes that
+    # pool[i:] covers, grouped by the least weight above them in pool[i:] as
+    # (weight, nodes), largest weight first.  bound[i] is bound[i + 1] with
+    # the needed nodes of up[i] whose least weight was above weight[i], and
+    # those not yet covered, moved into weight[i]'s group.
+    n = len(pool)
+    skip = [0] * n
+    bound: list[list[tuple[int, int]]] = [[]] * (n + 1)
+    covered = 0  # the ancestor-or-self mask of pool[i + 1:]
+    for i in reversed(range(n)):
+        w, here, later = weight[i], needed & up[i], bound[i + 1]
+        skip[i] = needed & ~covered
+        covered |= up[i]
+        moved, groups, k = here & skip[i], [], 0
+        for v, nodes in later:
+            if v < w:
+                break
+            k += 1
+            if v == w:
+                moved |= nodes
+                break
+            moved |= nodes & here
+            if nodes & ~here:
+                groups.append((v, nodes & ~here))
+        if moved:
+            groups.append((w, moved))
+        bound[i] = groups + later[k:]
 
     best: int | None = None
     found: list[tuple[int, ...]] = []
@@ -346,16 +360,16 @@ def brute_force_minimal_c(g: LatentGraph, mask: Mask, dims: Mapping[NodeId, int]
                     break
             if total + still > best:
                 return
-        if i == len(pool):
+        if i == n:
             if best is None or total < best:
                 best, found = total, []
             found.append(members)
             return
-        if not needed & ~(anc | rest[i + 1]):
+        if not skip[i] & ~anc:
             search(i + 1, members, total, anc)
         search(i + 1, members + (i,), total + weight[i], anc | up[i])
 
-    if needed & ~rest[0]:
+    if needed & ~covered:
         raise RuntimeError("exhaustive search found no satisfying subset; graph invariants violated")
     search(0, (), 0, 0)
     found.sort()

@@ -24,6 +24,10 @@ from latentlab.locate import SharedInfo
 # and observable nodes, that build_scm draws; the fig2 fixture, the widest at
 # unit noise, needs 3,892 a layer.
 MAX_SCM_WEIGHTS = 10**8
+# Largest dataset, n x the total width x 8 bytes, that sample allocates; the
+# acceptance run's 20,000 rows would take 4e7 on bench3, the widest fixture at
+# unit noise (width 250).
+MAX_DATASET_BYTES = 10**9
 
 
 def _node_stream(seed: int, node_id: NodeId, purpose: int) -> np.random.Generator:
@@ -210,7 +214,9 @@ def sample(scm: ScmSpec, n: int, seed: int = 0) -> Dataset:
     """Draw ``n`` rows by ancestral evaluation: exogenous coordinates are
     i.i.d. standard normal, every other node applies its mixing function to
     its parents.  Each node's values are written once, into its columns of
-    the returned matrix.  Deterministic given the seed and order-invariant."""
+    the returned matrix.  Deterministic given the seed and order-invariant.
+    A matrix of more than ``MAX_DATASET_BYTES`` bytes is refused before it is
+    allocated."""
     if n < 0:
         raise ValueError("sample count must be non-negative")
     spans: dict[NodeId, tuple[int, int]] = {}
@@ -218,6 +224,11 @@ def sample(scm: ScmSpec, n: int, seed: int = 0) -> Dataset:
     for v in sorted(scm.dims):
         spans[v] = (offset, scm.dims[v])
         offset += scm.dims[v]
+    if n * offset * 8 > MAX_DATASET_BYTES:
+        raise ValueError(
+            f"n {n} asks for {n * offset * 8} dataset bytes (n x the total width {offset} x 8), "
+            f"above the limit of {MAX_DATASET_BYTES}"
+        )
     ds = Dataset(values=np.empty((n, offset)), column_spans=spans, layout=tuple(scm.graph.layout))
     for v, dim in scm.dims.items():
         if v not in scm.mixers:

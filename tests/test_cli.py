@@ -491,25 +491,44 @@ def test_sampled_config_mask_is_drawn_once_per_stage(tmp_path, capsys, monkeypat
         assert len(draws) == 1, stage
 
 
-def test_simulate_refuses_a_runaway_layer_count(tmp_path):
-    """``"layers": 10**30`` passes the field table and is refused before the
-    simulator draws a weight.  It runs in a child process under a 2 GB
-    address-space cap and a 20 s timeout, so a simulator that draws layer
-    after layer fails the test without exhausting the machine."""
-    layers = 10**30
-    cfg = write_config(tmp_path, scm={"layers": layers, "alpha": 0.5, "seed": 11})
+def _simulate_in_a_capped_child(tmp_path, **overrides) -> subprocess.CompletedProcess:
+    """``simulate`` on a fig4 config with ``overrides``, in a child process
+    under a 2 GB address-space cap and a 20 s timeout, so a runaway size
+    fails the calling test without exhausting the machine."""
+    cfg = write_config(tmp_path, **overrides)
     src = str(Path(latentlab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    proc = subprocess.run([sys.executable, "-m", "latentlab.cli", "simulate", "--config", str(cfg)], env=env,
+    return subprocess.run([sys.executable, "-m", "latentlab.cli", "simulate", "--config", str(cfg)], env=env,
                           preexec_fn=cap_address_space, capture_output=True, text=True, timeout=20)
+
+
+def test_simulate_refuses_a_runaway_layer_count(tmp_path):
+    """``"layers": 10**30`` passes the field table and is refused before the
+    simulator draws a weight."""
+    layers = 10**30
+    proc = _simulate_in_a_capped_child(tmp_path, scm={"layers": layers, "alpha": 0.5, "seed": 11})
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
         f"latentlab: error: layers {layers} asks for {163 * layers} mixing weights (layers x the sum of dim^2 "
         f"over latent and observable nodes), above the limit of {latentlab.scm.MAX_SCM_WEIGHTS}\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_refuses_a_runaway_row_count(tmp_path):
+    """``"n": 10**12`` passes the field table and is refused, naming ``n``,
+    before the dataset is allocated; an ``n`` that fits in memory but not
+    under the limit would otherwise be allocated."""
+    n = 10**12
+    proc = _simulate_in_a_capped_child(tmp_path, n=n)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"latentlab: error: n {n} asks for {n * 51 * 8} dataset bytes (n x the total width 51 x 8), "
+        f"above the limit of {latentlab.scm.MAX_DATASET_BYTES}\n"
     )
     assert not (tmp_path / "run").exists()
 
@@ -1021,13 +1040,15 @@ def test_graph_layout_edit_makes_the_dataset_stale(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.json").exists()
 
 
-# Each size is past the 47-bit address space (over 2**48 bytes), so the
-# allocation is refused and nothing is ever allocated.
-@pytest.mark.parametrize("command, overrides", [
-    pytest.param("simulate", {"n": 10 ** 14}, id="simulate-n"),
-    pytest.param("train", {"mae": {"hidden": [10 ** 13], "train": {"epochs": 1, "seed": 13}}}, id="train-hidden"),
+# Each size is past the 47-bit address space (over 2**48 bytes), so nothing
+# is ever allocated: simulate refuses the dataset's size itself, and the
+# trainer's allocation is refused by numpy.
+@pytest.mark.parametrize("command, overrides, refusal", [
+    pytest.param("simulate", {"n": 10 ** 14}, "n 100000000000000 asks for ", id="simulate-n"),
+    pytest.param("train", {"mae": {"hidden": [10 ** 13], "train": {"epochs": 1, "seed": 13}}}, "Unable to allocate ",
+                 id="train-hidden"),
 ])
-def test_oversized_config_exits_two(tmp_path, capsys, command, overrides):
+def test_oversized_config_exits_two(tmp_path, capsys, command, overrides, refusal):
     cfg = write_config(tmp_path)
     if command == "train":
         assert main(["simulate", "--config", str(cfg)]) == 0
@@ -1035,7 +1056,7 @@ def test_oversized_config_exits_two(tmp_path, capsys, command, overrides):
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("latentlab: error: Unable to allocate ") and err.count("\n") == 1
+    assert err.startswith(f"latentlab: error: {refusal}") and err.count("\n") == 1
 
 
 def test_dataset_header_records_the_resolved_scm_section(tmp_path):

@@ -393,6 +393,27 @@ def test_oracle_matches_eager_enumeration(seed, latent_dims):
     assert got.ties == expected.ties
 
 
+def test_oracle_matches_eager_enumeration_on_larger_graphs():
+    """The Hypothesis test above draws at most 8 latents, where few weight
+    groups form in the oracle's bound tables; these 9-12 latent graphs give
+    it more, with per-latent dims 0-3 in half the cases and dims derived
+    from 1-3 noise widths in the rest."""
+    rng = np.random.default_rng(20_261_020)
+    ties = 0
+    for case in range(40):
+        g = random_hierarchy(rng, min_latents=9, max_latents=12)
+        mask = random_mask(rng, g)
+        if case % 2:
+            dims = {v: int(rng.integers(0, 4)) for v in g.latents}
+        else:
+            dims = derive_dims(g, {v: int(rng.integers(1, 4)) for v in g.exogenous})
+        got, expected = brute_force_minimal_c(g, mask, dims), _eager_oracle(g, mask, dims)
+        assert (got.c, got.s_m, got.total_dim, got.ties) == (expected.c, expected.s_m, expected.total_dim,
+                                                             expected.ties), (case, sorted(mask.masked))
+        ties += len(got.ties)
+    assert ties > 0
+
+
 def test_oracle_rejects_negative_dimensions(fig4):
     dims = dict(derive_dims(fig4), z1=-1)
     with pytest.raises(ValueError, match="non-negative"):

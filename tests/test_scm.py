@@ -79,6 +79,17 @@ def test_build_refuses_more_weights_than_the_limit(fig4, monkeypatch):
         build_scm(fig4, ScmSettings(layers=3))
 
 
+def test_sample_refuses_a_dataset_above_the_byte_limit(fig4, monkeypatch):
+    """fig4's dataset is 51 columns wide, 408 bytes a row; the limit admits
+    exactly the rows that fit under it."""
+    spec = build_scm(fig4, ScmSettings(seed=1))
+    monkeypatch.setattr(scm_module, "MAX_DATASET_BYTES", 3 * 408)
+    assert sample(spec, 3, seed=2).values.shape == (3, 51)
+    with pytest.raises(ValueError, match=r"^n 4 asks for 1632 dataset bytes \(n x the total width 51 x 8\), "
+                                         r"above the limit of 1224$"):
+        sample(spec, 4, seed=2)
+
+
 def test_build_deterministic(fig4):
     a = build_scm(fig4, ScmSettings(seed=7))
     b = build_scm(fig4, ScmSettings(seed=7))
