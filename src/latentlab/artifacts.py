@@ -108,19 +108,19 @@ def _quoted(cell: str) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list, append: bool = False) -> Path:
-    """Write ``rows`` under ``header``, one ``%`` expression per row, which
-    writes a float as its ``repr``.  A column whose first cell is a string is
-    text, quoted as the csv module quotes it if it holds a comma, a double
-    quote or a line break.  ``append`` adds the rows after an existing file's lines."""
+    """Write ``rows`` under ``header`` in one write, one ``%`` expression
+    (newline included) per row, which writes a float as its ``repr``.  A
+    column whose first cell is a string is text, quoted as the csv module
+    quotes it if it holds a comma, a double quote or a line break.
+    ``append`` adds the rows after an existing file's lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
     text = {i for i, cell in enumerate(rows[0]) if isinstance(cell, str)} if rows else ()
     if text:
         rows = [[_quoted(str(c)) if i in text else c for i, c in enumerate(row)] for row in rows]
-    row_format = ",".join(["%s"] * len(header))
-    lines = [] if append and path.exists() else [",".join(header)]
-    lines += [row_format % tuple(row) for row in rows]
+    row_format = ",".join(["%s"] * len(header)) + "\n"
+    head = "" if append and path.exists() else ",".join(header) + "\n"
     with open(path, "a" if append else "w") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+        fh.write(head + "".join([row_format % tuple(row) for row in rows]))
     return path
 
 

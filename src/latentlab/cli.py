@@ -44,6 +44,7 @@ from latentlab.mae import (
     save_model,
     train,
 )
+from latentlab.nets import row_blocks
 from latentlab.scm import ScmSettings, build_scm, extract_blocks, load_dataset, sample, save_dataset
 
 EXIT_OK = 0
@@ -386,25 +387,28 @@ def sweep_rows(
 ) -> list[list]:
     """One row per sampled mask: level statistics of the located shared set.
 
-    Each cell's masks are drawn by one ``MaskSampler.draw_many`` call and
-    answered as one batch: its K x layout rows, placed in the layout's
-    columns, give the K x nodes matrix of masked observables, and
-    ``_locate_c_rows`` finds every mask's ``c`` at once from the graph's
-    cached matrices, gathering no ``s_m`` or ``s_mc``.  The row's statistics are vector sums and maxima over the
-    graph's level and dimension tables, emitted as Python ints and floats."""
+    Each cell's masks are drawn by one ``MaskSampler.draw_many`` call, whose
+    K x layout rows fill the cell's slice of one (cells x K) x layout
+    boolean matrix of masked observables.  ``_locate_c_rows`` answers the
+    whole grid from the graph's cached matrices, over ``nets.row_blocks``
+    of its rows, and gives every mask's ``c`` on the latent columns,
+    gathering no ``s_m`` or ``s_mc``.  The row's statistics are vector sums
+    and maxima over the latents' level and dimension tables, emitted as
+    Python ints and floats."""
     bits = g.bit_index()
-    level, dim = np.array(bits.level), np.array(bits.dim)
-    columns = [bits.bit[v] for v in g.layout]
-    rows = []
-    for r, s, rng in _cells(ratios, patches, seed):
-        masked = np.zeros((k_masks, len(bits.ids)), dtype=bool)
-        masked[:, columns] = MaskSampler(r, s, tuple(g.layout)).draw_many(rng, k_masks)
-        c, _ = _locate_c_rows(bits.matrices, masked)
-        count = c.sum(axis=1)
-        stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
-                    (c * level).max(axis=1).tolist(), (c @ dim).tolist())
-        rows += ([r, s, k_masks, idx, *row] for idx, row in enumerate(stats))
-    return rows
+    mats = bits.matrices
+    level, dim = np.array(bits.level)[mats.latents], np.array(bits.dim)[mats.latents]
+    cells = list(_cells(ratios, patches, seed))
+    masked = np.empty((len(cells) * k_masks, len(g.layout)), dtype=bool)
+    for i, (r, s, rng) in enumerate(cells):
+        masked[i * k_masks:(i + 1) * k_masks] = MaskSampler(r, s, tuple(g.layout)).draw_many(rng, k_masks)
+    c = np.empty((len(masked), len(mats.latents)), dtype=bool)
+    for block in row_blocks(len(masked), max(masked.shape[1], c.shape[1])):
+        c[block] = _locate_c_rows(mats, masked[block])[0]
+    count = c.sum(axis=1)
+    stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
+                (c * level).max(axis=1, initial=0).tolist(), (c @ dim).tolist())
+    return [[r, s, k_masks, i, *next(stats)] for r, s, _ in cells for i in range(k_masks)]
 
 
 SWEEP_HEADER = ["r", "s", "k_masks", "mask_idx", "n_masked", "mean_level", "max_level", "total_dim"]

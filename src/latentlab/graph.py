@@ -281,7 +281,8 @@ class BitIndex:
     so every parent sits on a lower bit than its children.  ``parents[i]``
     and ``ancestors[i]`` are the masks of node ``i``'s parents and of its
     proper ancestors; ``exogenous``, ``latents`` and ``observables`` mask
-    the nodes of each kind.  ``level[i]`` is the length of node ``i``'s
+    the nodes of each kind, and ``layout`` lists the observables' positions
+    in the graph's layout order.  ``level[i]`` is the length of node ``i``'s
     longest directed path down to an observable (0 where there is none), and
     ``dim[i]`` its dimension under unit noise widths.  ``matrices`` holds the
     tables as 0/1 matrices; it and ``dim`` are built on first use.
@@ -308,6 +309,7 @@ class BitIndex:
         self.exogenous = kind_masks[NodeKind.EXOGENOUS]
         self.latents = kind_masks[NodeKind.LATENT]
         self.observables = kind_masks[NodeKind.OBSERVABLE]
+        self.layout = tuple(bit[v] for v in g.layout)
         # Children come after their parents, so one backward pass settles
         # every level; None marks nodes with no directed path to an observable.
         depth: list[int | None] = [None] * len(ids)
@@ -389,10 +391,14 @@ class BitMatrices:
     one, compared ``> 0``, holds each set's union among the latents.  The
     entries are float32 so the products run in BLAS; each sum counts at most
     n ones, exact in float32 in any order, so no rounding and no thread count
-    can change a comparison.  ``latent_parents`` and ``latent_ancestors`` are
-    their latent rows.  ``observables`` is the boolean row of the observable
-    bits; ``noise`` lists the exogenous positions and ``noise_child`` the one
-    child of each; ``ids`` holds the node ids by position."""
+    can change a comparison.  ``parents`` has every node's row;
+    ``latent_parents`` and ``latent_ancestors`` have the latents' rows, and
+    ``layout_parents`` and ``layout_ancestors`` the observables' rows in
+    layout order, whose positions ``layout`` lists, so a K x layout matrix of
+    observable sets multiplies them directly.  ``observables`` is the boolean
+    row of the observable bits; ``noise`` lists the exogenous positions and
+    ``noise_child`` the one child of each; ``ids`` holds the node ids by
+    position."""
 
     def __init__(self, idx: BitIndex):
         n = len(idx.ids)
@@ -400,12 +406,15 @@ class BitMatrices:
         self.observables, latents, exogenous = _bool_rows([idx.observables, idx.latents, idx.exogenous], n)
         self.ids = np.array(idx.ids, dtype=object)
         self.latents = np.flatnonzero(latents)
+        self.layout = np.array(idx.layout, dtype=np.intp)
         self.noise = np.flatnonzero(exogenous)
         self.noise_child = np.arange(n) @ parents[:, self.noise]  # one True per column
         self.parents = parents[:, self.latents].astype(np.float32)
-        self.ancestors = _bool_rows(idx.ancestors, n)[:, self.latents].astype(np.float32)
+        ancestors = _bool_rows(idx.ancestors, n)[:, self.latents].astype(np.float32)
         self.latent_parents = self.parents[self.latents]
-        self.latent_ancestors = self.ancestors[self.latents]
+        self.latent_ancestors = ancestors[self.latents]
+        self.layout_parents = self.parents[self.layout]
+        self.layout_ancestors = ancestors[self.layout]
 
 
 def _bool_rows(masks: Sequence[int], n: int) -> np.ndarray:

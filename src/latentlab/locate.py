@@ -5,13 +5,14 @@ latent variables carrying all statistical dependence between the masked and
 visible parts.  ``locate_many`` finds it for a batch of masks, and
 ``locate_shared_info`` for one, by backtracking from the masked observables
 and pruning, one search for every caller: ``_locate_c_rows`` runs it for all
-the masks at once as 0/1 matrix products.  ``_locate_rows`` adds each mask's
-masked-side noise ``s_m`` and visible-side remainder ``s_mc``, the latter
-from a second batched walk, up from the visible observables to the children
-of ``c``.  ``brute_force_minimal_c`` is an independent oracle, an exact
-branch and bound over the latents among the mask's ancestors for the
-cheapest set whose ancestors hold every exogenous node above both sides of
-the mask.
+the masks at once as 0/1 matrix products, observable columns in (one per
+layout position) and latent columns out.  ``_locate_rows`` takes and gives
+K x nodes matrices: it adds each mask's masked-side noise ``s_m`` and
+visible-side remainder ``s_mc``, the latter from a second batched walk, up
+from the visible observables to the children of ``c``.
+``brute_force_minimal_c`` is an independent oracle, an exact branch and
+bound over the latents among the mask's ancestors for the cheapest set
+whose ancestors hold every exogenous node above both sides of the mask.
 """
 
 from __future__ import annotations
@@ -89,13 +90,13 @@ def _split_mask(g: LatentGraph, mask: Mask) -> tuple[BitIndex, int, int]:
     return idx, masked_bits, idx.observables & ~masked_bits
 
 
-def _walk_up(mats: BitMatrices, start: np.ndarray, halts: np.ndarray) -> np.ndarray:
+def _walk_up(mats: BitMatrices, above: np.ndarray, halts: np.ndarray) -> np.ndarray:
     """The K x L boolean matrix of the latents each row reaches walking up
-    from its ``start`` nodes (K x n): every latent parent of a start node or
-    of a reached latent outside the row's ``halts`` (K x L).  The rows walk
-    in lock step, one level per product, until every frontier is empty."""
-    reached = np.zeros((len(start), len(mats.latents)), dtype=bool)
-    above = start @ mats.parents > 0
+    from its start nodes, given ``above``, the K x L matrix of their latent
+    parents: every latent in ``above`` and every latent parent of a reached
+    latent outside the row's ``halts`` (K x L).  The rows walk in lock step,
+    one level per product, until every frontier is empty."""
+    reached = np.zeros_like(above)
     while above.any():
         frontier = above & ~reached
         reached |= frontier
@@ -105,19 +106,18 @@ def _walk_up(mats: BitMatrices, start: np.ndarray, halts: np.ndarray) -> np.ndar
 
 def _locate_c_rows(mats: BitMatrices, masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``c`` search of ``locate_shared_info`` for a batch of masks: from
-    the K x n boolean matrix of each mask's masked observables, each with
-    some observable left visible, to the K x n boolean matrix of each mask's
-    ``c`` and the K x L one of the latents walked through.  The walk up from
-    the masked observables halts at the latents that reach a visible
-    observable, the candidates; pruning is one more product."""
-    reaches_visible = (mats.observables & ~masked) @ mats.ancestors > 0
-    reached = _walk_up(mats, masked, reaches_visible)
+    the K x layout boolean matrix of each mask's masked observables, one
+    column per layout position and each row with some observable left
+    visible, to the K x L boolean matrices of each mask's ``c`` and of the
+    latents walked through.  The walk up from the masked observables halts
+    at the latents that reach a visible observable, the candidates; pruning
+    is one more product."""
+    reaches_visible = ~masked @ mats.layout_ancestors > 0
+    reached = _walk_up(mats, masked @ mats.layout_parents > 0, reaches_visible)
     candidates = reached & reaches_visible
     # Every candidate lies upstream of the visible side, so another candidate
     # on one of d's paths there is simply a candidate below d.
-    c = np.zeros_like(masked)
-    c[:, mats.latents] = candidates & ~(candidates @ mats.latent_ancestors > 0)
-    return c, reached & ~reaches_visible
+    return candidates & ~(candidates @ mats.latent_ancestors > 0), reached & ~reaches_visible
 
 
 def _noise(mats: BitMatrices, nodes: np.ndarray) -> np.ndarray:
@@ -130,22 +130,25 @@ def _noise(mats: BitMatrices, nodes: np.ndarray) -> np.ndarray:
 
 def _locate_rows(mats: BitMatrices, masked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``c``, ``s_m`` and ``s_mc`` of a batch of masks as K x n boolean
-    matrices, from the masked observables as for ``_locate_c_rows``.
-    ``s_m`` is the noise of the masked observables and of the latents walked
+    matrices, from the K x n boolean matrix of each mask's masked
+    observables, whose layout columns ``_locate_c_rows`` searches.  ``s_m``
+    is the noise of the masked observables and of the latents walked
     through.  ``s_mc`` comes from a walk up from the visible observables that
     halts at each node with a parent in ``c``: it is the noise of the visible
     observables and of the latents walked through, plus the latent parents
     outside ``c`` of the nodes where the walk halted."""
-    c, walked = _locate_c_rows(mats, masked)
+    c_latents, walked = _locate_c_rows(mats, masked[:, mats.layout])
     masked_side = masked.copy()
     masked_side[:, mats.latents] = walked
     visible = mats.observables & ~masked
-    c_latents = c[:, mats.latents]
     halts = c_latents @ mats.parents.T > 0
     visible_side = visible.copy()
-    visible_side[:, mats.latents] = _walk_up(mats, visible & ~halts, halts[:, mats.latents])
+    above = (visible & ~halts) @ mats.parents > 0
+    visible_side[:, mats.latents] = _walk_up(mats, above, halts[:, mats.latents])
     s_mc = _noise(mats, visible_side)
     s_mc[:, mats.latents] = ((visible_side & halts) @ mats.parents > 0) & ~c_latents
+    c = np.zeros_like(masked)
+    c[:, mats.latents] = c_latents
     return c, _noise(mats, masked_side), s_mc
 
 

@@ -28,6 +28,11 @@ from latentlab.graph import Mask, NodeId
 from latentlab.nets import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size, row_blocks
 from latentlab.scm import Dataset
 
+# Largest model, the encoder's and the decoder's parameters together, that
+# init_mae_model allocates; the acceptance run's fig4 model has 13,341, and
+# hidden (64, 64) on bench3 with 10-wide code and noise would have 30,986.
+MAX_MODEL_PARAMS = 10**7
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite."""
@@ -131,6 +136,8 @@ def init_mae_model(
     layout: Sequence[NodeId], widths: Mapping[NodeId, int], d_c: int, d_sm: int,
     *, hidden: tuple[int, ...], slope: float, seed: int = 0,
 ) -> MaeModel:
+    """A model of freshly drawn float64 parameters; one of more than
+    ``MAX_MODEL_PARAMS`` parameters is refused before any is allocated."""
     if d_c < 1:
         raise ValueError("code width d_c must be at least 1")
     if d_sm < 0:
@@ -139,7 +146,13 @@ def init_mae_model(
     widths = {v: int(widths[v]) for v in layout}
     enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, tuple(hidden))
     n_enc = mlp_size(enc_widths)
-    flat = np.empty(n_enc + mlp_size(dec_widths))
+    n_params = n_enc + mlp_size(dec_widths)
+    if n_params > MAX_MODEL_PARAMS:
+        raise ValueError(
+            f"hidden {list(hidden)}, d_c {d_c} and d_sm {d_sm} ask for {n_params} model parameters "
+            f"(encoder and decoder), above the limit of {MAX_MODEL_PARAMS}"
+        )
+    flat = np.empty(n_params)
     ss = np.random.SeedSequence(seed)
     enc_rng, dec_rng = (np.random.default_rng(child) for child in ss.spawn(2))
     return MaeModel(

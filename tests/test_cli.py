@@ -31,7 +31,7 @@ from latentlab.cli import (
     sweep_rows,
     training_cells,
 )
-from latentlab.graph import BitIndex
+from latentlab.graph import BitIndex, graph_from_dict
 from latentlab.mae import encode, grad_check, init_mae_model, train
 from latentlab.scm import build_scm, sample
 
@@ -491,19 +491,23 @@ def test_sampled_config_mask_is_drawn_once_per_stage(tmp_path, capsys, monkeypat
         assert len(draws) == 1, stage
 
 
-def _simulate_in_a_capped_child(tmp_path, **overrides) -> subprocess.CompletedProcess:
-    """``simulate`` on a fig4 config with ``overrides``, in a child process
-    under a 2 GB address-space cap and a 20 s timeout, so a runaway size
-    fails the calling test without exhausting the machine."""
-    cfg = write_config(tmp_path, **overrides)
+def _run_in_a_capped_child(command: str, cfg: Path) -> subprocess.CompletedProcess:
+    """``command`` on the config ``cfg``, in a child process under a 2 GB
+    address-space cap and a 20 s timeout, so a runaway size fails the
+    calling test without exhausting the machine."""
     src = str(Path(latentlab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    return subprocess.run([sys.executable, "-m", "latentlab.cli", "simulate", "--config", str(cfg)], env=env,
+    return subprocess.run([sys.executable, "-m", "latentlab.cli", command, "--config", str(cfg)], env=env,
                           preexec_fn=cap_address_space, capture_output=True, text=True, timeout=20)
+
+
+def _simulate_in_a_capped_child(tmp_path, **overrides) -> subprocess.CompletedProcess:
+    """``simulate`` on a fig4 config with ``overrides``, in a capped child."""
+    return _run_in_a_capped_child("simulate", write_config(tmp_path, **overrides))
 
 
 def test_simulate_refuses_a_runaway_layer_count(tmp_path):
@@ -531,6 +535,23 @@ def test_simulate_refuses_a_runaway_row_count(tmp_path):
         f"above the limit of {latentlab.scm.MAX_DATASET_BYTES}\n"
     )
     assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_runaway_model(tmp_path, capsys):
+    """``"hidden": [10**6]`` passes the field table, and its 78 million
+    float64 parameters (624 MB) fit under the cap: they would be allocated,
+    and training would then run out of memory in its first batch.  The model
+    is refused, naming ``hidden``, ``d_c`` and ``d_sm``, before any
+    parameter is allocated."""
+    cfg = write_config(tmp_path, mae={"hidden": [10**6], "train": {"epochs": 1, "seed": 13}})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    proc = _run_in_a_capped_child("train", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "latentlab: error: hidden [1000000], d_c 1 and d_sm 6 ask for 78000029 model parameters "
+        f"(encoder and decoder), above the limit of {latentlab.mae.MAX_MODEL_PARAMS}\n"
+    )
+    assert not (tmp_path / "run" / "model.json").exists()
 
 
 @pytest.mark.parametrize("ids, expected", [
@@ -575,6 +596,24 @@ def test_sweep_zero_masks_writes_header_only(tmp_path, capsys):
     assert out.read_text() == "r,s,k_masks,mask_idx,n_masked,mean_level,max_level,total_dim\n"
 
 
+def test_sweep_zero_masks_on_a_grid_writes_header_only(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "bench3", "--ratios", "0.1,0.5,0.9", "--patches", "1,2,4",
+                 "--masks-per-cell", "0", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_text() == "r,s,k_masks,mask_idx,n_masked,mean_level,max_level,total_dim\n"
+
+
+def test_sweep_of_a_latent_free_graph():
+    """With no latent, every mask's ``c`` is empty and the grid's latent
+    columns are none, so each row reads zero for its level and dimension."""
+    g = graph_from_dict({"nodes": [{"id": f"x{i}", "kind": "observable"} for i in range(1, 5)], "edges": [],
+                         "layout": ["x1", "x2", "x3", "x4"], "implicit_exogenous": True})
+    assert sweep_rows(g, [0.5], [1, 2], 2, 0) == [
+        [0.5, 1, 2, 0, 2, 0.0, 0, 0], [0.5, 1, 2, 1, 2, 0.0, 0, 0],
+        [0.5, 2, 2, 0, 2, 0.0, 0, 0], [0.5, 2, 2, 1, 2, 0.0, 0, 0],
+    ]
+
+
 def test_sweep_deterministic(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "bench3", "--ratios", "0.1,0.5", "--patches", "1,2",
@@ -591,6 +630,21 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
                  "--masks-per-cell", "100", "--seed", "0", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "7c64b463ff062a3e897b952882f3f38b944f991fda7014b523dee468e3d30c4f"
+
+
+def test_sweep_csv_bytes_hold_across_row_blocks(tmp_path, capsys, monkeypatch):
+    """With row blocks small enough to split the grid's 1,500 masks into
+    several searches, the CSV is still the pinned one."""
+    monkeypatch.setattr(latentlab.nets, "BLOCK_ENTRIES", 1 << 12)
+    searches = []
+    search = cli_module._locate_c_rows
+    monkeypatch.setattr(cli_module, "_locate_c_rows", lambda *args: searches.append(len(args[1])) or search(*args))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "bench3", "--ratios", "0.1,0.3,0.5,0.7,0.9", "--patches", "1,2,4",
+                 "--masks-per-cell", "100", "--seed", "0", "--out", str(out)]) == 0
+    assert len(searches) >= 3 and sum(searches) == 1500
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "7c64b463ff062a3e897b952882f3f38b944f991fda7014b523dee468e3d30c4f"
 
@@ -1041,12 +1095,12 @@ def test_graph_layout_edit_makes_the_dataset_stale(tmp_path, capsys):
 
 
 # Each size is past the 47-bit address space (over 2**48 bytes), so nothing
-# is ever allocated: simulate refuses the dataset's size itself, and the
-# trainer's allocation is refused by numpy.
+# is ever allocated: simulate refuses the dataset's size and the trainer the
+# model's before allocating either.
 @pytest.mark.parametrize("command, overrides, refusal", [
     pytest.param("simulate", {"n": 10 ** 14}, "n 100000000000000 asks for ", id="simulate-n"),
-    pytest.param("train", {"mae": {"hidden": [10 ** 13], "train": {"epochs": 1, "seed": 13}}}, "Unable to allocate ",
-                 id="train-hidden"),
+    pytest.param("train", {"mae": {"hidden": [10 ** 13], "train": {"epochs": 1, "seed": 13}}},
+                 "hidden [10000000000000], d_c 1 and d_sm 6 ask for ", id="train-hidden"),
 ])
 def test_oversized_config_exits_two(tmp_path, capsys, command, overrides, refusal):
     cfg = write_config(tmp_path)
