@@ -52,6 +52,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# Largest sweep grid (distinct cells x --masks-per-cell rows) and largest
+# --trials that are drawn.  At the limits, bench3's 5 x 3 grid at 66,666
+# masks a cell peaks at 383 MB resident and verify fig2 at 317 MB; CI's
+# largest runs are a 15,000-row grid and 300 trials.
+MAX_SWEEP_ROWS = 10**6
+MAX_VERIFY_TRIALS = 10**5
+
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
@@ -240,6 +247,8 @@ def _require_count(value: int, flag: str) -> None:
 def cmd_verify(args) -> int:
     _require_count(args.trials, "--trials")
     _require_count(args.seed, "--seed")
+    if args.trials > MAX_VERIFY_TRIALS:
+        raise ConfigError(f"--trials {args.trials} is above the limit of {MAX_VERIFY_TRIALS} trials")
     g = _resolve_graph(args.graph)
     observables = sorted(g.observables)
     if len(observables) < 2:
@@ -368,14 +377,17 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cells(ratios: Sequence[float], patches: Sequence[int], seed: int):
-    """Each distinct (ratio, patch) cell once, in sorted order, with its own
-    generator spawned from ``seed``.  A cell's masks are its generator's
-    successive draws, ``mask_idx`` 0 first; the training sweep trains that
-    first one."""
+def _cells(
+    g: LatentGraph, ratios: Sequence[float], patches: Sequence[int], seed: int
+) -> list[tuple[MaskSampler, np.random.Generator]]:
+    """Each distinct (ratio, patch) cell once, in sorted order, as its
+    ``_sampler`` with its own generator spawned from ``seed``; every cell is
+    built, and the first refused one is a ``ConfigError``, before any mask
+    is drawn.  A cell's masks are its generator's successive draws,
+    ``mask_idx`` 0 first; the training sweep trains that first one."""
     cells = sorted({(float(r), int(s)) for r in ratios for s in patches})
-    for (r, s), cell_seed in zip(cells, np.random.SeedSequence(seed).spawn(len(cells))):
-        yield r, s, np.random.default_rng(cell_seed)
+    samplers = [_sampler(r, s, g, "--ratios", "--patches") for r, s in cells]
+    return list(zip(samplers, map(np.random.default_rng, np.random.SeedSequence(seed).spawn(len(cells)))))
 
 
 def sweep_rows(
@@ -394,21 +406,28 @@ def sweep_rows(
     of its rows, and gives every mask's ``c`` on the latent columns,
     gathering no ``s_m`` or ``s_mc``.  The row's statistics are vector sums
     and maxima over the latents' level and dimension tables, emitted as
-    Python ints and floats."""
+    Python ints and floats.  A cell that ``_cells`` refuses, or a grid of
+    more than ``MAX_SWEEP_ROWS`` rows, is a ``ConfigError`` before any mask
+    is drawn."""
     bits = g.bit_index()
     mats = bits.matrices
     level, dim = np.array(bits.level)[mats.latents], np.array(bits.dim)[mats.latents]
-    cells = list(_cells(ratios, patches, seed))
+    cells = _cells(g, ratios, patches, seed)
+    if len(cells) * k_masks > MAX_SWEEP_ROWS:
+        raise ConfigError(
+            f"--masks-per-cell {k_masks} over {len(cells)} cells asks for {len(cells) * k_masks} sweep rows, "
+            f"above the limit of {MAX_SWEEP_ROWS}"
+        )
     masked = np.empty((len(cells) * k_masks, len(g.layout)), dtype=bool)
-    for i, (r, s, rng) in enumerate(cells):
-        masked[i * k_masks:(i + 1) * k_masks] = MaskSampler(r, s, tuple(g.layout)).draw_many(rng, k_masks)
+    for i, (sampler, rng) in enumerate(cells):
+        masked[i * k_masks:(i + 1) * k_masks] = sampler.draw_many(rng, k_masks)
     c = np.empty((len(masked), len(mats.latents)), dtype=bool)
     for block in row_blocks(len(masked), max(masked.shape[1], c.shape[1])):
         c[block] = _locate_c_rows(mats, masked[block])[0]
     count = c.sum(axis=1)
     stats = zip(masked.sum(axis=1).tolist(), (c @ level / np.maximum(count, 1)).tolist(),
                 (c * level).max(axis=1, initial=0).tolist(), (c @ dim).tolist())
-    return [[r, s, k_masks, i, *next(stats)] for r, s, _ in cells for i in range(k_masks)]
+    return [[sampler.r, sampler.s, k_masks, i, *next(stats)] for sampler, _ in cells for i in range(k_masks)]
 
 
 SWEEP_HEADER = ["r", "s", "k_masks", "mask_idx", "n_masked", "mean_level", "max_level", "total_dim"]
@@ -422,9 +441,9 @@ def training_cells(
     """Each cell's first sampled mask with its located shared set, all
     refused by ``_trainable_info`` before any cell is trained."""
     cells = []
-    for r, s, rng in _cells(ratios, patches, seed):
-        mask = sample_mask(MaskSampler(r, s, tuple(g.layout)), rng)
-        cells.append((r, s, mask, _trainable_info(g, mask)))
+    for sampler, rng in _cells(g, ratios, patches, seed):
+        mask = sample_mask(sampler, rng)
+        cells.append((sampler.r, sampler.s, mask, _trainable_info(g, mask)))
     return cells
 
 
@@ -460,13 +479,8 @@ def cmd_sweep(args) -> int:
     patches = _parse_values(args.patches, int, "--patches", "integers")
     if not ratios or not patches:
         raise ConfigError("sweep needs at least one ratio and one patch size")
-    for r in ratios:
-        for s in patches:
-            _sampler(r, s, g, "--ratios", "--patches")
-    cfg = cells = ds = None
-    if args.with_training:
-        if not args.config:
-            raise ConfigError("--with-training needs --config for simulator and training settings")
+    rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)  # refuses a bad grid first
+    if args.config is not None:
         cfg = ExperimentConfig.load(args.config)
         config_graph, _ = cfg.load_graph()
         if (config_graph.edges, config_graph.layout) != (g.edges, g.layout):
@@ -476,11 +490,10 @@ def cmd_sweep(args) -> int:
             )
         cells = training_cells(g, ratios, patches, args.seed)
         ds = _load_current_dataset(cfg, g)
-    rows = sweep_rows(g, ratios, patches, args.masks_per_cell, args.seed)
     out = Path(args.out)
     write_csv(out, SWEEP_HEADER, rows)
     print(f"sweep: {out} ({len(rows)} rows)")
-    if cfg is not None:
+    if args.config is not None:
         training_out = out.with_name(out.stem + "_training" + out.suffix)
         training = training_sweep_rows(ds, cells, cfg)
         write_csv(training_out, TRAINING_SWEEP_HEADER, training)
@@ -531,9 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks-per-cell", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--with-training", action="store_true",
-                   help="also train and score a model per cell (slow; needs --config)")
-    p.add_argument("--config", help="experiment config for the training sweep")
+    p.add_argument("--config", help="experiment config: also train and score a model on each cell's first "
+                                    "mask, on the dataset simulate wrote for it (slow)")
 
     return parser
 

@@ -89,15 +89,28 @@ def sample_mask(sampler: MaskSampler, rng: np.random.Generator) -> Mask:
 
 @dataclass
 class MaeModel:
-    encoder: Mlp
-    decoder: Mlp
+    """The model's architecture and its parameters; ``encoder`` and
+    ``decoder`` are built from them, their weights and biases views of
+    ``flat``, so ``dataclasses.replace(model, flat=...)`` is the same model
+    on other parameters."""
+
     layout: tuple[NodeId, ...]
     widths: dict[NodeId, int]  # coordinate width per pixel node
     d_c: int
     d_sm: int
+    hidden: tuple[int, ...]
+    slope: float
     param_seed: int
     flat: np.ndarray  # encoder.flat then decoder.flat, as one contiguous vector
     mask: tuple[NodeId, ...] | None = None  # sorted masked nodes it was trained on; None if unknown
+    encoder: Mlp = field(init=False, repr=False)
+    decoder: Mlp = field(init=False, repr=False)
+
+    def __post_init__(self):
+        enc_widths, dec_widths = _net_widths(self.layout, self.widths, self.d_c, self.d_sm, self.hidden)
+        n_enc = mlp_size(enc_widths)
+        self.encoder = Mlp(self.flat[:n_enc], enc_widths, self.slope)
+        self.decoder = Mlp(self.flat[n_enc:], dec_widths, self.slope)
 
     @property
     def obs_width(self) -> int:
@@ -107,18 +120,6 @@ class MaeModel:
     def column_nodes(self) -> np.ndarray:
         """Layout position of the pixel node behind each coordinate column."""
         return np.repeat(np.arange(len(self.layout)), [self.widths[v] for v in self.layout])
-
-
-def _with_params(model: MaeModel, flat: np.ndarray) -> MaeModel:
-    """The same model with its parameters read from ``flat`` (a vector laid
-    out like ``model.flat``), which its weights and biases become views of."""
-    n_enc = model.encoder.flat.size
-    return replace(
-        model,
-        encoder=Mlp(flat[:n_enc], model.encoder.widths, model.encoder.slope),
-        decoder=Mlp(flat[n_enc:], model.decoder.widths, model.decoder.slope),
-        flat=flat,
-    )
 
 
 def _net_widths(
@@ -132,6 +133,12 @@ def _net_widths(
     return encoder, decoder
 
 
+def _n_params(*architecture) -> int:
+    """Parameters of the encoder and the decoder that ``_net_widths`` lays
+    out for ``architecture``, counted before any is allocated."""
+    return sum(map(mlp_size, _net_widths(*architecture)))
+
+
 def init_mae_model(
     layout: Sequence[NodeId], widths: Mapping[NodeId, int], d_c: int, d_sm: int,
     *, hidden: tuple[int, ...], slope: float, seed: int = 0,
@@ -142,29 +149,18 @@ def init_mae_model(
         raise ValueError("code width d_c must be at least 1")
     if d_sm < 0:
         raise ValueError("noise width d_sm must be non-negative")
-    layout = tuple(layout)
+    layout, hidden = tuple(layout), tuple(hidden)
     widths = {v: int(widths[v]) for v in layout}
-    enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, tuple(hidden))
-    n_enc = mlp_size(enc_widths)
-    n_params = n_enc + mlp_size(dec_widths)
+    n_params = _n_params(layout, widths, d_c, d_sm, hidden)
     if n_params > MAX_MODEL_PARAMS:
         raise ValueError(
             f"hidden {list(hidden)}, d_c {d_c} and d_sm {d_sm} ask for {n_params} model parameters "
             f"(encoder and decoder), above the limit of {MAX_MODEL_PARAMS}"
         )
-    flat = np.empty(n_params)
-    ss = np.random.SeedSequence(seed)
-    enc_rng, dec_rng = (np.random.default_rng(child) for child in ss.spawn(2))
-    return MaeModel(
-        encoder=init_mlp(enc_widths, slope, enc_rng, out=flat[:n_enc]),
-        decoder=init_mlp(dec_widths, slope, dec_rng, out=flat[n_enc:]),
-        layout=layout,
-        widths=widths,
-        d_c=d_c,
-        d_sm=d_sm,
-        param_seed=seed,
-        flat=flat,
-    )
+    model = MaeModel(layout, widths, d_c, d_sm, hidden, slope, param_seed=seed, flat=np.empty(n_params))
+    for net, child in zip((model.encoder, model.decoder), np.random.SeedSequence(seed).spawn(2)):
+        init_mlp(net, np.random.default_rng(child))
+    return model
 
 
 @dataclass(frozen=True)
@@ -244,7 +240,7 @@ def _plan(model: MaeModel, mask: Mask, rows: int) -> _MaskPlan:
 def encode(model: MaeModel, x_visible: np.ndarray, mask: Mask) -> np.ndarray:
     """Deterministic code for the visible coordinates (given in layout order),
     computed in float64 over row blocks through one plan sized to a block."""
-    model = _with_params(model, model.flat.astype(np.float64))  # an exact upcast
+    model = replace(model, flat=model.flat.astype(np.float64))  # an exact upcast
     x_visible = np.asarray(x_visible, dtype=float)
     single = x_visible.ndim == 1
     rows = np.atleast_2d(x_visible)
@@ -313,7 +309,7 @@ def train(
     param_ss, shuffle_ss, noise_ss = ss.spawn(3)
     param_seed = int(param_ss.generate_state(1)[0])
     model = init_mae_model(layout, widths, d_c, d_sm, hidden=hidden, slope=slope, seed=param_seed)
-    model = _with_params(model, model.flat.astype(np.float32))
+    model = replace(model, flat=model.flat.astype(np.float32))
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     noise_rng = np.random.default_rng(noise_ss)
@@ -356,7 +352,7 @@ def grad_check(
     differences over every parameter, both taken in float64 on a copy of
     the parameters; the noise draw is frozen across all evaluations."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    model = _with_params(model, model.flat.astype(np.float64))
+    model = replace(model, flat=model.flat.astype(np.float64))
     flat = model.flat
     if flat.size > 10_000:
         raise ValueError(f"model has {flat.size} parameters, too many for finite differences")
@@ -395,8 +391,8 @@ def save_model(model: MaeModel, basepath: str | Path) -> dict[str, Path]:
         "widths": {v: model.widths[v] for v in model.layout},
         "d_c": model.d_c,
         "d_sm": model.d_sm,
-        "hidden": list(model.encoder.widths[1:-1]),
-        "slope": model.encoder.slope,
+        "hidden": list(model.hidden),
+        "slope": model.slope,
         "param_seed": model.param_seed,
         "n_params": int(model.flat.size),
         "dtype": "float32",
@@ -424,23 +420,12 @@ def load_model(basepath: str | Path, header: dict | None = None) -> MaeModel:
             f"{', '.join(map(repr, missing))}; run train again"
         )
     widths = {v: header["widths"][v] for v in layout}
-    d_c, d_sm, hidden = header["d_c"], header["d_sm"], tuple(header["hidden"])
-    enc_widths, dec_widths = _net_widths(layout, widths, d_c, d_sm, hidden)
-    n_enc = mlp_size(enc_widths)
-    n_params = n_enc + mlp_size(dec_widths)
+    architecture = (layout, widths, header["d_c"], header["d_sm"], tuple(header["hidden"]))
+    n_params = _n_params(*architecture)
     if header["n_params"] != n_params:
         raise ValueError(
             f"{json_path}: n_params is {header['n_params']}, but the architecture it describes has {n_params}"
         )
     flat = read_array(base.with_suffix(".bin"), (n_params,), np.float32, "C", lambda _: "parameter values")
-    return MaeModel(
-        encoder=Mlp(flat[:n_enc], enc_widths, header["slope"]),
-        decoder=Mlp(flat[n_enc:], dec_widths, header["slope"]),
-        layout=layout,
-        widths=widths,
-        d_c=d_c,
-        d_sm=d_sm,
-        param_seed=header["param_seed"],
-        flat=flat,
-        mask=None if header.get("mask") is None else tuple(header["mask"]),
-    )
+    return MaeModel(*architecture, header["slope"], param_seed=header["param_seed"], flat=flat,
+                    mask=None if header.get("mask") is None else tuple(header["mask"]))

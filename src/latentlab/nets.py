@@ -86,15 +86,12 @@ class Mlp:
         self.weights, self.biases = param_views(self.widths, self.flat)
 
 
-def init_mlp(widths: tuple[int, ...], slope: float, rng: np.random.Generator, out: np.ndarray) -> Mlp:
-    """He-scaled normal weights and zero biases, written into ``out``, a
-    vector of ``mlp_size(widths)`` floats."""
-    net = Mlp(out, widths, slope)
+def init_mlp(net: Mlp, rng: np.random.Generator) -> None:
+    """Fill ``net``'s parameters: He-scaled normal weights and zero biases."""
     for w in net.weights:
         w[...] = np.sqrt(2.0 / max(1, w.shape[1])) * rng.standard_normal(w.shape)
     for b in net.biases:
         b[...] = 0.0
-    return net
 
 
 def _leaky_gate(pre: np.ndarray, slope: float) -> np.ndarray:

@@ -142,7 +142,7 @@ def test_training_sweep_csv_quotes_a_node_id_with_a_comma(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(graph), "--ratios", "0.2,0.5,0.8", "--patches", "1", "--masks-per-cell", "2",
-                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
+                 "--seed", "5", "--out", str(out), "--config", str(cfg)]) == 0
     rows = read_rows(tmp_path / "sweep_training.csv")
     masks = [row[2].split(";") for row in rows[1:]]
     assert len(masks) == 3 and any("x,1" in mask for mask in masks)

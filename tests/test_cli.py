@@ -491,8 +491,8 @@ def test_sampled_config_mask_is_drawn_once_per_stage(tmp_path, capsys, monkeypat
         assert len(draws) == 1, stage
 
 
-def _run_in_a_capped_child(command: str, cfg: Path) -> subprocess.CompletedProcess:
-    """``command`` on the config ``cfg``, in a child process under a 2 GB
+def _run_in_a_capped_child(*argv: str) -> subprocess.CompletedProcess:
+    """The command line ``argv``, in a child process under a 2 GB
     address-space cap and a 20 s timeout, so a runaway size fails the
     calling test without exhausting the machine."""
     src = str(Path(latentlab.__file__).resolve().parents[1])
@@ -501,13 +501,13 @@ def _run_in_a_capped_child(command: str, cfg: Path) -> subprocess.CompletedProce
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    return subprocess.run([sys.executable, "-m", "latentlab.cli", command, "--config", str(cfg)], env=env,
+    return subprocess.run([sys.executable, "-m", "latentlab.cli", *argv], env=env,
                           preexec_fn=cap_address_space, capture_output=True, text=True, timeout=20)
 
 
 def _simulate_in_a_capped_child(tmp_path, **overrides) -> subprocess.CompletedProcess:
     """``simulate`` on a fig4 config with ``overrides``, in a capped child."""
-    return _run_in_a_capped_child("simulate", write_config(tmp_path, **overrides))
+    return _run_in_a_capped_child("simulate", "--config", str(write_config(tmp_path, **overrides)))
 
 
 def test_simulate_refuses_a_runaway_layer_count(tmp_path):
@@ -545,13 +545,39 @@ def test_train_refuses_a_runaway_model(tmp_path, capsys):
     parameter is allocated."""
     cfg = write_config(tmp_path, mae={"hidden": [10**6], "train": {"epochs": 1, "seed": 13}})
     assert main(["simulate", "--config", str(cfg)]) == 0
-    proc = _run_in_a_capped_child("train", cfg)
+    proc = _run_in_a_capped_child("train", "--config", str(cfg))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
         "latentlab: error: hidden [1000000], d_c 1 and d_sm 6 ask for 78000029 model parameters "
         f"(encoder and decoder), above the limit of {latentlab.mae.MAX_MODEL_PARAMS}\n"
     )
     assert not (tmp_path / "run" / "model.json").exists()
+
+
+def test_sweep_refuses_a_runaway_grid(tmp_path):
+    """Two cells at ``--masks-per-cell 10**7`` would ask numpy for 2.38 GiB
+    of mask draws under the 2 GB cap; the grid is refused, naming the flag,
+    before a mask is drawn."""
+    out = tmp_path / "sweep.csv"
+    proc = _run_in_a_capped_child("sweep", "fig4", "--ratios", "0.3,0.6", "--patches", "1",
+                                  "--masks-per-cell", str(10**7), "--seed", "5", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "latentlab: error: --masks-per-cell 10000000 over 2 cells asks for 20000000 sweep rows, "
+        f"above the limit of {cli_module.MAX_SWEEP_ROWS}\n"
+    )
+    assert not out.exists()
+
+
+def test_verify_refuses_a_runaway_trial_count(tmp_path):
+    """``--trials 10**12`` would ask numpy for 50.9 TiB of draws; it is
+    refused, naming the flag, before a mask is drawn."""
+    proc = _run_in_a_capped_child("verify", "fig2", "--trials", str(10**12), "--seed", "7")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"latentlab: error: --trials 1000000000000 is above the limit of {cli_module.MAX_VERIFY_TRIALS} trials\n"
+    )
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("ids, expected", [
@@ -732,7 +758,7 @@ def test_sweep_with_training(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1,3",
                  "--masks-per-cell", "2", "--seed", "5", "--out", str(out),
-                 "--with-training", "--config", str(cfg)]) == 0
+                 "--config", str(cfg)]) == 0
     training = tmp_path / "sweep_training.csv"
     lines = training.read_text().splitlines()
     assert lines[0].startswith("r,s,mask,d_c,d_sm,final_loss")
@@ -749,7 +775,7 @@ def test_training_sweep_row_matches_train_and_evaluate(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "1",
-                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
+                 "--seed", "5", "--out", str(out), "--config", str(cfg)]) == 0
     [row] = sweep_training_rows(tmp_path / "sweep_training.csv")
     masked = row["mask"].split(";")
     assert out.read_text().splitlines()[1].split(",")[3:5] == ["0", str(len(masked))]
@@ -772,7 +798,7 @@ def test_training_sweep_honours_the_configured_widths(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1,3", "--masks-per-cell", "1",
-                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 0
+                 "--seed", "5", "--out", str(out), "--config", str(cfg)]) == 0
     rows = sweep_training_rows(tmp_path / "sweep_training.csv")
     assert [(row["d_c"], row["d_sm"]) for row in rows] == [("2", "1"), ("2", "1")]
 
@@ -821,7 +847,7 @@ def test_training_sweep_refuses_a_cell_whose_c_is_empty(tmp_path, capsys, d_c):
         training_cells(load_graph(graph), [0.3], [1], 9)
     assert main(["sweep", str(graph), "--ratios", "0.3", "--patches", "1", "--masks-per-cell", "1",
                  "--seed", "9", "--out", str(tmp_path / "sweep.csv"),
-                 "--with-training", "--config", str(cfg)]) == 2
+                 "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert EMPTY_C in err and "Traceback" not in err
     assert not (tmp_path / "sweep_training.csv").exists()
@@ -833,7 +859,7 @@ def test_training_sweep_locates_every_cell_before_writing(tmp_path, capsys):
     graph, cfg = empty_c_config(tmp_path, None)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(graph), "--ratios", "0.3,0.6", "--patches", "1", "--seed", "0",
-                 "--out", str(out), "--with-training", "--config", str(cfg)]) == 2
+                 "--out", str(out), "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "mask x2,x3: the masked and visible observables share no latent" in captured.err
     assert "Traceback" not in captured.err
@@ -853,7 +879,7 @@ def test_training_sweep_needs_the_configs_simulated_dataset(tmp_path, capsys, gr
     capsys.readouterr()
     out = tmp_path / "sweep.csv"
     assert main(["sweep", graph, "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "1",
-                 "--seed", "5", "--out", str(out), "--with-training", "--config", str(cfg)]) == 2
+                 "--seed", "5", "--out", str(out), "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert expected.format(run=tmp_path / "run") in captured.err
     assert "Traceback" not in captured.err
@@ -861,19 +887,27 @@ def test_training_sweep_needs_the_configs_simulated_dataset(tmp_path, capsys, gr
     assert not out.exists()
 
 
-def test_sweep_with_training_requires_config(tmp_path, capsys):
+def test_sweep_refuses_a_missing_config(tmp_path, capsys):
+    """``--config`` alone turns on the training sweep, so a config file that
+    is not there is refused before either CSV is written."""
+    missing = tmp_path / "missing.json"
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1",
-                 "--masks-per-cell", "1", "--seed", "5", "--out", str(out),
-                 "--with-training"]) == 2
+    assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--masks-per-cell", "1",
+                 "--seed", "5", "--out", str(out), "--config", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert f"config file not found: {missing}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_with_training_loads_config_before_sweeping(tmp_path, capsys):
+    """A config the field table refuses is refused before either CSV is
+    written."""
     bad = tmp_path / "bad.json"
     bad.write_text('{"bad": 1}')
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "1",
-                 "--out", str(out), "--with-training", "--config", str(bad)]) == 2
+                 "--out", str(out), "--config", str(bad)]) == 2
     captured = capsys.readouterr()
     assert "config is missing the 'graph' entry" in captured.err
     assert "sweep:" not in captured.out
@@ -1404,7 +1438,7 @@ def test_resampled_mask_mode_is_rejected_by_every_stage(tmp_path, capsys):
                                                 "mask_mode": "resampled", "boundary_exclusion": True}})
     commands = [[stage, "--config", str(cfg)] for stage in ("simulate", "train", "evaluate")]
     commands.append(["sweep", "fig4", "--ratios", "0.5", "--patches", "1", "--seed", "1",
-                     "--out", str(tmp_path / "sweep.csv"), "--with-training", "--config", str(cfg)])
+                     "--out", str(tmp_path / "sweep.csv"), "--config", str(cfg)])
     for argv in commands:
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -1448,6 +1482,18 @@ def test_patch_size_too_large_for_the_layout_names_it(tmp_path, capsys, argv, fl
     assert ("patch size 6 leaves the 6-node layout in one patch, but masking needs at least two patches "
             + flags) in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_names_the_first_bad_cell_in_sorted_order_before_reading_the_config(tmp_path, capsys):
+    """Cells are built in sorted order, so of patches 7 and 6 the 6 is
+    named; the config, which is not there, is never read."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "fig4", "--ratios", "0.5", "--patches", "7,6", "--seed", "1", "--out", str(out),
+                 "--config", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("latentlab: error: patch size 6 leaves the 6-node layout in one patch, but masking needs "
+                   "at least two patches (--ratios 0.5, --patches 6)\n")
     assert not out.exists()
 
 

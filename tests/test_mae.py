@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from latentlab.mae import (
     save_model,
     train,
 )
-from latentlab.mae import _with_params
 from latentlab.scm import Dataset, ScmSettings, build_scm, sample
 
 
@@ -34,7 +34,7 @@ def unit_model(n=6, d_c=2, d_sm=1, hidden=(8,), seed=0):
 def float32_model(model: MaeModel) -> MaeModel:
     """``model`` as ``train`` starts from it: its float64 draws rounded once
     to float32."""
-    return _with_params(model, model.flat.astype(np.float32))
+    return replace(model, flat=model.flat.astype(np.float32))
 
 
 def model_views(model: MaeModel) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ slopes 0, 0.2 and 1."""
 import numpy as np
 import pytest
 
-from latentlab.nets import _leaky_gate, init_mlp, mlp_backward, mlp_forward, mlp_size
+from latentlab.nets import Mlp, _leaky_gate, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 # inf * 0, inf - inf and overflow are the point here, not faults.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -70,7 +70,8 @@ def test_forward_and_backward_match_select(slope, with_edges):
     them every value is finite and compared byte for byte."""
     rng = np.random.default_rng(1)
     widths = (1, 6, 5, 2)
-    net = init_mlp(widths, slope, rng, np.empty(mlp_size(widths)))
+    net = Mlp(np.empty(mlp_size(widths)), widths, slope)
+    init_mlp(net, rng)
     # The first layer passes the inputs through with both signs, halved and
     # zeroed (0 * inf is NaN), so both hidden layers see each edge value.
     net.weights[0][:, 0] = [1.0, -1.0, 0.5, 0.0, 2.0, -3.0]
