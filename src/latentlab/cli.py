@@ -53,11 +53,14 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 # Largest sweep grid (distinct cells x --masks-per-cell rows) and largest
-# --trials that are drawn.  At the limits, bench3's 5 x 3 grid at 66,666
-# masks a cell peaks at 383 MB resident and verify fig2 at 317 MB; CI's
-# largest runs are a 15,000-row grid and 300 trials.
+# --trials that are drawn.  At the limit, bench3's 5 x 3 grid at 66,666
+# masks a cell peaks at 383 MB resident; CI's largest grid has 15,000 rows.
+# verify holds one block of VERIFY_BLOCK trials at a time, so its memory
+# does not grow with --trials and its limit bounds time: verify fig2 at the
+# limit takes 13-16 s on a 2-core x86 machine.
 MAX_SWEEP_ROWS = 10**6
 MAX_VERIFY_TRIALS = 10**5
+VERIFY_BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -255,21 +258,24 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"verify needs at least two observables, but graph {args.graph} has {len(observables)}")
     _oracle_latents(g)  # a graph above the oracle's cap is refused before any mask is drawn
     dims = derive_dims(g)
-    # Row i of one draw is trial i, whatever --trials is: its last uniform
-    # sets the size k, uniform over 1..n-1, and the observables at its k
-    # smallest other uniforms form the mask.
     n = len(observables)
-    keys = np.random.default_rng(args.seed).random((args.trials, n + 1))
-    sizes = (1 + np.floor(keys[:, -1] * (n - 1))).astype(int).tolist()
-    order = np.argsort(keys[:, :-1], axis=1, kind="stable").tolist()
-    masks = [Mask(observables[j] for j in row[:k]) for row, k in zip(order, sizes)]
+    rng = np.random.default_rng(args.seed)
     mismatches, flag_failures, ties = [], 0, 0
-    for mask, info in zip(masks, locate_many(g, masks)):
-        oracle = brute_force_minimal_c(g, mask, dims)
-        if (info.c, info.s_m) != (oracle.c, oracle.s_m):
-            mismatches.append(mask)
-        ties += len(oracle.ties)
-        flag_failures += not verify_conditions(g, mask, info).all_ok
+    for start in range(0, args.trials, VERIFY_BLOCK):
+        # Row i of the one stream of uniforms is trial i, whatever the block
+        # size or --trials: its last uniform sets the size k, uniform over
+        # 1..n-1, and the observables at its k smallest other uniforms form
+        # the mask.
+        keys = rng.random((min(VERIFY_BLOCK, args.trials - start), n + 1))
+        sizes = (1 + np.floor(keys[:, -1] * (n - 1))).astype(int).tolist()
+        order = np.argsort(keys[:, :-1], axis=1, kind="stable").tolist()
+        masks = [Mask(observables[j] for j in row[:k]) for row, k in zip(order, sizes)]
+        for mask, info in zip(masks, locate_many(g, masks)):
+            oracle = brute_force_minimal_c(g, mask, dims)
+            if (info.c, info.s_m) != (oracle.c, oracle.s_m):
+                mismatches.append(mask)
+            ties += len(oracle.ties)
+            flag_failures += not verify_conditions(g, mask, info).all_ok
     print(f"trials={args.trials} mismatches={len(mismatches)} flag_failures={flag_failures} ties={ties}")
     for mask in mismatches:
         print(f"  mismatch on mask {','.join(sorted(mask.masked))}")

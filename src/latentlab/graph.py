@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -155,62 +154,40 @@ class LatentGraph:
             raise UnknownNodeError(f"unknown node id {v!r}")
 
     # -- reachability --------------------------------------------------
+    # Each walk reads the bit index, so it refuses an invalid graph as
+    # ``bit_index`` does; an unknown id is an ``UnknownNodeError``.
 
     def ancestors(self, v: NodeId) -> set[NodeId]:
         """Proper ancestors of ``v`` (``v`` excluded, exogenous included)."""
-        self._require(v)
-        return self._reach(v, self._parents)
+        return self.ancestors_of_set([v])
 
     def descendants(self, v: NodeId) -> set[NodeId]:
         """Proper descendants of ``v`` (``v`` excluded)."""
-        self._require(v)
-        return self._reach(v, self._children)
+        idx = self.bit_index()
+        bit = idx.encode([v])
+        return {w for w, up in zip(idx.ids, idx.ancestors) if up & bit}
 
     def ancestors_of_set(self, targets: Iterable[NodeId]) -> set[NodeId]:
         """Union of proper ancestors over ``targets`` (a target appears only
         if it is an ancestor of another target)."""
-        targets = set(targets)
-        for t in targets:
-            self._require(t)
-        seen: set[NodeId] = set()
-        queue = deque(targets)
-        while queue:
-            v = queue.popleft()
-            for p in self._parents[v]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
-
-    def _reach(self, start: NodeId, step: Mapping[NodeId, frozenset[NodeId]]) -> set[NodeId]:
-        seen: set[NodeId] = set()
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in step[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        seen.discard(start)
-        return seen
+        idx = self.bit_index()
+        up = 0
+        for i in idx.positions(idx.encode(targets)):
+            up |= idx.ancestors[i]
+        return idx.decode(up)
 
     def is_ancestor_of_any(self, v: NodeId, targets: Iterable[NodeId]) -> bool:
         """True iff a directed path leads from ``v`` to some target (proper:
         a node does not count as its own ancestor)."""
-        targets = set(targets)
-        for t in targets:
-            self._require(t)
-        return bool(self.descendants(v) & targets)
+        up = self.ancestors_of_set(targets)
+        self._require(v)
+        return v in up
 
     def directed_path_nodes(self, src: NodeId, targets: Iterable[NodeId]) -> set[NodeId]:
         """All nodes other than ``src`` lying on a directed path from ``src``
         to some target, targets themselves included when reached."""
         targets = set(targets)
-        for t in targets:
-            self._require(t)
-        down = self.descendants(src)
-        up = self.ancestors_of_set(targets)
-        return down & (up | targets)
+        return self.descendants(src) & (self.ancestors_of_set(targets) | targets)
 
     # -- order and depth ------------------------------------------------
 

@@ -61,6 +61,33 @@ def random_mask(rng: np.random.Generator, g: LatentGraph) -> Mask:
     return Mask(str(v) for v in chosen)
 
 
+# -- set walks ---------------------------------------------------------------
+#
+# Reachability over ``parents``/``children`` with no bit index: the references
+# that the graph's own walks, which read its index, are checked against.
+
+
+def _set_descendants(g: LatentGraph, v) -> set:
+    seen, stack = set(), [v]
+    while stack:
+        for c in g.children(stack.pop()):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _set_ancestors_of_set(g: LatentGraph, targets: Iterable[str]) -> set:
+    """Union of proper ancestors over ``targets``."""
+    seen, stack = set(), list(targets)
+    while stack:
+        for p in g.parents(stack.pop()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
 def d_separated(g: LatentGraph, a: Iterable[str], b: Iterable[str], z: Iterable[str]) -> bool:
     """True iff every undirected path between ``a`` and ``b`` is blocked by
     ``z``: chains/forks block when their middle node is conditioned on,
@@ -80,14 +107,7 @@ def d_separated(g: LatentGraph, a: Iterable[str], b: Iterable[str], z: Iterable[
         return True
 
     # Upward closure of z: nodes that are in z or have a descendant in z.
-    z_up = set(z)
-    queue = deque(z)
-    while queue:
-        v = queue.popleft()
-        for p in g.parents(v):
-            if p not in z_up:
-                z_up.add(p)
-                queue.append(p)
+    z_up = z | _set_ancestors_of_set(g, z)
 
     # Walk active trails from `a`; a state is (node, direction of arrival).
     up, down = 0, 1

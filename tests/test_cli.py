@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -302,6 +303,65 @@ def test_verify_mask_sizes_cover_one_to_n_minus_one(monkeypatch, capsys, fig4):
     masks = _verified_masks(monkeypatch, ["verify", "fig4", "--trials", "200", "--seed", "3"])
     assert all(m <= set(fig4.observables) for m in masks)
     assert {len(m) for m in masks} == set(range(1, len(fig4.observables)))
+
+
+def test_verify_masks_do_not_depend_on_the_block_size(monkeypatch, capsys):
+    """The trials are drawn and answered a block at a time from the one
+    generator, so a run in blocks of 7 hands the oracle the masks of a run
+    in one block, in the same order, and prints the same line."""
+    argv = ["verify", "fig4", "--trials", "50", "--seed", "3"]
+    one_block = _verified_masks(monkeypatch, argv)
+    out = capsys.readouterr().out
+    blocks, locate_many = [], cli_module.locate_many
+    monkeypatch.setattr(cli_module, "locate_many", lambda g, masks: blocks.append(len(masks)) or locate_many(g, masks))
+    monkeypatch.setattr(cli_module, "VERIFY_BLOCK", 7)
+    assert _verified_masks(monkeypatch, argv) == one_block
+    assert capsys.readouterr().out == out
+    assert blocks == [7] * 7 + [1]
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_trials(capsys):
+    """verify holds one block of trials at a time: its traced peak at 5,000
+    trials stays within 10% of its peak at 1,000."""
+    assert main(["verify", "fig4", "--trials", "10", "--seed", "7"]) == 0  # fill the one-time caches
+    small = _traced_peak(["verify", "fig4", "--trials", "1000", "--seed", "7"])
+    large = _traced_peak(["verify", "fig4", "--trials", "5000", "--seed", "7"])
+    assert large <= 1.1 * small, (small, large)
+
+
+def _oracle_searches(argv) -> int:
+    """Calls of the oracle's nested ``search`` in one run, counted through
+    the profiler hook, so the package carries no counter."""
+    calls, previous = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "search" and code.co_filename == locate_module.__file__:
+            calls += 1
+    sys.setprofile(profile)
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("graph, calls", [("fig2", 41_124), ("fig4", 4_849)])
+def test_oracle_search_effort_is_pinned(capsys, graph, calls):
+    """The branch and bound's node count over 300 seeded masks.  A weaker
+    but still admissible bound gives the same answers and more calls, which
+    only this count sees; a change to the search re-pins it."""
+    assert _oracle_searches(["verify", graph, "--trials", "300", "--seed", "7"]) == calls
 
 
 # -- experiment pipeline ---------------------------------------------------------

@@ -19,7 +19,14 @@ from latentlab import (
 from latentlab.graph import graph_to_dict
 from latentlab.locate import locate_shared_info
 
-from conftest import d_separated, random_hierarchy, reference_index, reference_violations
+from conftest import (
+    _set_ancestors_of_set,
+    _set_descendants,
+    d_separated,
+    random_hierarchy,
+    reference_index,
+    reference_violations,
+)
 
 MINIMAL_CHAIN = LatentGraph(
     [("z", "latent"), ("x", "observable"), ("eps_z", "exogenous"), ("eps_x", "exogenous")],
@@ -234,6 +241,20 @@ def test_directed_path_nodes(fig4):
     assert fig4.directed_path_nodes("z3", {"x6"}) == set()
 
 
+def test_walks_refuse_unknown_ids(fig4):
+    for walk in (
+        lambda: fig4.ancestors("nope"),
+        lambda: fig4.descendants("nope"),
+        lambda: fig4.ancestors_of_set({"x1", "nope"}),
+        lambda: fig4.is_ancestor_of_any("nope", {"x1"}),
+        lambda: fig4.is_ancestor_of_any("z2", {"nope"}),
+        lambda: fig4.directed_path_nodes("nope", {"x1"}),
+        lambda: fig4.directed_path_nodes("z2", {"nope"}),
+    ):
+        with pytest.raises(UnknownNodeError):
+            walk()
+
+
 def test_topo_depth(fig4):
     assert fig4.topo_depth("z3") == 1
     assert fig4.topo_depth("z1") == 2
@@ -320,7 +341,7 @@ def _active_path_exists(g: LatentGraph, a: set, b: set, z: set) -> bool:
             into_left = (prev_node, node) in g.edges
             into_right = (next_node, node) in g.edges
             if into_left and into_right:  # collider
-                if node not in z and not (g.descendants(node) & z):
+                if node not in z and not (_set_descendants(g, node) & z):
                     return False
             else:  # chain or fork
                 if node in z:
@@ -383,6 +404,27 @@ def test_ancestor_descendant_duality(seed):
             assert u in g.descendants(v)
         for w in g.descendants(u):
             assert u in g.ancestors(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_walks_match_set_walks(seed):
+    """Each walk, which reads the bit index, against the set walks over
+    ``parents``/``children``; a node lies on a directed path from ``v`` to
+    the targets when it is a target or has one below it."""
+    rng = np.random.default_rng(seed)
+    g = random_hierarchy(rng)
+    ids = sorted(g.node_ids)
+    for v in ids:
+        below = _set_descendants(g, v)
+        assert g.ancestors(v) == _set_ancestors_of_set(g, {v})
+        assert g.descendants(v) == below
+        targets = set(rng.choice(ids, size=int(rng.integers(0, 4)), replace=False).tolist())
+        assert g.ancestors_of_set(targets) == _set_ancestors_of_set(g, targets)
+        assert g.is_ancestor_of_any(v, targets) == bool(below & targets)
+        assert g.directed_path_nodes(v, targets) == {
+            w for w in below if w in targets or _set_descendants(g, w) & targets
+        }
 
 
 @settings(max_examples=60, deadline=None)

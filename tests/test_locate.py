@@ -23,7 +23,7 @@ from latentlab.locate import (
     verify_conditions,
 )
 
-from conftest import d_separated, random_hierarchy, random_mask
+from conftest import _set_ancestors_of_set, _set_descendants, d_separated, random_hierarchy, random_mask
 
 FIG4C_MASK = Mask({"x1", "x2", "x3"})
 FIG4C_SM = frozenset({"eps_z1", "eps_z3", "eps_z4", "eps_x1", "eps_x2", "eps_x3"})
@@ -97,6 +97,11 @@ INDEX_READERS = {
         g, FIG4C_MASK, SharedInfo(c=frozenset({"z2"}), s_m=frozenset(), s_mc=frozenset(), mask=FIG4C_MASK)),
     "derive_dims": derive_dims,
     "topo_depth": lambda g: g.topo_depth("z2"),
+    "ancestors": lambda g: g.ancestors("x6"),
+    "descendants": lambda g: g.descendants("z2"),
+    "ancestors_of_set": lambda g: g.ancestors_of_set({"x1", "x6"}),
+    "is_ancestor_of_any": lambda g: g.is_ancestor_of_any("z2", {"x6"}),
+    "directed_path_nodes": lambda g: g.directed_path_nodes("z2", {"x6"}),
     "build_scm": lambda g: build_scm(g, ScmSettings()),
     "sweep_rows": lambda g: sweep_rows(g, [0.5], [1], 2, seed=0),
 }
@@ -342,7 +347,7 @@ def _eager_oracle(g: LatentGraph, mask: Mask, dims) -> OracleResult:
     visible = set(g.observables) - masked
     latents = sorted(g.latents)
     exo_anc_masked = {
-        v for v in (g.ancestors_of_set(masked) | masked) if g.kind(v) is NodeKind.EXOGENOUS
+        v for v in (_set_ancestors_of_set(g, masked) | masked) if g.kind(v) is NodeKind.EXOGENOUS
     }
 
     def satisfies(candidate):
@@ -478,8 +483,9 @@ def test_pruned_set_has_no_internal_downstream_member(seed):
     mask = random_mask(rng, g)
     c = locate_shared_info(g, mask).c
     visible = set(g.observables) - set(mask.masked)
+    on_paths_to_visible = _set_ancestors_of_set(g, visible) | visible
     for d in c:
-        assert not (g.directed_path_nodes(d, visible) & (c - {d}))
+        assert not (_set_descendants(g, d) & on_paths_to_visible & (c - {d}))
 
 
 # -- levels -----------------------------------------------------------------------
@@ -507,16 +513,6 @@ def test_level_peak_at_intermediate_mask(fig4):
 # The library answers locate, smc, verify and sweep queries on the graph's
 # BitIndex.  These references work on node-id sets over `parents`/`children`
 # and `d_separated`, with no BitIndex, and must give the same answers.
-
-
-def _set_descendants(g: LatentGraph, v) -> set:
-    seen, stack = set(), [v]
-    while stack:
-        for c in g.children(stack.pop()):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return seen
 
 
 def _set_levels(g: LatentGraph) -> dict:
